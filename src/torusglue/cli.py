@@ -365,6 +365,9 @@ def _typed_config(command: str, merged: dict) -> RunConfig:
         extras["t_grid"] = _parse_int("t_grid", merged["t_grid"])
         if extras["grid"] < 2 or extras["t_grid"] < 3:
             raise ConfigError("grid", "grids need at least a few points")
+        if extras["t_grid"] % 2 == 0:
+            # the height grid is centered at the point; only an odd size contains it
+            raise ConfigError("t_grid", "must be odd so the grid contains the point's own height")
     if command == "lift":
         extras["shifts"] = [
             _parse_exact("shifts", s.strip(), d) for s in merged["shifts"].split(",")
@@ -553,7 +556,9 @@ def _cmd_isometry_check(cfg: RunConfig):
     for i in range(n_iso):
         iso = random_product_isometry(rng_for(cfg.seed, 10_000 + i), cfg.d)
         try:
-            recovered = decompose_isometry(iso.apply, params, cfg.gram, mode=cfg.mode, seed=cfg.seed)
+            recovered = decompose_isometry(
+                iso.apply, params, cfg.gram, mode=cfg.mode, seed=cfg.seed, d=cfg.d
+            )
         except DecompositionError:
             roundtrip_failures += 1
             continue
@@ -561,7 +566,9 @@ def _cmd_isometry_check(cfg: RunConfig):
             roundtrip_failures += 1
 
     try:
-        decompose_isometry(_swap_impostor, params, cfg.gram, mode=cfg.mode, seed=cfg.seed)
+        decompose_isometry(
+            _swap_impostor, params, cfg.gram, mode=cfg.mode, seed=cfg.seed, d=cfg.d
+        )
         swap_rejected = False
     except ComponentSwapError:
         swap_rejected = True
@@ -574,7 +581,9 @@ def _cmd_isometry_check(cfg: RunConfig):
         return GluedPoint.cylinder(p.y, 2 * p.t)
 
     try:
-        decompose_isometry(scaling_impostor, params, cfg.gram, mode=cfg.mode, seed=cfg.seed)
+        decompose_isometry(
+            scaling_impostor, params, cfg.gram, mode=cfg.mode, seed=cfg.seed, d=cfg.d
+        )
         scaling_rejected = False
     except LineActionError:
         scaling_rejected = True

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gluing import Distance, GluedPoint, GluingParams, WindingPoint, glued_distance, winding_distance
-from .numerics import EXACT, ScalarMode, as_float, require_exact, sign_of
+from .numerics import DEFAULT_D, EXACT, ScalarMode, as_float, require_exact, sign_of
 from .sampling import random_glued_point, random_torus_point, random_winding_point, rng_for
 from .torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint
 
@@ -264,17 +264,21 @@ def verify_isometry(
 
     Exact mode demands equal distance components; float mode allows
     mode.identity_eps of drift.  `apply_map` is any callable on points of
-    the chosen space ('glued' or 'winding').
+    the chosen space ('glued' or 'winding').  Exact winding-space samples
+    are drawn over the subgroup's slope field.
     """
     if space == "winding":
         if subgroup is None:
             raise ValueError("winding-space verification needs the subgroup")
+        line_d = subgroup.alpha.d
 
         def dist(p, q):
             return winding_distance(p, q, params, gram, subgroup)
 
         def sample(rng):
-            return random_winding_point(rng, 3 * max(1, int(as_float(params.M))), exact=mode.exact)
+            return random_winding_point(
+                rng, 3 * max(1, int(as_float(params.M))), exact=mode.exact, d=line_d
+            )
 
     elif space == "glued":
 
@@ -329,6 +333,7 @@ def decompose_isometry(
     mode: ScalarMode = EXACT,
     seed: int = 0,
     extra_probes: int = 4,
+    d: int = DEFAULT_D,
 ) -> ProductIsometry:
     """Recover (torus part, line part) from a black-box glued-space map.
 
@@ -336,7 +341,7 @@ def decompose_isometry(
     line's induced height map is not an isometry of the reals,
     ProductFormError if different lines see different height maps or the
     final cross-check fails, and TorusActionError for torus actions outside
-    the recognized family.
+    the recognized family.  The seeded extra probes are drawn over sqrt(d).
     """
     probes = [
         TorusPoint.origin(),
@@ -345,7 +350,7 @@ def decompose_isometry(
         TorusPoint(Fraction(5, 8), Fraction(2, 7)),
     ]
     for i in range(extra_probes):
-        probes.append(random_torus_point(rng_for(seed, i), exact=True))
+        probes.append(random_torus_point(rng_for(seed, i), exact=True, d=d))
 
     # sheets must be preserved
     torus_images = []

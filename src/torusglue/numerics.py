@@ -1,9 +1,12 @@
-"""Exact scalars a + b*sqrt(d) over a fixed real quadratic field.
+"""Exact scalars (A + B*sqrt(d)) / D over a fixed real quadratic field.
 
 Every certificate-grade decision in this package reduces to a sign test on
-one of these scalars, so all arithmetic here is exact rational arithmetic
-on the coefficient pair.  Rounding happens only in `as_float`, at the
-reporting edge, and in the explicitly float-typed parallel mode.
+one of these scalars.  A scalar is stored as one normalized integer triple
+(A, B, D) with D > 0 and gcd(A, B, D) = 1, so arithmetic, signs and floors
+are integer operations, and `isqrt` supplies the one irrational ingredient.
+Rounding happens only in the float views (`float`, `sqrt_as_float`), at the
+reporting edge and in the explicitly float-typed parallel mode; those views
+carry a proven relative error of at most 2^-52.
 """
 
 from __future__ import annotations
@@ -12,11 +15,15 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 DEFAULT_D = 2
 
 _RATIONAL = (int, Fraction)
 _VALIDATED_D: set[int] = set()
+
+# bits of relative precision carried before the final rounding to float
+_FLOAT_PREC = 120
 
 
 class FieldMismatchError(ValueError):
@@ -54,18 +61,107 @@ def _rat(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-class QuadScalar:
-    """Exact field element a + b*sqrt(d) with reduced rational coefficients."""
+# -- integer kernels on (A, B, D) ------------------------------------------------
 
-    __slots__ = ("a", "b", "d")
+
+def _sign(A: int, B: int, d: int) -> int:
+    """Sign of A + B*sqrt(d): with opposite signs, A^2 against d*B^2 decides."""
+    if B == 0:
+        return (A > 0) - (A < 0)
+    if A == 0 or (A > 0) == (B > 0):
+        return 1 if B > 0 else -1
+    # A^2 == d*B^2 would make sqrt(d) rational, impossible for square-free d
+    if A * A > d * B * B:
+        return 1 if A > 0 else -1
+    return 1 if B > 0 else -1
+
+
+def _magnitude_floor(A: int, B: int, D: int, d: int) -> int:
+    """An m with |(A + B*sqrt(d)) / D| >= 2^m, for a nonzero value.
+
+    Without cancellation |A + B*sqrt(d)| >= 1.  With it, the product with
+    the conjugate is the nonzero integer A^2 - d*B^2, so
+    |A + B*sqrt(d)| >= 1 / (|A| + |B|*sqrt(d)).
+    """
+    if B == 0 or A == 0 or (A > 0) == (B > 0):
+        top = 0
+    else:
+        top = -(abs(A) + abs(B) * (math.isqrt(d) + 1)).bit_length()
+    return top - D.bit_length()
+
+
+def _scaled(A: int, B: int, D: int, d: int, k: int) -> int:
+    """An integer n with |n - 2^k * (A + B*sqrt(d)) / D| < 2, for k >= 0."""
+    t = math.isqrt(d * B * B << 2 * k)  # floor(|B| * sqrt(d) * 2^k)
+    return ((A << k) + (t if B >= 0 else -t)) // D
+
+
+def _to_float(A: int, B: int, D: int, d: int) -> float:
+    if B == 0:
+        return A / D  # correctly rounded, as float(Fraction(A, D))
+    # 2^k * |value| >= 2^_FLOAT_PREC, so the integer carries a relative error
+    # below 2^-119 into one correctly rounded division
+    k = max(0, _FLOAT_PREC - _magnitude_floor(A, B, D, d))
+    return _scaled(A, B, D, d, k) / (1 << k)
+
+
+@lru_cache(maxsize=None)
+def _sqrt_d_digits(d: int, digits: int) -> int:
+    """floor(sqrt(d) * 10^digits)."""
+    return math.isqrt(d * 10 ** (2 * digits))
+
+
+def _new(A: int, B: int, D: int, d: int) -> "QuadScalar":
+    """Scalar from a triple already normalized (D > 0, gcd 1)."""
+    q = _alloc(QuadScalar)
+    _set_A(q, A)
+    _set_B(q, B)
+    _set_D(q, D)
+    _set_d(q, d)
+    return q
+
+
+def _reduced(A: int, B: int, D: int, d: int) -> "QuadScalar":
+    """Scalar from a triple with D > 0, divided through by gcd(A, B, D)."""
+    g = math.gcd(A, B, D)
+    if g != 1:
+        A //= g
+        B //= g
+        D //= g
+    return _new(A, B, D, d)
+
+
+class QuadScalar:
+    """Exact field element (A + B*sqrt(d)) / D, stored as a normalized triple.
+
+    D > 0 and gcd(A, B, D) = 1, so equal values have equal triples.  The
+    rational coefficients of a + b*sqrt(d) are the read-only views
+    `a = A/D` and `b = B/D`.  The constructor takes (a, b, d) and validates
+    them; arithmetic builds its results from integers directly.
+    """
+
+    __slots__ = ("_A", "_B", "_D", "d")
 
     def __init__(self, a=0, b=0, d: int = DEFAULT_D):
-        object.__setattr__(self, "a", _rat(a))
-        object.__setattr__(self, "b", _rat(b))
-        object.__setattr__(self, "d", _check_d(d))
+        a, b = _rat(a), _rat(b)
+        _check_d(d)
+        # the lcm of the reduced denominators already makes gcd(A, B, D) = 1
+        D = math.lcm(a.denominator, b.denominator)
+        _set_A(self, a.numerator * (D // a.denominator))
+        _set_B(self, b.numerator * (D // b.denominator))
+        _set_D(self, D)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadScalar is immutable")
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._A, self._D)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._B, self._D)
 
     # -- construction helpers ------------------------------------------------
 
@@ -73,33 +169,34 @@ class QuadScalar:
     def sqrt_d(cls, d: int = DEFAULT_D) -> "QuadScalar":
         return cls(0, 1, d)
 
-    def _pair(self, other):
-        """Rebase both operands into a common field; (None, None) if unsupported.
+    def _coerce(self, other):
+        """(A, B, D) of `other` and the common field index; None if unsupported.
 
         Rational-valued scalars mix freely across radicands; two genuinely
         irrational scalars must share d.
         """
         if isinstance(other, QuadScalar):
-            if other.d == self.d:
-                return self, other
-            if other.b == 0:
-                return self, QuadScalar(other.a, 0, self.d)
-            if self.b == 0:
-                return QuadScalar(self.a, 0, other.d), other
-            raise FieldMismatchError(
-                f"cannot mix sqrt({self.d}) and sqrt({other.d}) scalars"
-            )
-        if isinstance(other, _RATIONAL):
-            return self, QuadScalar(other, 0, self.d)
-        return None, None
+            d = self.d
+            if other.d != d and other._B != 0:
+                if self._B != 0:
+                    raise FieldMismatchError(
+                        f"cannot mix sqrt({self.d}) and sqrt({other.d}) scalars"
+                    )
+                d = other.d
+            return other._A, other._B, other._D, d
+        if isinstance(other, int):
+            return other, 0, 1, self.d
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator, self.d
+        return None
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self._A == 0 and self._B == 0
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._B == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -107,27 +204,18 @@ class QuadScalar:
     # -- exact ordering ------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}, decided by comparing a^2 against d*b^2."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        sa = 1 if a > 0 else -1
-        sb = 1 if b > 0 else -1
-        if sa == sb:
-            return sa
-        # opposite signs: the larger of a^2 and d*b^2 decides
-        gap = a * a - self.d * b * b
-        # gap == 0 would make sqrt(d) rational, impossible for square-free d
-        assert gap != 0
-        return sa if gap > 0 else sb
+        """Exact sign in {-1, 0, +1}, decided by comparing A^2 against d*B^2."""
+        return _sign(self._A, self._B, self.d)
 
     def _cmp(self, other) -> int:
-        s, o = self._pair(other)
-        if s is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return (s - o).sign()
+        A, B, D, d = o
+        sD = self._D
+        if sD == D:
+            return _sign(self._A - A, self._B - B, d)
+        return _sign(self._A * D - A * sD, self._B * D - B * sD, d)
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -149,21 +237,28 @@ class QuadScalar:
         if isinstance(other, QuadScalar):
             if self.d != other.d:
                 # distinct square-free radicals are linearly independent over Q
-                return self.b == 0 and other.b == 0 and self.a == other.a
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, _RATIONAL):
-            return self.b == 0 and self.a == other
+                if self._B != 0 or other._B != 0:
+                    return False
+            return self._A == other._A and self._B == other._B and self._D == other._D
+        if isinstance(other, int):
+            return self._B == 0 and self._D == 1 and self._A == other
+        if isinstance(other, Fraction):
+            return (
+                self._B == 0
+                and self._A == other.numerator
+                and self._D == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
+        if self._B == 0:
+            return hash(Fraction(self._A, self._D))
         return hash((self.a, self.b, self.d))
 
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self):
-        return QuadScalar(-self.a, -self.b, self.d)
+        return _new(-self._A, -self._B, self._D, self.d)
 
     def __pos__(self):
         return self
@@ -174,76 +269,87 @@ class QuadScalar:
     def __add__(self, other):
         if isinstance(other, float):
             return float(self) + other
-        s, o = self._pair(other)
-        if s is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return QuadScalar(s.a + o.a, s.b + o.b, s.d)
+        A, B, D, d = o
+        sD = self._D
+        if sD == D:
+            return _reduced(self._A + A, self._B + B, D, d)
+        return _reduced(self._A * D + A * sD, self._B * D + B * sD, sD * D, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, float):
             return float(self) - other
-        s, o = self._pair(other)
-        if s is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return QuadScalar(s.a - o.a, s.b - o.b, s.d)
+        A, B, D, d = o
+        sD = self._D
+        if sD == D:
+            return _reduced(self._A - A, self._B - B, D, d)
+        return _reduced(self._A * D - A * sD, self._B * D - B * sD, sD * D, d)
 
     def __rsub__(self, other):
         if isinstance(other, float):
             return other - float(self)
-        s, o = self._pair(other)
-        if s is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return QuadScalar(o.a - s.a, o.b - s.b, s.d)
+        A, B, D, d = o
+        sD = self._D
+        if sD == D:
+            return _reduced(A - self._A, B - self._B, D, d)
+        return _reduced(A * sD - self._A * D, B * sD - self._B * D, sD * D, d)
 
     def __mul__(self, other):
         if isinstance(other, float):
             return float(self) * other
-        s, o = self._pair(other)
-        if s is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return QuadScalar(
-            s.a * o.a + s.d * s.b * o.b,
-            s.a * o.b + s.b * o.a,
-            s.d,
-        )
+        A, B, D, d = o
+        sA, sB = self._A, self._B
+        if B == 0:
+            return _reduced(sA * A, sB * A, self._D * D, d)
+        return _reduced(sA * A + d * sB * B, sA * B + sB * A, self._D * D, d)
 
     __rmul__ = __mul__
 
     def norm(self) -> Fraction:
         """Field norm a^2 - d*b^2; zero only for the zero scalar."""
-        return self.a * self.a - self.d * self.b * self.b
+        return Fraction(self._A * self._A - self.d * self._B * self._B, self._D * self._D)
 
     def conjugate(self) -> "QuadScalar":
-        return QuadScalar(self.a, -self.b, self.d)
+        return _new(self._A, -self._B, self._D, self.d)
 
     def reciprocal(self) -> "QuadScalar":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return QuadScalar(self.a / n, -self.b / n, self.d)
+        return _quotient(1, 0, 1, self._A, self._B, self._D, self.d)
 
     def __truediv__(self, other):
         if isinstance(other, float):
             return float(self) / other
-        s, o = self._pair(other)
-        if s is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return s * o.reciprocal()
+        A, B, D, d = o
+        return _quotient(self._A, self._B, self._D, A, B, D, d)
 
     def __rtruediv__(self, other):
         if isinstance(other, float):
             return other / float(self)
-        s, o = self._pair(other)
-        if s is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return o * s.reciprocal()
+        A, B, D, d = o
+        return _quotient(A, B, D, self._A, self._B, self._D, d)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = QuadScalar(1, 0, self.d)
+        out = _new(1, 0, 1, self.d)
         base = self
         while n:
             if n & 1:
@@ -254,20 +360,14 @@ class QuadScalar:
 
     # -- floor / fractional part ---------------------------------------------
 
-    def _ge_int(self, n: int) -> bool:
-        return (self - n).sign() >= 0
-
     def floor(self) -> int:
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        lo, _ = self.interval(30)
-        n = lo.numerator // lo.denominator
-        # exact bracketing: the interval is 1e-30 wide, so at most one step
-        while self._ge_int(n + 1):
-            n += 1
-        while not self._ge_int(n):
-            n -= 1
-        return n
+        """Closed form: B*sqrt(d) lies strictly between consecutive integers."""
+        A, B = self._A, self._B
+        if B == 0:
+            return A // self._D
+        s = math.isqrt(self.d * B * B)
+        # floor(x / D) == floor(floor(x) / D) for an integer D > 0
+        return (A + s if B > 0 else A - s - 1) // self._D
 
     def floor_frac(self) -> tuple[int, "QuadScalar"]:
         n = self.floor()
@@ -280,31 +380,51 @@ class QuadScalar:
 
     def interval(self, digits: int = 30) -> tuple[Fraction, Fraction]:
         """Rational lo <= value <= hi with width about |b| * 10^-digits."""
-        if self.b == 0:
-            return self.a, self.a
+        A, B, D = self._A, self._B, self._D
+        if B == 0:
+            a = Fraction(A, D)
+            return a, a
         scale = 10 ** digits
-        r = math.isqrt(self.d * scale * scale)
-        lo_s = Fraction(r, scale)
-        hi_s = Fraction(r + 1, scale)
-        if self.b > 0:
-            return self.a + self.b * lo_s, self.a + self.b * hi_s
-        return self.a + self.b * hi_s, self.a + self.b * lo_s
+        r = _sqrt_d_digits(self.d, digits)
+        lo = Fraction(A * scale + B * r, D * scale)
+        hi = Fraction(A * scale + B * (r + 1), D * scale)
+        return (lo, hi) if B > 0 else (hi, lo)
 
     def __float__(self) -> float:
-        if self.b == 0:
-            return float(self.a)
-        lo, hi = self.interval(40)
-        return float((lo + hi) / 2)
+        return _to_float(self._A, self._B, self._D, self.d)
 
     # -- formatting ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.b == 0:
+        if self._B == 0:
             return str(self.a)
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
     def __repr__(self) -> str:
         return f"QuadScalar({self.a}, {self.b}, d={self.d})"
+
+
+_alloc = object.__new__
+_set_A = QuadScalar._A.__set__
+_set_B = QuadScalar._B.__set__
+_set_D = QuadScalar._D.__set__
+_set_d = QuadScalar.d.__set__
+
+
+def _quotient(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int, d: int) -> QuadScalar:
+    """(A1 + B1*sqrt(d))/D1 divided by (A2 + B2*sqrt(d))/D2, via the conjugate."""
+    if B2 == 0:
+        if A2 == 0:
+            raise ZeroDivisionError("division by zero scalar")
+        A, B, den = A1 * D2, B1 * D2, D1 * A2
+    else:
+        # the norm A2^2 - d*B2^2 is nonzero for B2 != 0
+        A = D2 * (A1 * A2 - d * B1 * B2)
+        B = D2 * (B1 * A2 - A1 * B2)
+        den = D1 * (A2 * A2 - d * B2 * B2)
+    if den < 0:
+        A, B, den = -A, -B, -den
+    return _reduced(A, B, den, d)
 
 
 # -- generic scalar helpers (QuadScalar | Fraction | int | float) --------------
@@ -402,13 +522,44 @@ def sqrt_interval(x, digits: int = 30) -> tuple[Fraction, Fraction]:
     return _sqrt_lower(lo, digits), _sqrt_upper(hi, digits)
 
 
+def _triple(x) -> tuple[int, int, int, int]:
+    """(A, B, D, d) of an exact scalar; rationals get B = 0 over DEFAULT_D."""
+    if isinstance(x, QuadScalar):
+        return x._A, x._B, x._D, x.d
+    r = _rat(require_exact(x))
+    return r.numerator, 0, r.denominator, DEFAULT_D
+
+
 def sqrt_as_float(x) -> float:
-    if is_exact(x):
-        if sign_of(x) == 0:
-            return 0.0
-        lo, hi = sqrt_interval(x, 40)
-        return float((lo + hi) / 2)
-    return math.sqrt(max(0.0, float(x)))
+    """sqrt(x) as a float with relative error at most 2^-52; x exact or float."""
+    if not is_exact(x):
+        return math.sqrt(max(0.0, float(x)))
+    A, B, D, d = _triple(x)
+    s = _sign(A, B, d)
+    if s == 0:
+        return 0.0
+    if s < 0:
+        raise ValueError("sqrt of a negative scalar")
+    # 4^j * x >= 2^(2 * _FLOAT_PREC), so isqrt keeps _FLOAT_PREC - 1 bits
+    j = max(0, (2 * _FLOAT_PREC - _magnitude_floor(A, B, D, d) + 1) // 2)
+    return math.isqrt(_scaled(A, B, D, d, 2 * j)) / (1 << j)
+
+
+def float_with_error(x) -> tuple[float, float] | None:
+    """(f, err) with f = float(x) and a proven bound |f - x| <= err.
+
+    None when x is a float (its error is unknown here) or float(x) overflows.
+    Rational and quadratic conversions round one integer quotient whose
+    relative error is below 2^-119, so |f - x| <= 2^-53 * |x| + 2^-1075
+    <= 2^-51 * |f| + 2^-1060 (the second term covers subnormal results).
+    """
+    if not is_exact(x):
+        return None
+    try:
+        f = _to_float(*_triple(x))
+    except OverflowError:
+        return None
+    return f, abs(f) * 2.0**-51 + 2.0**-1060
 
 
 # -- scalar modes ---------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 from .numerics import (
     QuadScalar,
     as_float,
+    float_with_error,
     floor_frac,
     is_exact,
     nearest_int,
@@ -168,8 +169,66 @@ class Length:
         return self.value
 
 
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _window_survivors(z1, z2, gram: GramMatrix, window: int):
+    """Window shifts (s1, s2) that can hold the exact minimum, in window order.
+
+    z = (z1, z2) is the exact reduced difference, |z_i| <= 1/2.  A float
+    pass evaluates F(s) = fl(Q^(x)) for every shift, with x_i = fl(f_i + s_i),
+    f_i = float(z_i), and Q^ the reduced form with float entries.  With
+    S = window, u = 2^-53, e_i >= |f_i - z_i| from `float_with_error` and
+    G >= |g11| + 2|g12| + |g22| (the reduced Gram's entries):
+
+        eps = max e_i + u * (S + max |f_i|)      bounds |x_i - (z_i + s_i)|
+        X   = S + max |f_i| + eps                bounds |x_i| and |z_i + s_i|
+        |F(s) - Q(z + s)| <= E = G * (6u * X^2 + 2 * eps * X + eps^2) + 2^-1020
+
+    since Q(a) - Q(b) = B(a - b, a + b) with |B(p, q)| <= G * |p| * |q|
+    (the 2 * eps * X and eps^2 terms), the float entries are within u of the
+    exact ones (u * G * X^2), and each of the three products takes at most
+    four roundings on its way into the sum (4u / (1 - 4u) <= 5u, another
+    5u * G * X^2); the last term absorbs underflow.  `err` is 2E, which
+    also covers the roundings made while computing it and F(s) - F_min.  If
+    fl(F(s) - F_min) > 2 * err, then F(s) - F_min > 2E, so
+    Q(z + s) >= F(s) - E > F_min + E >= Q at the float argmin, and s is no
+    exact minimizer.  None (use the whole window) when a float is
+    non-finite or float(z_i) has no proven error.
+    """
+    fz1, fz2 = float_with_error(z1), float_with_error(z2)
+    if fz1 is None or fz2 is None:
+        return None
+    try:
+        _, (g11, g12, g22) = gram._float_data
+    except OverflowError:
+        return None
+    (f1, e1), (f2, e2) = fz1, fz2
+    shifts, vals = [], []
+    for s1 in range(-window, window + 1):
+        x1 = f1 + s1
+        for s2 in range(-window, window + 1):
+            x2 = f2 + s2
+            shifts.append((s1, s2))
+            vals.append(g11 * x1 * x1 + 2 * g12 * x1 * x2 + g22 * x2 * x2)
+    reach = window + max(abs(f1), abs(f2))
+    eps = max(e1, e2) + _U * reach
+    x = reach + eps
+    g = (abs(g11) + 2 * abs(g12) + abs(g22)) * (1 + 2.0**-50) + 2.0**-1000
+    err = 2 * (g * (6 * _U * x * x + 2 * eps * x + eps * eps) + 2.0**-1020)
+    if not (math.isfinite(err) and all(map(math.isfinite, vals))):
+        return None
+    best = min(vals)
+    return [s for s, v in zip(shifts, vals) if v - best <= 2 * err]
+
+
 def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: int = 1):
-    """min over lattice shifts of the Gram form on representatives of q - p."""
+    """min over lattice shifts of the Gram form on representatives of q - p.
+
+    Exact inputs are filtered first: shifts whose float value provably
+    exceeds the float minimum are skipped, and the rest are compared exactly
+    in window order, so the result is the one the full exact window gives.
+    """
     d1, d2 = p.delta(q)
     ui = gram.unimodular_inverse
     _, gr = gram.reduction
@@ -177,14 +236,19 @@ def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: in
     w2 = ui[1][0] * d1 + ui[1][1] * d2
     m1 = -nearest_int(w1)
     m2 = -nearest_int(w2)
+    shifts = None
+    if is_exact(w1) and is_exact(w2):
+        shifts = _window_survivors(w1 + m1, w2 + m2, gram, window)
+    if shifts is None:
+        span = range(-window, window + 1)
+        shifts = [(s1, s2) for s1 in span for s2 in span]
     best = None
-    for s1 in range(-window, window + 1):
-        for s2 in range(-window, window + 1):
-            v1 = w1 + (m1 + s1)
-            v2 = w2 + (m2 + s2)
-            val = gr.form(v1, v2)
-            if best is None or scalar_lt(val, best):
-                best = val
+    for s1, s2 in shifts:
+        v1 = w1 + (m1 + s1)
+        v2 = w2 + (m2 + s2)
+        val = gr.form(v1, v2)
+        if best is None or scalar_lt(val, best):
+            best = val
     return best
 
 

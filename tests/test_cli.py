@@ -84,6 +84,28 @@ def test_isometry_check(capsys):
     assert payload["roundtrips"]["failures"] == 0
 
 
+def test_isometry_check_over_sqrt3(capsys):
+    # sample and probe points are drawn in the configured field, not sqrt(2)
+    code, payload = run_json(
+        capsys, "isometry-check", "--d", "3", "--samples", "5", "--instances", "3"
+    )
+    assert code == 0
+    assert payload["passed"] is True
+    assert payload["roundtrips"] == {"failures": 0, "total": 3}
+    code, payload = run_json(capsys, "lift", "--d", "3", "--samples", "5")
+    assert code == 0
+    assert payload["passed"] is True
+
+
+def test_nearest_rejects_even_t_grid(capsys):
+    code, out, err = run(capsys, "nearest", "--instances", "2", "--t-grid", "400")
+    assert code == 2
+    assert out == ""
+    assert "config key 't_grid'" in err
+    code, payload = run_json(capsys, "nearest", "--instances", "2", "--grid", "25", "--t-grid", "401")
+    assert code == 0
+
+
 def test_lift_default_shifts(capsys):
     code, payload = run_json(capsys, "lift", "--samples", "40")
     assert code == 0
