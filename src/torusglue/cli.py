@@ -60,7 +60,7 @@ from .orbit import (
     local_isometry_check,
     non_closure_report,
 )
-from .report import canonical_json, density_csv, scalar_json, write_report
+from .report import canonical_json, density_csv, plain, write_report
 from .sampling import (
     random_product_isometry,
     random_span_scalar,
@@ -303,28 +303,20 @@ class RunConfig:
             raise ConfigError("R", message)
 
     def describe(self) -> dict:
-        def json_ready(v):
-            if v is None or isinstance(v, (bool, int, float, str)):
-                return v
-            if isinstance(v, TorusPoint):
-                return v.describe()
-            if isinstance(v, (list, tuple)):
-                return [json_ready(item) for item in v]
-            return scalar_json(v)
-
-        extras = {key: json_ready(value) for key, value in self.extras.items()}
-        return {
-            "command": self.command,
-            "d": self.d,
-            "alpha": format_scalar(self.alpha),
-            "gram": self.gram.describe(),
-            "R": format_scalar(self.R),
-            "M": format_scalar(self.M),
-            "mode": self.mode.describe(),
-            "seed": self.seed,
-            "allow_invalid_metric": self.allow_invalid_metric,
-            **extras,
-        }
+        return plain(
+            {
+                "command": self.command,
+                "d": self.d,
+                "alpha": self.alpha,
+                "gram": self.gram,
+                "R": self.R,
+                "M": self.M,
+                "mode": self.mode,
+                "seed": self.seed,
+                "allow_invalid_metric": self.allow_invalid_metric,
+                **self.extras,
+            }
+        )
 
 
 def _typed_config(command: str, merged: dict) -> RunConfig:
@@ -776,7 +768,7 @@ def _cmd_x1_group(cfg: RunConfig):
         "circle_density": {
             "theta": format_scalar(theta),
             "targets": count,
-            "eps": scalar_json(eps),
+            "eps": eps,
             "worst_distance": worst,
             "ok": density_ok,
         },

@@ -32,6 +32,7 @@ from .numerics import (
     sqrt_as_float,
     sqrt_interval,
 )
+from .report import Record
 from .sampling import random_glued_point, rng_for
 from .torus import (
     GramMatrix,
@@ -44,7 +45,7 @@ from .torus import (
 
 
 @dataclass(frozen=True)
-class GluingParams:
+class GluingParams(Record):
     """Cross-component offset R and line cap M; strict mode enforces 2R >= M."""
 
     R: object
@@ -64,14 +65,9 @@ class GluingParams:
     def is_degenerate(self) -> bool:
         return sign_of(2 * self.R - self.M) < 0
 
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {"R": scalar_json(self.R), "M": scalar_json(self.M), "strict": self.strict}
-
 
 @dataclass(frozen=True)
-class GluedPoint:
+class GluedPoint(Record):
     """Point of the glued space: torus point y, or cylinder point (y, t)."""
 
     y: TorusPoint
@@ -94,18 +90,12 @@ class GluedPoint:
     def is_exact(self) -> bool:
         return self.y.is_exact() and (self.t is None or is_exact(self.t))
 
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {
-            "component": "torus" if self.is_compact else "cylinder",
-            "y": self.y.describe(),
-            "t": None if self.t is None else scalar_json(self.t),
-        }
+    def report_fields(self) -> dict:
+        return {"component": "torus" if self.is_compact else "cylinder", **super().report_fields()}
 
 
 @dataclass(frozen=True)
-class WindingPoint:
+class WindingPoint(Record):
     """Point of the restricted space: torus point, or winding-line parameter t."""
 
     y: TorusPoint | None = None
@@ -132,18 +122,12 @@ class WindingPoint:
             return GluedPoint.compact(self.y)
         return GluedPoint.cylinder(line.point(self.t), self.t)
 
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {
-            "component": "torus" if self.is_compact else "line",
-            "y": None if self.y is None else self.y.describe(),
-            "t": None if self.t is None else scalar_json(self.t),
-        }
+    def report_fields(self) -> dict:
+        return {"component": "torus" if self.is_compact else "line", **super().report_fields()}
 
 
 @dataclass(frozen=True)
-class Distance:
+class Distance(Record):
     """Glued distance sqrt(torus_sq) + offset, kept in components."""
 
     torus_sq: object
@@ -167,14 +151,8 @@ class Distance:
         olo, ohi = rational_interval(self.offset, digits)
         return slo + olo, shi + ohi
 
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {
-            "torus_sq": scalar_json(self.torus_sq),
-            "offset": scalar_json(self.offset),
-            "value": self.value,
-        }
+    def report_fields(self) -> dict:
+        return {**super().report_fields(), "value": self.value}
 
 
 def glued_distance(a: GluedPoint, b: GluedPoint, params: GluingParams, gram: GramMatrix) -> Distance:
@@ -201,7 +179,7 @@ def winding_distance(
 
 
 @dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(Record):
     kind: str
     a: GluedPoint
     b: GluedPoint
@@ -210,20 +188,9 @@ class AxiomViolation:
     rhs: float
     slack: float
 
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "a": self.a.describe(),
-            "b": self.b.describe(),
-            "c": None if self.c is None else self.c.describe(),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-        }
-
 
 @dataclass
-class AxiomReport:
+class AxiomReport(Record):
     params: GluingParams
     mode: ScalarMode
     samples: int
@@ -238,21 +205,15 @@ class AxiomReport:
     def passed(self) -> bool:
         return self.violations_total == 0
 
-    def describe(self) -> dict:
-        return {
-            "params": {
-                **self.params.describe(),
-                "gram": self.gram.describe(),
-                "seed": self.seed,
-            },
-            "mode": self.mode.describe(),
-            "samples": self.samples,
-            "checks": self.checks,
-            "violations": [v.describe() for v in self.violations],
-            "violations_total": self.violations_total,
-            "max_abs_error": self.max_abs_error,
-            "passed": self.passed,
+    def report_fields(self) -> dict:
+        out = super().report_fields()
+        # the run's gram and seed are reported beside the gluing parameters
+        out["params"] = {
+            **self.params.report_fields(),
+            "gram": out.pop("gram"),
+            "seed": out.pop("seed"),
         }
+        return {**out, "passed": self.passed}
 
 
 def _triangle_exact(lhs: Distance, r1: Distance, r2: Distance) -> tuple[bool, float]:
@@ -464,7 +425,7 @@ def check_metric_axioms(
 
 
 @dataclass(frozen=True)
-class TriangleWitness:
+class TriangleWitness(Record):
     """Explicit triple with d(a,b) > d(a,c) + d(c,b) when 2R < M."""
 
     a: GluedPoint
@@ -478,17 +439,15 @@ class TriangleWitness:
     def as_triple(self):
         return self.a, self.b, self.c
 
-    def describe(self) -> dict:
-        from .report import scalar_json
-
+    def report_fields(self) -> dict:
         return {
-            "a": self.a.describe(),
-            "b": self.b.describe(),
-            "c": self.c.describe(),
-            "lhs": self.d_ab.describe(),
-            "rhs_1": self.d_ac.describe(),
-            "rhs_2": self.d_cb.describe(),
-            "slack": scalar_json(self.slack),
+            "a": self.a,
+            "b": self.b,
+            "c": self.c,
+            "lhs": self.d_ab,
+            "rhs_1": self.d_ac,
+            "rhs_2": self.d_cb,
+            "slack": self.slack,
             "slack_value": as_float(self.slack),
         }
 
@@ -506,17 +465,12 @@ def triangle_counterexample(params: GluingParams, gram: GramMatrix | None = None
     d_ac = glued_distance(a, c, params, gram)
     d_cb = glued_distance(c, b, params, gram)
     slack = params.M - 2 * params.R
-    assert sign_of(slack) > 0
+    if sign_of(slack) <= 0:
+        raise AssertionError("a degenerate gluing must have positive slack M - 2R")
     return TriangleWitness(a, b, c, d_ab, d_ac, d_cb, slack)
 
 
 # -- nearest-point structure -------------------------------------------------------
-
-
-def _grid_points(grid_n: int):
-    for i in range(grid_n):
-        for j in range(grid_n):
-            yield TorusPoint(Fraction(i, grid_n), Fraction(j, grid_n))
 
 
 def _grid_min_excluding(y: TorusPoint, gram: GramMatrix, grid_n: int, mode: ScalarMode):
@@ -554,12 +508,13 @@ def _grid_min_excluding(y: TorusPoint, gram: GramMatrix, grid_n: int, mode: Scal
         sq = torus_distance_sq(y, p, gram)
         if best_sq is None or scalar_lt(sq, best_sq):
             best_pt, best_sq = p, sq
-    assert sign_of(best_sq) > 0
+    if sign_of(best_sq) <= 0:
+        raise AssertionError("the nearest grid point other than y must be at positive distance")
     return best_pt, best_sq
 
 
 @dataclass(frozen=True)
-class NearestCompactResult:
+class NearestCompactResult(Record):
     """The unique closest torus point to a cylinder point (y, t) is y itself."""
 
     y: TorusPoint
@@ -568,21 +523,8 @@ class NearestCompactResult:
     gap_witness: TorusPoint
     grid_n: int
 
-    def describe(self) -> dict:
-        return {
-            "y": self.y.describe(),
-            "achieved": self.achieved.describe(),
-            "gap_sq": _sq_json(self.gap.sq),
-            "gap": self.gap.value,
-            "gap_witness": self.gap_witness.describe(),
-            "grid_n": self.grid_n,
-        }
-
-
-def _sq_json(sq):
-    from .report import scalar_json
-
-    return scalar_json(sq)
+    def report_fields(self) -> dict:
+        return {**super().report_fields(), "gap_sq": self.gap.sq, "gap": self.gap.value}
 
 
 def nearest_in_compact(
@@ -600,7 +542,7 @@ def nearest_in_compact(
 
 
 @dataclass(frozen=True)
-class LineSetResult:
+class LineSetResult(Record):
     """The cylinder points closest to a torus point y form the line {y} x R."""
 
     y: TorusPoint
@@ -611,19 +553,8 @@ class LineSetResult:
     grid_n: int
     line_constant: bool
 
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {
-            "y": self.y.describe(),
-            "base": self.base.describe(),
-            "margin_sq": _sq_json(self.margin.sq),
-            "margin": self.margin.value,
-            "margin_witness": self.margin_witness.describe(),
-            "ts_checked": [scalar_json(t) for t in self.ts_checked],
-            "grid_n": self.grid_n,
-            "line_constant": self.line_constant,
-        }
+    def report_fields(self) -> dict:
+        return {**super().report_fields(), "margin_sq": self.margin.sq, "margin": self.margin.value}
 
 
 def nearest_line_set(
@@ -648,14 +579,11 @@ def nearest_line_set(
 
 
 @dataclass(frozen=True)
-class NearestOnLineResult:
+class NearestOnLineResult(Record):
     """On the line {y2} x R, the point closest to (y, r) sits at the same height r."""
 
     point: GluedPoint
     achieved: Distance
-
-    def describe(self) -> dict:
-        return {"point": self.point.describe(), "achieved": self.achieved.describe()}
 
 
 def nearest_on_line(

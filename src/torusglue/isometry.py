@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gluing import Distance, GluedPoint, GluingParams, WindingPoint, glued_distance, winding_distance
-from .numerics import DEFAULT_D, EXACT, ScalarMode, as_float, require_exact, sign_of
+from .numerics import DEFAULT_D, EXACT, ScalarMode, as_float, require_exact
+from .report import Record
 from .sampling import random_glued_point, random_torus_point, random_winding_point, rng_for
 from .torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint
 
@@ -39,7 +40,7 @@ class TorusActionError(DecompositionError):
 
 
 @dataclass(frozen=True)
-class LineIsometry:
+class LineIsometry(Record):
     """t -> sign * t + shift with sign in {+1, -1}."""
 
     sign: int
@@ -70,14 +71,9 @@ class LineIsometry:
     def inverse(self) -> "LineIsometry":
         return LineIsometry(self.sign, -self.sign * self.shift)
 
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {"sign": self.sign, "shift": scalar_json(self.shift)}
-
 
 @dataclass(frozen=True)
-class TorusIsometry:
+class TorusIsometry(Record):
     """y -> x + y, or y -> x - y when inverts is set."""
 
     x: TorusPoint
@@ -107,12 +103,9 @@ class TorusIsometry:
     def inverse(self) -> "TorusIsometry":
         return TorusIsometry(self.x if self.inverts else self.x.invert(), self.inverts)
 
-    def describe(self) -> dict:
-        return {"inverts": self.inverts, "x": self.x.describe()}
-
 
 @dataclass(frozen=True)
-class ProductIsometry:
+class ProductIsometry(Record):
     """Componentwise action: torus part on both sheets, line part on heights."""
 
     torus_part: TorusIsometry
@@ -137,12 +130,12 @@ class ProductIsometry:
     def inverse(self) -> "ProductIsometry":
         return ProductIsometry(self.torus_part.inverse(), self.line_part.inverse())
 
-    def describe(self) -> dict:
-        return {"torus": self.torus_part.describe(), "line": self.line_part.describe()}
+    def report_fields(self) -> dict:
+        return {"torus": self.torus_part, "line": self.line_part}
 
 
 @dataclass(frozen=True)
-class LiftedIsometry:
+class LiftedIsometry(Record):
     """Isometry of the winding space determined by its line part.
 
     The torus part is derived, never free: for line part t -> e*t + c it is
@@ -179,12 +172,8 @@ class LiftedIsometry:
     def inverse(self) -> "LiftedIsometry":
         return LiftedIsometry(self.line_part.inverse(), self.subgroup)
 
-    def describe(self) -> dict:
-        return {
-            "line": self.line_part.describe(),
-            "torus": self.torus_part.describe(),
-            "subgroup": self.subgroup.describe(),
-        }
+    def report_fields(self) -> dict:
+        return {"line": self.line_part, "torus": self.torus_part, "subgroup": self.subgroup}
 
 
 def lift_line_isometry(line_iso: LineIsometry, subgroup: OneParamSubgroup) -> LiftedIsometry:
@@ -199,9 +188,10 @@ def line_transitivity_witness(t, s, subgroup: OneParamSubgroup) -> LiftedIsometr
     orbit, in contrast to the dense non-closed orbits on the compact sheet.
     """
     iso = lift_line_isometry(LineIsometry.translation(s - t), subgroup)
-    moved = iso.apply(WindingPoint.line(t))
-    assert moved.t == s
-    assert iso.torus_part.apply(subgroup.point(t)) == subgroup.point(s)
+    if iso.apply(WindingPoint.line(t)).t != s:
+        raise AssertionError("the lifted translation must carry t to s on the line")
+    if iso.torus_part.apply(subgroup.point(t)) != subgroup.point(s):
+        raise AssertionError("the lifted translation must carry g(t) to g(s) on the torus")
     return iso
 
 
@@ -209,23 +199,15 @@ def line_transitivity_witness(t, s, subgroup: OneParamSubgroup) -> LiftedIsometr
 
 
 @dataclass(frozen=True)
-class PairFailure:
+class PairFailure(Record):
     p: object
     q: object
     d_before: Distance
     d_after: Distance
 
-    def describe(self) -> dict:
-        return {
-            "p": self.p.describe(),
-            "q": self.q.describe(),
-            "d_before": self.d_before.describe(),
-            "d_after": self.d_after.describe(),
-        }
-
 
 @dataclass
-class VerificationReport:
+class VerificationReport(Record):
     kind: str
     samples: int
     max_error: float
@@ -237,16 +219,8 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.failures_total == 0
 
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "samples": self.samples,
-            "max_error": self.max_error,
-            "failures": [f.describe() for f in self.failures],
-            "failures_total": self.failures_total,
-            "mode": self.mode.describe(),
-            "passed": self.passed,
-        }
+    def report_fields(self) -> dict:
+        return {**super().report_fields(), "passed": self.passed}
 
 
 def verify_isometry(
@@ -408,7 +382,7 @@ def decompose_isometry(
 
 
 @dataclass(frozen=True)
-class SubtorusElement:
+class SubtorusElement(Record):
     """A lifted isometry carrying a coordinate circle to itself."""
 
     k: int
@@ -416,17 +390,6 @@ class SubtorusElement:
     parameter: object  # line shift c = k / alpha
     circle_shift: object  # induced move of the circle coordinate, frac(k / alpha)
     iso: LiftedIsometry
-
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {
-            "k": self.k,
-            "kind": self.kind,
-            "parameter": scalar_json(self.parameter),
-            "circle_shift": scalar_json(self.circle_shift),
-            "iso": self.iso.describe(),
-        }
 
 
 def subtorus_isometries(

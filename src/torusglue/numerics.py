@@ -163,11 +163,7 @@ class QuadScalar:
     def b(self) -> Fraction:
         return Fraction(self._B, self._D)
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def sqrt_d(cls, d: int = DEFAULT_D) -> "QuadScalar":
-        return cls(0, 1, d)
+    # -- coercion ------------------------------------------------------------
 
     def _coerce(self, other):
         """(A, B, D) of `other` and the common field index; None if unsupported.
@@ -441,8 +437,6 @@ def require_exact(x, what: str = "value"):
 
 
 def as_float(x) -> float:
-    if isinstance(x, QuadScalar):
-        return float(x)
     return float(x)
 
 
@@ -456,9 +450,6 @@ def floor_frac(x):
     """(floor, fractional part) with the fractional part in the input's type."""
     if isinstance(x, QuadScalar):
         return x.floor_frac()
-    if isinstance(x, float):
-        n = math.floor(x)
-        return n, x - n
     n = math.floor(x)
     return n, x - n
 
@@ -487,8 +478,6 @@ def scalar_min(x, y):
 
 
 def scalar_abs(x):
-    if isinstance(x, QuadScalar):
-        return abs(x)
     return abs(x)
 
 

@@ -31,6 +31,7 @@ from .numerics import (
     sign_of,
     sqrt_as_float,
 )
+from .report import Record
 from .torus import (
     GramMatrix,
     OneParamSubgroup,
@@ -60,7 +61,7 @@ def _radical_parts(x, d: int) -> tuple[Fraction, Fraction]:
 
 
 @dataclass(frozen=True)
-class Convergent:
+class Convergent(Record):
     """Best rational approximation p/q with signed defect err = q*x - p."""
 
     p: int
@@ -71,10 +72,8 @@ class Convergent:
     def err_float(self) -> float:
         return as_float(self.err)
 
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {"p": self.p, "q": self.q, "err": scalar_json(self.err), "err_float": self.err_float}
+    def report_fields(self) -> dict:
+        return {**super().report_fields(), "err_float": self.err_float}
 
 
 def cf_expansion(x, n: int) -> list[int]:
@@ -97,8 +96,9 @@ def cf_expansion(x, n: int) -> list[int]:
 def _convergent_stream(x):
     """Yield convergents one at a time, checking the classical invariants.
 
-    Each step asserts gcd(p, q) = 1, strictly shrinking |q*x - p|, and
-    alternating defect signs; any failure means the exact arithmetic broke.
+    Each step checks gcd(p, q) = 1, strictly shrinking |q*x - p|, and
+    alternating defect signs; a failure means the exact arithmetic broke and
+    raises AssertionError.
     """
     if not isinstance(x, QuadScalar) or x.b == 0:
         raise ValueError("continued fraction expansion expects a quadratic irrational")
@@ -114,11 +114,10 @@ def _convergent_stream(x):
         q = a * q_prev + q_prev2
         err = q * x - p
         s = sign_of(err)
-        assert math.gcd(p, q) == 1
-        assert s != 0
-        if prev_abs is not None:
-            assert s == -prev_sign
-            assert scalar_lt(scalar_abs(err), prev_abs)
+        if math.gcd(p, q) != 1 or s == 0:
+            raise AssertionError(f"convergent {p}/{q} is not reduced or has zero defect")
+        if prev_abs is not None and (s != -prev_sign or not scalar_lt(scalar_abs(err), prev_abs)):
+            raise AssertionError(f"convergent {p}/{q} breaks the alternating, shrinking defect")
         prev_sign = s
         prev_abs = scalar_abs(err)
         yield Convergent(p, q, err)
@@ -136,7 +135,7 @@ def cf_convergents(x, n: int) -> list[Convergent]:
 
 
 @dataclass(frozen=True)
-class CircleHit:
+class CircleHit(Record):
     """k rotation steps land within eps of the target circle coordinate."""
 
     target: object
@@ -146,19 +145,6 @@ class CircleHit:
     distance_sq: object
     distance: float
     convergent: Convergent | None
-
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {
-            "target": scalar_json(self.target),
-            "eps": scalar_json(self.eps),
-            "k": self.k,
-            "position": scalar_json(self.position),
-            "distance_sq": scalar_json(self.distance_sq),
-            "distance": self.distance,
-            "convergent": None if self.convergent is None else self.convergent.describe(),
-        }
 
 
 def _circle_dist_sq(w, g_axis):
@@ -209,12 +195,13 @@ def circle_density_hit(
     k = m * conv.q
     position = frac(x0 + k * theta)
     dist_sq = _circle_dist_sq(frac(position - target), g_axis)
-    assert scalar_lt(dist_sq, eps_sq)
+    if not scalar_lt(dist_sq, eps_sq):
+        raise AssertionError(f"rotation by k = {k} steps does not land within eps of the target")
     return CircleHit(target, eps, k, position, dist_sq, sqrt_as_float(dist_sq), conv)
 
 
 @dataclass(frozen=True)
-class DensityHit:
+class DensityHit(Record):
     """Orbit point g(t) + y0 within eps of the target, certified exactly."""
 
     target: TorusPoint
@@ -225,20 +212,6 @@ class DensityHit:
     distance_sq: object
     distance: float
     scanned: int
-
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {
-            "target": self.target.describe(),
-            "eps": scalar_json(self.eps),
-            "k": self.k,
-            "t": scalar_json(self.t),
-            "point": self.point.describe(),
-            "distance_sq": scalar_json(self.distance_sq),
-            "distance": self.distance,
-            "scanned": self.scanned,
-        }
 
 
 def _min_eigen_float(gram: GramMatrix) -> float:
@@ -301,7 +274,7 @@ def torus_density_hit(
 
 
 @dataclass
-class DensityReport:
+class DensityReport(Record):
     target: TorusPoint
     epsilons: list
     hits: list
@@ -312,17 +285,12 @@ class DensityReport:
     def passed(self) -> bool:
         return all(h is not None for h in self.hits)
 
-    def describe(self) -> dict:
-        from .report import scalar_json
-
+    def report_fields(self) -> dict:
         return {
-            "target": self.target.describe(),
+            "target": self.target,
             "budget": self.budget,
             "method": self.method,
-            "results": [
-                {"eps": scalar_json(e), "hit": None if h is None else h.describe()}
-                for e, h in zip(self.epsilons, self.hits)
-            ],
+            "results": [{"eps": e, "hit": h} for e, h in zip(self.epsilons, self.hits)],
             "passed": self.passed,
         }
 
@@ -344,7 +312,7 @@ def density_report(
 
 
 @dataclass(frozen=True)
-class BranchDerivation:
+class BranchDerivation(Record):
     """One branch of the orbit equation, solved over the basis (1, sqrt(d)).
 
     Matching the radical coordinate forces a single candidate shift m_star;
@@ -358,19 +326,6 @@ class BranchDerivation:
     m_is_integer: bool
     residue: Fraction | None
     member: bool
-
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {
-            "branch": self.branch,
-            "w1": scalar_json(self.w1),
-            "w2": scalar_json(self.w2),
-            "m_star": scalar_json(self.m_star),
-            "m_is_integer": self.m_is_integer,
-            "residue": None if self.residue is None else scalar_json(self.residue),
-            "member": self.member,
-        }
 
 
 def derive_branch(
@@ -403,7 +358,7 @@ def derive_branch(
 
 
 @dataclass(frozen=True)
-class OrbitMembership:
+class OrbitMembership(Record):
     """Witness t with g(t) + y0 (direct) or g(t) - y0 (inverted) equal to target."""
 
     target: TorusPoint
@@ -416,21 +371,12 @@ class OrbitMembership:
         base = self.y0 if self.branch == "direct" else self.y0.invert()
         return subgroup.point(self.t).translate(base)
 
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {
-            "member": True,
-            "target": self.target.describe(),
-            "y0": self.y0.describe(),
-            "branch": self.branch,
-            "t": scalar_json(self.t),
-            "derivation": self.derivation.describe(),
-        }
+    def report_fields(self) -> dict:
+        return {"member": True, **super().report_fields()}
 
 
 @dataclass(frozen=True)
-class NonMembershipCertificate:
+class NonMembershipCertificate(Record):
     """Exact refutation of both orbit branches; replay() re-derives it."""
 
     target: TorusPoint
@@ -445,13 +391,8 @@ class NonMembershipCertificate:
                 return False
         return True
 
-    def describe(self) -> dict:
-        return {
-            "member": False,
-            "target": self.target.describe(),
-            "y0": self.y0.describe(),
-            "branches": [b.describe() for b in self.branches],
-        }
+    def report_fields(self) -> dict:
+        return {"member": False, **super().report_fields()}
 
 
 def orbit_membership(
@@ -472,14 +413,15 @@ def orbit_membership(
         if der.member:
             t = (der.w1 + der.m_star) / subgroup.v1
             witness = OrbitMembership(target, y0, branch, t, der)
-            assert witness.orbit_point(subgroup) == target
+            if witness.orbit_point(subgroup) != target:
+                raise AssertionError("the membership witness must evaluate to the target")
             return witness
         refutations.append(der)
     return NonMembershipCertificate(target, y0, tuple(refutations))
 
 
 @dataclass(frozen=True)
-class CircleBranchDerivation:
+class CircleBranchDerivation(Record):
     branch: str
     w: object
     k_star: Fraction
@@ -487,42 +429,21 @@ class CircleBranchDerivation:
     residue: Fraction | None
     member: bool
 
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {
-            "branch": self.branch,
-            "w": scalar_json(self.w),
-            "k_star": scalar_json(self.k_star),
-            "k_is_integer": self.k_is_integer,
-            "residue": None if self.residue is None else scalar_json(self.residue),
-            "member": self.member,
-        }
-
 
 @dataclass(frozen=True)
-class CircleMembership:
+class CircleMembership(Record):
     target: object
     x0: object
     branch: str
     k: int
     derivation: CircleBranchDerivation
 
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {
-            "member": True,
-            "target": scalar_json(self.target),
-            "x0": scalar_json(self.x0),
-            "branch": self.branch,
-            "k": self.k,
-            "derivation": self.derivation.describe(),
-        }
+    def report_fields(self) -> dict:
+        return {"member": True, **super().report_fields()}
 
 
 @dataclass(frozen=True)
-class CircleNonMembership:
+class CircleNonMembership(Record):
     target: object
     x0: object
     branches: tuple
@@ -534,15 +455,8 @@ class CircleNonMembership:
                 return False
         return True
 
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {
-            "member": False,
-            "target": scalar_json(self.target),
-            "x0": scalar_json(self.x0),
-            "branches": [b.describe() for b in self.branches],
-        }
+    def report_fields(self) -> dict:
+        return {"member": False, **super().report_fields()}
 
 
 def _derive_circle_branch(target, theta, x0, branch: str) -> CircleBranchDerivation:
@@ -568,7 +482,8 @@ def circle_orbit_membership(target, theta, x0=Fraction(0)):
         if der.member:
             k = int(der.k_star)
             landed = frac(x0 + k * theta) if branch == "direct" else frac(k * theta - x0)
-            assert landed == frac(target)
+            if landed != frac(target):
+                raise AssertionError(f"k = {k} rotation steps must land on the target")
             return CircleMembership(target, x0, branch, k, der)
         refutations.append(der)
     return CircleNonMembership(target, x0, tuple(refutations))
@@ -578,7 +493,7 @@ def circle_orbit_membership(target, theta, x0=Fraction(0)):
 
 
 @dataclass
-class NonClosureReport:
+class NonClosureReport(Record):
     """Orbit misses the target exactly yet approaches it below every eps."""
 
     target: TorusPoint
@@ -591,15 +506,8 @@ class NonClosureReport:
     def passed(self) -> bool:
         return self.certificate_replayed and self.density.passed
 
-    def describe(self) -> dict:
-        return {
-            "target": self.target.describe(),
-            "y0": self.y0.describe(),
-            "certificate": self.certificate.describe(),
-            "certificate_replayed": self.certificate_replayed,
-            "density": self.density.describe(),
-            "passed": self.passed,
-        }
+    def report_fields(self) -> dict:
+        return {**super().report_fields(), "passed": self.passed}
 
 
 def non_closure_report(
@@ -636,7 +544,7 @@ class ValidityRadiusError(ValueError):
 
 
 @dataclass(frozen=True)
-class LocalIsometryRecord:
+class LocalIsometryRecord(Record):
     """Both sides of d((g(t),t),(g(s),s)) = (1 + |v|) |t - s| on one pair."""
 
     t: object
@@ -655,22 +563,10 @@ class LocalIsometryRecord:
     def passed(self) -> bool:
         return self.exact_match
 
-    def describe(self) -> dict:
-        from .report import scalar_json
-
-        return {
-            "t": scalar_json(self.t),
-            "s": scalar_json(self.s),
-            "separation": self.separation,
-            "radius": self.radius,
-            "distance": self.distance.describe(),
-            "expected_torus_sq": scalar_json(self.expected_torus_sq),
-            "expected_offset": scalar_json(self.expected_offset),
-            "slope": self.slope,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-        }
+    def report_fields(self) -> dict:
+        out = super().report_fields()
+        del out["exact_match"]  # reported as "passed"
+        return {**out, "passed": self.passed}
 
 
 def local_isometry_check(

@@ -9,9 +9,12 @@ and every file ends with exactly one newline.
 from __future__ import annotations
 
 import json
+import sys
+from dataclasses import fields
 from fractions import Fraction
+from functools import cache
 
-from .numerics import QuadScalar, as_float, format_scalar, parse_scalar
+from .numerics import QuadScalar, ScalarMode, as_float, format_scalar, parse_scalar
 
 
 def scalar_json(x):
@@ -24,6 +27,47 @@ def scalar_json(x):
     if isinstance(x, (Fraction, QuadScalar)):
         return format_scalar(x)
     raise TypeError(f"no JSON form for {type(x).__name__}")
+
+
+class Record:
+    """Mixin for report records: `describe()` is `plain(self)`.
+
+    A record's report is its dataclass fields by name.  A record whose report
+    renames, adds or drops keys overrides `report_fields()`; the values it
+    returns stay raw (records, scalars, lists), and `plain` converts them.
+    """
+
+    def report_fields(self) -> dict:
+        return {name: getattr(self, name) for name in _field_names(type(self))}
+
+    def describe(self) -> dict:
+        return plain(self)
+
+
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def plain(x):
+    """JSON-ready view of a report value, the form every `describe()` returns.
+
+    Records become dicts of their report fields, lists and tuples become
+    lists, exact scalars become wire strings (`scalar_json`), and None,
+    bools, ints, floats and strings pass through.  Anything else is a
+    TypeError.
+    """
+    if isinstance(x, Record):
+        return {key: plain(value) for key, value in x.report_fields().items()}
+    if x is None or isinstance(x, (bool, int, float, str)):
+        return x
+    if isinstance(x, (list, tuple)):
+        return [plain(item) for item in x]
+    if isinstance(x, dict):
+        return {key: plain(value) for key, value in x.items()}
+    if isinstance(x, ScalarMode):
+        return x.describe()
+    return scalar_json(x)
 
 
 def _float_text(x: float) -> str:
@@ -118,8 +162,6 @@ def density_csv(report) -> str:
 def write_report(text: str, path: str | None) -> None:
     """Write to a file, or stdout when no path is given."""
     if path is None:
-        import sys
-
         sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

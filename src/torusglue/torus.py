@@ -26,6 +26,7 @@ from .numerics import (
     sign_of,
     sqrt_as_float,
 )
+from .report import Record
 
 
 def _gram_entry(x) -> Fraction:
@@ -41,7 +42,7 @@ def _gram_entry(x) -> Fraction:
 
 
 @dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(Record):
     """Symmetric positive-definite 2x2 form with exact rational entries."""
 
     g11: Fraction
@@ -83,8 +84,10 @@ class GramMatrix:
             c2 = (c2[0] - r * c1[0], c2[1] - r * c1[1])
         u = ((c1[0], c2[0]), (c1[1], c2[1]))
         det = u[0][0] * u[1][1] - u[0][1] * u[1][0]
-        assert det in (1, -1)
-        assert 2 * abs(g12) <= g11 <= g22
+        if det not in (1, -1):
+            raise AssertionError("the reduction's basis change must be unimodular")
+        if not 2 * abs(g12) <= g11 <= g22:
+            raise AssertionError("the reduced Gram matrix must satisfy 2|g12| <= g11 <= g22")
         return u, GramMatrix(g11, g12, g22)
 
     @cached_property
@@ -114,12 +117,9 @@ class GramMatrix:
     def systole(self) -> float:
         return sqrt_as_float(self.systole_sq())
 
-    def describe(self) -> dict:
-        return {"g11": str(self.g11), "g12": str(self.g12), "g22": str(self.g22)}
-
 
 @dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(Record):
     """Point of R^2/Z^2 with both coordinates reduced to [0, 1)."""
 
     u1: object
@@ -148,11 +148,6 @@ class TorusPoint:
 
     def as_floats(self) -> tuple[float, float]:
         return as_float(self.u1), as_float(self.u2)
-
-    def describe(self):
-        from .report import scalar_json
-
-        return {"u1": scalar_json(self.u1), "u2": scalar_json(self.u2)}
 
 
 @dataclass(frozen=True)
@@ -301,7 +296,7 @@ def tangent_norm(v: TangentVector, gram: GramMatrix) -> float:
 
 
 @dataclass(frozen=True)
-class OneParamSubgroup:
+class OneParamSubgroup(Record):
     """Dense winding line t -> (frac(t*v1), frac(t*v2)); slope must be irrational."""
 
     v1: object
@@ -332,11 +327,6 @@ class OneParamSubgroup:
 
     def tangent(self) -> TangentVector:
         return TangentVector(self.v1, self.v2)
-
-    def describe(self):
-        from .report import scalar_json
-
-        return {"v1": scalar_json(self.v1), "v2": scalar_json(self.v2)}
 
 
 @dataclass(frozen=True)

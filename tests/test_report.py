@@ -1,15 +1,18 @@
 """Canonical serialization: stable bytes, sorted keys, fixed float format."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from torusglue.numerics import QuadScalar, parse_scalar
+from torusglue.numerics import EXACT, FLOAT, QuadScalar, parse_scalar
 from torusglue.orbit import density_report
 from torusglue.report import (
     DENSITY_CSV_HEADER,
+    Record,
     canonical_json,
     density_csv,
+    plain,
     scalar_json,
     write_report,
 )
@@ -27,6 +30,73 @@ def test_scalar_json_types():
     assert scalar_json(SQRT2) == "0 + 1*sqrt(2)"
     with pytest.raises(TypeError):
         scalar_json(object())
+
+
+@dataclass(frozen=True)
+class _Leaf(Record):
+    x: object
+    flag: bool = False
+
+
+@dataclass(frozen=True)
+class _Node(Record):
+    leaf: _Leaf
+    items: tuple
+    note: object = None
+
+
+@dataclass(frozen=True)
+class _Renamed(Record):
+    inner_part: _Leaf
+    weight: Fraction
+
+    def report_fields(self) -> dict:
+        return {"inner": self.inner_part, "weight": self.weight, "weight_value": float(self.weight)}
+
+
+def test_plain_leaves():
+    assert plain(None) is None
+    assert plain(True) is True and plain(False) is False
+    assert plain(3) == 3 and type(plain(3)) is int
+    assert plain(0.25) == 0.25
+    assert plain("text") == "text"
+    assert plain(Fraction(-3, 7)) == "-3/7"
+    assert plain(SQRT2) == "0 + 1*sqrt(2)"
+    assert plain(EXACT) == {"kind": "exact"}
+    assert plain(FLOAT) == {"kind": "float", "eps": 1e-9, "identity_eps": 1e-12}
+    with pytest.raises(TypeError):
+        plain(object())
+    with pytest.raises(TypeError):
+        plain({"k": [object()]})
+
+
+def test_plain_containers():
+    assert plain((1, Fraction(1, 2))) == [1, "1/2"]
+    assert plain([(), (SQRT2,)]) == [[], ["0 + 1*sqrt(2)"]]
+    assert plain({"a": (None, 2.5)}) == {"a": [None, 2.5]}
+
+
+def test_record_report_is_its_fields():
+    node = _Node(_Leaf(Fraction(1, 3), True), (SQRT2, _Leaf(2)))
+    expected = {
+        "leaf": {"x": "1/3", "flag": True},
+        "items": ["0 + 1*sqrt(2)", {"x": 2, "flag": False}],
+        "note": None,
+    }
+    assert node.describe() == plain(node) == expected
+    assert canonical_json(node.describe()) == canonical_json(expected)
+
+
+def test_record_report_fields_override():
+    rec = _Renamed(_Leaf(Fraction(5, 4)), Fraction(1, 8))
+    assert rec.describe() == {
+        "inner": {"x": "5/4", "flag": False},
+        "weight": "1/8",
+        "weight_value": 0.125,
+    }
+    # the override returns raw values; only plain() turns them into wire strings
+    assert rec.report_fields()["weight"] == Fraction(1, 8)
+    assert plain([rec]) == [rec.describe()]
 
 
 def test_canonical_json_sorts_and_indents():
