@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .gluing import (
+    Distance,
     GluedPoint,
     GluingParams,
     check_metric_axioms,
@@ -71,49 +72,152 @@ from .torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint, tangent_n
 
 ENV_SEED = "TORUSGLUE_SEED"
 
-COMMON_KEYS = frozenset(
-    {"d", "alpha", "gram", "R", "M", "mode", "seed", "format", "output", "allow_invalid_metric"}
+
+class ConfigError(ValueError):
+    """Invalid configuration; the message names the offending key."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        super().__init__(f"config key '{key}': {message}")
+
+
+# -- value parsers: (text, d) -> value, raising ValueError on bad input ------------
+
+
+def _int(text: str, d=None) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+
+
+def _exact(text: str, d=None):
+    return parse_scalar(text.strip(), d)
+
+
+def _rational(text: str, d=None) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational: {text.strip()!r}") from None
+
+
+def _radicand(text: str, d=None) -> int:
+    d = _int(text)
+    QuadScalar(0, 1, d)  # raises ValueError unless d is square-free and >= 2
+    return d
+
+
+def _alpha(text: str, d: int) -> QuadScalar:
+    val = _exact(text, d) if "sqrt" in text else QuadScalar(0, _rational(text), d)
+    if not isinstance(val, QuadScalar) or val.a != 0 or val.b == 0:
+        raise ValueError("slope must be a nonzero rational multiple of sqrt(d)")
+    return val
+
+
+def _gram(text: str, d=None) -> GramMatrix:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ValueError("expected three entries g11,g12,g22")
+    return GramMatrix(*(_rational(p) for p in parts))
+
+
+def _point(text: str, d: int) -> TorusPoint:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError("expected a point u1,u2")
+    return TorusPoint(_exact(parts[0], d), _exact(parts[1], d))
+
+
+def _k_range(text: str, d=None) -> tuple[int, int]:
+    if ":" not in text:
+        raise ValueError("expected lo:hi")
+    lo, hi = text.split(":", 1)
+    return _int(lo), _int(hi)
+
+
+def _bool(text: str, d=None) -> bool:
+    low = text.strip().lower()
+    if low not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return low in ("true", "1", "yes", "on")
+
+
+def _choice(table: dict):
+    def parse(text: str, d=None):
+        if text not in table:
+            raise ValueError(f"must be one of {', '.join(map(repr, table))}, got {text!r}")
+        return table[text]
+
+    return parse
+
+
+def _list_of(parse):
+    def parse_list(text: str, d=None) -> list:
+        return [parse(part, d) for part in text.split(",")]
+
+    return parse_list
+
+
+def _targets(text: str, d: int) -> list[TorusPoint]:
+    return [_point(part, d) for part in text.split(";") if part.strip()]
+
+
+# -- checks: value -> message, or None when the value is acceptable ----------------
+
+
+def _must(ok, message: str):
+    return lambda value: None if ok(value) else message
+
+
+_positive = _must(lambda v: sign_of(v) > 0, "must be positive")
+_nonnegative = _must(lambda v: v >= 0, "must be nonnegative")
+
+# key -> (default text, parser, check).  Parsers run in this order, so d
+# comes before every key whose literals may carry sqrt(d).
+KEYS = {
+    "d": ("2", _radicand, None),
+    "alpha": ("1", _alpha, None),
+    "gram": ("1,0,1", _gram, None),
+    "R": ("1", _exact, _positive),
+    "M": ("2", _exact, _positive),
+    "mode": ("exact", _choice({"exact": EXACT, "float": FLOAT}), None),
+    "seed": ("0", _int, _must(lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer")),
+    "format": ("json", _choice({"json": "json", "csv": "csv"}), None),
+    "output": (None, lambda text, d: text, None),
+    "allow_invalid_metric": ("false", _bool, None),
+    "samples": ("64", _int, _nonnegative),
+    "instances": ("50", _int, _nonnegative),
+    "count": ("100", _int, _positive),
+    "grid": ("100", _int, _must(lambda v: v >= 2, "needs at least 2 points")),
+    # the height grid is centered at the point; only an odd size contains it
+    "t_grid": ("401", _int, _must(lambda v: v >= 3 and v % 2, "must be odd and at least 3")),
+    "shifts": ("0,1,1/2,-1/3", _list_of(_exact), None),
+    "targets": ("0,1/2", _targets, _must(bool, "no targets given")),
+    "target": ("0,1/2", _point, None),
+    "epsilons": ("1e-2,1e-3", _list_of(_rational), _must(lambda v: min(v) > 0, "must be positive")),
+    "eps": ("1e-3", _rational, _positive),
+    "budget": ("50000000", _int, _positive),
+    "t": (None, _exact, None),
+    "s": (None, _exact, None),
+    "k_range": ("-5:5", _k_range, _must(lambda v: v[0] <= v[1], "lo must not exceed hi")),
+}
+
+COMMON_KEYS = (
+    "d", "alpha", "gram", "R", "M", "mode", "seed", "format", "output", "allow_invalid_metric"
 )
 
-COMMANDS: dict[str, frozenset] = {
-    "verify-metric": frozenset({"samples"}),
-    "counterexample": frozenset({"samples"}),
-    "nearest": frozenset({"instances", "grid", "t_grid"}),
-    "isometry-check": frozenset({"samples", "instances"}),
-    "lift": frozenset({"shifts", "samples"}),
-    "density": frozenset({"targets", "epsilons", "budget"}),
-    "non-closure": frozenset({"target", "epsilons", "budget"}),
-    "local-isometry": frozenset({"count", "t", "s"}),
-    "x1-group": frozenset({"k_range", "count", "eps"}),
-}
-
-COMMON_DEFAULTS = {
-    "d": "2",
-    "alpha": "1",
-    "gram": "1,0,1",
-    "R": "1",
-    "M": "2",
-    "seed": "0",
-    "format": "json",
-    "output": None,
-    "allow_invalid_metric": None,
-}
-
-COMMAND_DEFAULTS = {
-    "verify-metric": {"mode": "float", "samples": "100000"},
-    "counterexample": {"mode": "exact", "samples": "64"},
-    "nearest": {"mode": "exact", "instances": "50", "grid": "100", "t_grid": "401"},
-    "isometry-check": {"mode": "exact", "samples": "200", "instances": "100"},
-    "lift": {"mode": "exact", "shifts": "0,1,1/2,-1/3", "samples": "64"},
-    "density": {"mode": "exact", "targets": "0,1/2", "epsilons": "1e-2,1e-3", "budget": "50000000"},
-    "non-closure": {
-        "mode": "exact",
-        "target": "0,1/2",
-        "epsilons": "1e-2,1e-4,1e-6",
-        "budget": "50000000",
-    },
-    "local-isometry": {"mode": "exact", "count": "100", "t": None, "s": None},
-    "x1-group": {"mode": "exact", "k_range": "-5:5", "count": "100", "eps": "1e-3"},
+# command -> its own keys, then the defaults it sets apart from the table's
+COMMANDS: dict[str, tuple[tuple, dict]] = {
+    "verify-metric": (("samples",), {"mode": "float", "samples": "100000"}),
+    "counterexample": (("samples",), {}),
+    "nearest": (("instances", "grid", "t_grid"), {}),
+    "isometry-check": (("samples", "instances"), {"samples": "200", "instances": "100"}),
+    "lift": (("shifts", "samples"), {}),
+    "density": (("targets", "epsilons", "budget"), {}),
+    "non-closure": (("target", "epsilons", "budget"), {"epsilons": "1e-2,1e-4,1e-6"}),
+    "local-isometry": (("count", "t", "s"), {}),
+    "x1-group": (("k_range", "count", "eps"), {}),
 }
 
 HELP = {
@@ -128,13 +232,18 @@ HELP = {
     "x1-group": "circle-preserving family, circle density, rational-target certificate",
 }
 
-
-class ConfigError(ValueError):
-    """Invalid configuration; the message names the offending key."""
-
-    def __init__(self, key: str, message: str):
-        self.key = key
-        super().__init__(f"config key '{key}': {message}")
+FLAG_HELP = {
+    "d": "square-free radicand (default 2)",
+    "alpha": "slope coefficient b in b*sqrt(d), or a full scalar literal",
+    "gram": "torus metric entries g11,g12,g22",
+    "R": "cross-component offset (exact literal)",
+    "M": "line gap cap (exact literal)",
+    "mode": "exact or float",
+    "seed": "64-bit unsigned run seed",
+    "format": "json or csv",
+    "output": "report path (default stdout)",
+    "allow_invalid_metric": "permit 2R < M configurations",
+}
 
 
 # -- config assembly ---------------------------------------------------------------
@@ -163,134 +272,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification toolkit for the glued torus-and-cylinder space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, extras in COMMANDS.items():
+    for name, (own, _) in COMMANDS.items():
         p = sub.add_parser(name, help=HELP[name])
         p.add_argument("--config", default=None, help="key=value file; flags win")
-        p.add_argument("--d", default=None, help="square-free radicand (default 2)")
-        p.add_argument("--alpha", default=None, help="slope coefficient b in b*sqrt(d), or a full scalar literal")
-        p.add_argument("--gram", default=None, help="torus metric entries g11,g12,g22")
-        p.add_argument("--R", default=None, help="cross-component offset (exact literal)")
-        p.add_argument("--M", default=None, help="line gap cap (exact literal)")
-        p.add_argument("--mode", default=None, choices=("exact", "float"))
-        p.add_argument("--seed", default=None, help="64-bit unsigned run seed")
-        p.add_argument("--format", default=None, choices=("json", "csv"))
-        p.add_argument("--output", default=None, help="report path (default stdout)")
-        p.add_argument(
-            "--allow-invalid-metric",
-            dest="allow_invalid_metric",
-            action="store_const",
-            const="true",
-            default=None,
-            help="permit 2R < M configurations",
-        )
-        for extra in sorted(extras):
-            p.add_argument("--" + extra.replace("_", "-"), dest=extra, default=None)
+        for key in COMMON_KEYS + own:
+            flag = "--" + key.replace("_", "-")
+            if key == "allow_invalid_metric":
+                p.add_argument(
+                    flag, dest=key, action="store_const", const="true", help=FLAG_HELP[key]
+                )
+            else:
+                p.add_argument(flag, dest=key, default=None, help=FLAG_HELP.get(key))
     return parser
 
 
 def _resolve_strings(args: argparse.Namespace) -> dict:
-    command = args.command
-    known = COMMON_KEYS | COMMANDS[command]
-    merged: dict = {k: v for k, v in COMMON_DEFAULTS.items() if k in known}
-    merged.update(COMMAND_DEFAULTS[command])
+    """Key -> text, from defaults < config file < flags < TORUSGLUE_SEED."""
+    own, overrides = COMMANDS[args.command]
+    merged = {key: KEYS[key][0] for key in COMMON_KEYS + own} | overrides
     if args.config is not None:
         for key, value in _load_config_file(args.config).items():
-            if key not in known:
-                raise ConfigError(key, f"unknown key for command '{command}'")
+            if key not in merged:
+                raise ConfigError(key, f"unknown key for command '{args.command}'")
             merged[key] = value
-    for key in known:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None:
-        merged["seed"] = env_seed
+    for key in merged:
+        flag = getattr(args, key)
+        if flag is not None:
+            merged[key] = flag
+    if ENV_SEED in os.environ:
+        merged["seed"] = os.environ[ENV_SEED]
     return merged
 
 
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(key, f"not an integer: {text!r}")
-
-
-def _parse_exact(key: str, text: str, d: int | None = None):
-    try:
-        return parse_scalar(text, d)
-    except ValueError as exc:
-        raise ConfigError(key, str(exc))
-
-
-def _parse_alpha(text: str, d: int) -> QuadScalar:
-    if "sqrt" in text:
-        val = _parse_exact("alpha", text, d)
-        if not isinstance(val, QuadScalar):
-            raise ConfigError("alpha", "slope must carry a sqrt(d) part")
-    else:
-        try:
-            val = QuadScalar(Fraction(0), Fraction(text), d)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError("alpha", str(exc))
-    if val.a != 0 or val.b == 0:
-        raise ConfigError("alpha", "slope must be a nonzero rational multiple of sqrt(d)")
-    return val
-
-
-def _parse_gram(text: str) -> GramMatrix:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError("gram", "expected three entries g11,g12,g22")
-    try:
-        return GramMatrix(Fraction(parts[0]), Fraction(parts[1]), Fraction(parts[2]))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError("gram", str(exc))
-
-
-def _parse_point(key: str, text: str, d: int) -> TorusPoint:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(key, "expected a point u1,u2")
-    return TorusPoint(_parse_exact(key, parts[0], d), _parse_exact(key, parts[1], d))
-
-
-def _parse_fraction_list(key: str, text: str) -> list[Fraction]:
-    out = []
-    for part in text.split(","):
-        try:
-            out.append(Fraction(part.strip()))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(key, f"not a rational: {part.strip()!r}")
-    if not out:
-        raise ConfigError(key, "empty list")
-    return out
-
-
-def _parse_bool(key: str, text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(key, f"not a boolean: {text!r}")
-
-
-@dataclass
-class RunConfig:
-    """Resolved, validated configuration for one subcommand run."""
-
-    command: str
-    d: int
-    alpha: QuadScalar
-    gram: GramMatrix
-    R: object
-    M: object
-    mode: object
-    seed: int
-    out_format: str
-    output: str | None
-    allow_invalid_metric: bool
-    extras: dict
+class RunConfig(SimpleNamespace):
+    """Resolved, validated configuration for one subcommand run: one attribute per key."""
 
     def subgroup(self) -> OneParamSubgroup:
         return OneParamSubgroup.canonical(self.alpha)
@@ -303,199 +318,97 @@ class RunConfig:
             raise ConfigError("R", message)
 
     def describe(self) -> dict:
-        return plain(
-            {
-                "command": self.command,
-                "d": self.d,
-                "alpha": self.alpha,
-                "gram": self.gram,
-                "R": self.R,
-                "M": self.M,
-                "mode": self.mode,
-                "seed": self.seed,
-                "allow_invalid_metric": self.allow_invalid_metric,
-                **self.extras,
-            }
-        )
+        # where and how the report is written does not change its verdict
+        return plain({k: v for k, v in vars(self).items() if k not in ("format", "output")})
 
 
 def _typed_config(command: str, merged: dict) -> RunConfig:
-    d = _parse_int("d", merged["d"])
-    try:
-        QuadScalar(Fraction(0), Fraction(1), d)
-    except ValueError as exc:
-        raise ConfigError("d", str(exc))
-    alpha = _parse_alpha(merged["alpha"], d)
-    gram = _parse_gram(merged["gram"])
-    R = _parse_exact("R", merged["R"])
-    M = _parse_exact("M", merged["M"])
-    for key, value in (("R", R), ("M", M)):
-        if sign_of(value) <= 0:
-            raise ConfigError(key, "must be positive")
-    seed = _parse_int("seed", merged["seed"])
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed", "must be a 64-bit unsigned integer")
-    mode_text = merged["mode"]
-    if mode_text not in ("exact", "float"):
-        raise ConfigError("mode", f"must be 'exact' or 'float', got {mode_text!r}")
-    mode = EXACT if mode_text == "exact" else FLOAT
-    out_format = merged.get("format", "json")
-    if out_format not in ("json", "csv"):
-        raise ConfigError("format", f"must be 'json' or 'csv', got {out_format!r}")
-    allow = merged.get("allow_invalid_metric")
-    allow_invalid = _parse_bool("allow_invalid_metric", allow) if allow is not None else False
-
-    extras: dict = {}
-    if command in ("verify-metric", "counterexample", "isometry-check", "lift"):
-        extras["samples"] = _parse_int("samples", merged["samples"])
-        if extras["samples"] < 0:
-            raise ConfigError("samples", "must be nonnegative")
-    if command in ("nearest", "isometry-check"):
-        extras["instances"] = _parse_int("instances", merged["instances"])
-    if command == "nearest":
-        extras["grid"] = _parse_int("grid", merged["grid"])
-        extras["t_grid"] = _parse_int("t_grid", merged["t_grid"])
-        if extras["grid"] < 2 or extras["t_grid"] < 3:
-            raise ConfigError("grid", "grids need at least a few points")
-        if extras["t_grid"] % 2 == 0:
-            # the height grid is centered at the point; only an odd size contains it
-            raise ConfigError("t_grid", "must be odd so the grid contains the point's own height")
-    if command == "lift":
-        extras["shifts"] = [
-            _parse_exact("shifts", s.strip(), d) for s in merged["shifts"].split(",")
-        ]
-    if command == "density":
-        extras["targets"] = [
-            _parse_point("targets", part.strip(), d)
-            for part in merged["targets"].split(";")
-            if part.strip()
-        ]
-        if not extras["targets"]:
-            raise ConfigError("targets", "no targets given")
-    if command == "non-closure":
-        extras["target"] = _parse_point("target", merged["target"], d)
-    if command in ("density", "non-closure"):
-        extras["epsilons"] = _parse_fraction_list("epsilons", merged["epsilons"])
-        extras["budget"] = _parse_int("budget", merged["budget"])
-        if extras["budget"] <= 0:
-            raise ConfigError("budget", "must be positive")
-    if command == "local-isometry":
-        extras["count"] = _parse_int("count", merged["count"])
-        extras["t"] = None if merged["t"] is None else _parse_exact("t", merged["t"], d)
-        extras["s"] = None if merged["s"] is None else _parse_exact("s", merged["s"], d)
-        if (extras["t"] is None) != (extras["s"] is None):
-            raise ConfigError("t", "give both --t and --s, or neither")
-    if command == "x1-group":
-        text = merged["k_range"]
-        if ":" not in text:
-            raise ConfigError("k_range", "expected lo:hi")
-        lo_text, hi_text = text.split(":", 1)
-        lo, hi = _parse_int("k_range", lo_text), _parse_int("k_range", hi_text)
-        if lo > hi:
-            raise ConfigError("k_range", "lo must not exceed hi")
-        extras["k_range"] = (lo, hi)
-        extras["count"] = _parse_int("count", merged["count"])
-        if extras["count"] < 1:
-            raise ConfigError("count", "must be positive")
-        extras["eps"] = _parse_fraction_list("eps", merged["eps"])[0]
-
-    return RunConfig(
-        command=command,
-        d=d,
-        alpha=alpha,
-        gram=gram,
-        R=R,
-        M=M,
-        mode=mode,
-        seed=seed,
-        out_format=out_format,
-        output=merged.get("output"),
-        allow_invalid_metric=allow_invalid,
-        extras=extras,
-    )
+    values = {"command": command}
+    for key, (_, parse, check) in KEYS.items():
+        if key not in merged:
+            continue
+        text = merged[key]
+        try:
+            value = None if text is None else parse(text, values.get("d"))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(key, str(exc))
+        problem = check(value) if check else None
+        if problem:
+            raise ConfigError(key, problem)
+        values[key] = value
+    if "t" in values and (values["t"] is None) != (values["s"] is None):
+        raise ConfigError("t", "give both --t and --s, or neither")
+    if values["format"] == "csv" and command not in CSV_TABLES:
+        raise ConfigError("format", "csv output applies only to density tables")
+    return RunConfig(**values)
 
 
-# -- subcommand implementations ------------------------------------------------------
+# -- subcommand implementations: each returns its payload, "passed" included ------
 
 
-def _cmd_verify_metric(cfg: RunConfig):
-    params = cfg.params()
-    rep = check_metric_axioms(cfg.extras["samples"], params, cfg.gram, mode=cfg.mode, seed=cfg.seed)
-    payload = {"config": cfg.describe(), "report": rep.describe(), "passed": rep.passed}
-    return (0 if rep.passed else 1), payload
+def _cmd_verify_metric(cfg: RunConfig) -> dict:
+    rep = check_metric_axioms(cfg.samples, cfg.params(), cfg.gram, mode=cfg.mode, seed=cfg.seed)
+    return {"report": rep.describe(), "passed": rep.passed}
 
 
-def _cmd_counterexample(cfg: RunConfig):
+def _cmd_counterexample(cfg: RunConfig) -> dict:
     params = cfg.params()
     try:
         witness = triangle_counterexample(params, cfg.gram)
     except ValueError as exc:
         raise ConfigError("R", str(exc))
     axioms = check_metric_axioms(
-        cfg.extras["samples"],
-        params,
-        cfg.gram,
-        mode=cfg.mode,
-        seed=cfg.seed,
+        cfg.samples, params, cfg.gram, mode=cfg.mode, seed=cfg.seed,
         extra_triples=(witness.as_triple(),),
     )
-    payload = {
-        "config": cfg.describe(),
+    return {
         "witness": witness.describe(),
         "axioms": axioms.describe(),
         "flagged": not axioms.passed,
         "passed": False,
     }
-    return 1, payload
 
 
-def _cmd_nearest(cfg: RunConfig):
-    params = cfg.params()
-    exact = cfg.mode.exact
-    grid, t_grid = cfg.extras["grid"], cfg.extras["t_grid"]
+def _cmd_nearest(cfg: RunConfig) -> dict:
+    params, mode, grid = cfg.params(), cfg.mode, cfg.grid
+    exact = mode.exact
+    on_torus = Distance(0, params.R)  # from (y, t) to y, and from y to any (y, t)
     results = []
-    all_ok = True
-    for i in range(cfg.extras["instances"]):
+    passed = True
+    for i in range(cfg.instances):
         rng = rng_for(cfg.seed, i)
         y = random_torus_point(rng, exact=exact, d=cfg.d)
         y2 = random_torus_point(rng, exact=exact, d=cfg.d)
         t = random_span_scalar(rng, 3, cfg.d) if exact else rng.uniform(-3.0, 3.0)
         p = GluedPoint.cylinder(y, t)
 
-        rec_a = nearest_in_compact(p, params, cfg.gram, grid, cfg.mode)
+        rec_a = nearest_in_compact(p, params, cfg.gram, grid, mode)
         _, oracle_a = grid_nearest_in_compact(p, params, cfg.gram, grid)
-        if exact:
-            ok_a = (
-                sign_of(rec_a.achieved.torus_sq) == 0
-                and rec_a.achieved.offset == params.R
-                and sign_of(rec_a.gap.sq) > 0
-            )
-        else:
-            ok_a = abs(rec_a.achieved.value - as_float(params.R)) <= cfg.mode.eps
-        ok_a = ok_a and oracle_a >= rec_a.achieved.value - 1e-9
+        ok_a = (
+            mode.equal(rec_a.achieved, on_torus, mode.eps)
+            and sign_of(rec_a.gap.sq) > 0
+            and oracle_a >= rec_a.achieved.value - 1e-9
+        )
 
-        rec_b = nearest_line_set(y, params, cfg.gram, grid_n=grid, mode=cfg.mode)
-        ok_b = rec_b.line_constant and oracle_a >= 0
-        if exact:
-            ok_b = ok_b and sign_of(rec_b.margin.sq) > 0
+        rec_b = nearest_line_set(y, params, cfg.gram, grid_n=grid, mode=mode)
+        ok_b = rec_b.line_constant and oracle_a >= 0 and sign_of(rec_b.margin.sq) > 0
         for s in rec_b.ts_checked:
-            _, oracle_b = grid_nearest_in_compact(
-                GluedPoint.cylinder(y, s), params, cfg.gram, grid
-            )
+            _, oracle_b = grid_nearest_in_compact(GluedPoint.cylinder(y, s), params, cfg.gram, grid)
             ok_b = ok_b and oracle_b >= rec_b.base.value - 1e-9
 
         rec_c = nearest_on_line(p, y2, params, cfg.gram)
-        oracle_t, oracle_c = grid_nearest_on_line(p, y2, params, cfg.gram, t_grid)
+        oracle_t, oracle_c = grid_nearest_on_line(p, y2, params, cfg.gram, cfg.t_grid)
         ok_c = (
             abs(oracle_c - rec_c.achieved.value) <= 1e-9
             and abs(as_float(oracle_t) - as_float(p.t)) <= 1e-9
         )
-
-        all_ok = all_ok and ok_a and ok_b and ok_c
+        passed = passed and ok_a and ok_b and ok_c
         results.append(
             {
                 "instance": i,
-                "nearest_in_compact": {"ok": ok_a, "record": rec_a.describe(), "grid_min": oracle_a},
+                "nearest_in_compact": {
+                    "ok": ok_a, "record": rec_a.describe(), "grid_min": oracle_a
+                },
                 "nearest_line_set": {"ok": ok_b, "record": rec_b.describe()},
                 "nearest_on_line": {
                     "ok": ok_c,
@@ -505,12 +418,7 @@ def _cmd_nearest(cfg: RunConfig):
                 },
             }
         )
-    payload = {
-        "config": cfg.describe(),
-        "instances": results,
-        "passed": all_ok,
-    }
-    return (0 if all_ok else 1), payload
+    return {"instances": results, "passed": passed}
 
 
 def _swap_impostor(p: GluedPoint) -> GluedPoint:
@@ -519,99 +427,77 @@ def _swap_impostor(p: GluedPoint) -> GluedPoint:
     return GluedPoint.compact(p.y)
 
 
-def _cmd_isometry_check(cfg: RunConfig):
+def _scaling_impostor(p: GluedPoint) -> GluedPoint:
+    if p.is_compact:
+        return p
+    return GluedPoint.cylinder(p.y, 2 * p.t)
+
+
+def _cmd_isometry_check(cfg: RunConfig) -> dict:
     params = cfg.params()
     subgroup = cfg.subgroup()
-    n_pairs = cfg.extras["samples"]
-    n_iso = cfg.extras["instances"]
+
+    def decompose(apply_map):
+        return decompose_isometry(
+            apply_map, params, cfg.gram, mode=cfg.mode, seed=cfg.seed, d=cfg.d
+        )
+
+    def rejected(apply_map, error) -> bool:
+        """decompose raises exactly the typed error the impostor deserves."""
+        try:
+            decompose(apply_map)
+        except error:
+            return True
+        except DecompositionError:
+            pass
+        return False
 
     lift_rows = []
-    lifts_ok = True
     for j, (sign, shift) in enumerate(
         [(1, Fraction(0)), (1, Fraction(1, 3)), (-1, Fraction(0)), (-1, Fraction(2, 7))]
     ):
         iso = lift_line_isometry(LineIsometry(sign, shift), subgroup)
         rep = verify_isometry(
-            iso.apply,
-            n_pairs,
-            params,
-            cfg.gram,
-            mode=cfg.mode,
-            seed=cfg.seed + j,
-            space="winding",
-            subgroup=subgroup,
+            iso.apply, cfg.samples, params, cfg.gram, mode=cfg.mode, seed=cfg.seed + j,
+            space="winding", subgroup=subgroup,
         )
-        lifts_ok = lifts_ok and rep.passed
-        lift_rows.append({"iso": iso.describe(), "verified": rep.passed, "max_error": rep.max_error})
+        lift_rows.append(
+            {"iso": iso.describe(), "verified": rep.passed, "max_error": rep.max_error}
+        )
 
     roundtrip_failures = 0
-    for i in range(n_iso):
+    for i in range(cfg.instances):
         iso = random_product_isometry(rng_for(cfg.seed, 10_000 + i), cfg.d)
         try:
-            recovered = decompose_isometry(
-                iso.apply, params, cfg.gram, mode=cfg.mode, seed=cfg.seed, d=cfg.d
-            )
+            roundtrip_failures += decompose(iso.apply) != iso
         except DecompositionError:
             roundtrip_failures += 1
-            continue
-        if recovered != iso:
-            roundtrip_failures += 1
 
-    try:
-        decompose_isometry(
-            _swap_impostor, params, cfg.gram, mode=cfg.mode, seed=cfg.seed, d=cfg.d
-        )
-        swap_rejected = False
-    except ComponentSwapError:
-        swap_rejected = True
-    except DecompositionError:
-        swap_rejected = False
-
-    def scaling_impostor(p: GluedPoint) -> GluedPoint:
-        if p.is_compact:
-            return p
-        return GluedPoint.cylinder(p.y, 2 * p.t)
-
-    try:
-        decompose_isometry(
-            scaling_impostor, params, cfg.gram, mode=cfg.mode, seed=cfg.seed, d=cfg.d
-        )
-        scaling_rejected = False
-    except LineActionError:
-        scaling_rejected = True
-    except DecompositionError:
-        scaling_rejected = False
-
-    passed = lifts_ok and roundtrip_failures == 0 and swap_rejected and scaling_rejected
-    payload = {
-        "config": cfg.describe(),
-        "lifts": lift_rows,
-        "roundtrips": {"total": n_iso, "failures": roundtrip_failures},
-        "impostors": {"swap_rejected": swap_rejected, "scaling_rejected": scaling_rejected},
-        "passed": passed,
+    impostors = {
+        "swap_rejected": rejected(_swap_impostor, ComponentSwapError),
+        "scaling_rejected": rejected(_scaling_impostor, LineActionError),
     }
-    return (0 if passed else 1), payload
+    return {
+        "lifts": lift_rows,
+        "roundtrips": {"total": cfg.instances, "failures": roundtrip_failures},
+        "impostors": impostors,
+        "passed": all(r["verified"] for r in lift_rows)
+        and roundtrip_failures == 0
+        and all(impostors.values()),
+    }
 
 
-def _cmd_lift(cfg: RunConfig):
+def _cmd_lift(cfg: RunConfig) -> dict:
     params = cfg.params()
     subgroup = cfg.subgroup()
     rows = []
-    all_ok = True
-    for j, shift in enumerate(cfg.extras["shifts"]):
+    for j, shift in enumerate(cfg.shifts):
         for sign in (1, -1):
             iso = lift_line_isometry(LineIsometry(sign, shift), subgroup)
             rep = verify_isometry(
-                iso.apply,
-                cfg.extras["samples"],
-                params,
-                cfg.gram,
-                mode=cfg.mode,
-                seed=cfg.seed + j,
-                space="winding",
-                subgroup=subgroup,
+                iso.apply, cfg.samples, params, cfg.gram, mode=cfg.mode, seed=cfg.seed + j,
+                space="winding", subgroup=subgroup,
             )
-            all_ok = all_ok and rep.passed
             rows.append(
                 {
                     "line": iso.line_part.describe(),
@@ -620,72 +506,39 @@ def _cmd_lift(cfg: RunConfig):
                     "max_error": rep.max_error,
                 }
             )
-    payload = {"config": cfg.describe(), "lifts": rows, "passed": all_ok}
-    return (0 if all_ok else 1), payload
+    return {"lifts": rows, "passed": all(r["verified"] for r in rows)}
 
 
-def _cmd_density(cfg: RunConfig):
+def _cmd_density(cfg: RunConfig) -> dict:
     subgroup = cfg.subgroup()
     reports = [
-        density_report(
-            target,
-            subgroup,
-            cfg.extras["epsilons"],
-            gram=cfg.gram,
-            budget=cfg.extras["budget"],
-        )
-        for target in cfg.extras["targets"]
+        density_report(target, subgroup, cfg.epsilons, gram=cfg.gram, budget=cfg.budget)
+        for target in cfg.targets
     ]
-    all_ok = all(r.passed for r in reports)
-    payload = {
-        "config": cfg.describe(),
-        "reports": [r.describe() for r in reports],
-        "passed": all_ok,
-    }
-    csv_text = density_csv([r.describe() for r in reports])
-    return (0 if all_ok else 1), payload, csv_text
+    return {"reports": [r.describe() for r in reports], "passed": all(r.passed for r in reports)}
 
 
-def _cmd_non_closure(cfg: RunConfig):
-    subgroup = cfg.subgroup()
+def _cmd_non_closure(cfg: RunConfig) -> dict:
     try:
         rep = non_closure_report(
-            cfg.extras["target"],
-            subgroup,
-            cfg.extras["epsilons"],
-            gram=cfg.gram,
-            budget=cfg.extras["budget"],
+            cfg.target, cfg.subgroup(), cfg.epsilons, gram=cfg.gram, budget=cfg.budget
         )
     except ValueError as exc:
         raise ConfigError("target", str(exc))
-    payload = {"config": cfg.describe(), "report": rep.describe(), "passed": rep.passed}
-    csv_text = density_csv(rep.density.describe())
-    return (0 if rep.passed else 1), payload, csv_text
+    return {"report": rep.describe(), "passed": rep.passed}
 
 
-def _cmd_local_isometry(cfg: RunConfig):
+def _cmd_local_isometry(cfg: RunConfig) -> dict:
     params = cfg.params()
     subgroup = cfg.subgroup()
-    t, s = cfg.extras["t"], cfg.extras["s"]
-    if t is not None:
+    if cfg.t is not None:
         try:
-            rec = local_isometry_check(t, s, subgroup, params, cfg.gram, cfg.mode)
+            rec = local_isometry_check(cfg.t, cfg.s, subgroup, params, cfg.gram, cfg.mode)
         except ValidityRadiusError as exc:
-            payload = {
-                "config": cfg.describe(),
-                "refused": True,
-                "radius": exc.radius,
-                "separation": exc.separation,
-                "passed": False,
+            return {
+                "refused": True, "radius": exc.radius, "separation": exc.separation, "passed": False
             }
-            return 1, payload
-        payload = {
-            "config": cfg.describe(),
-            "refused": False,
-            "record": rec.describe(),
-            "passed": rec.passed,
-        }
-        return (0 if rec.passed else 1), payload
+        return {"refused": False, "record": rec.describe(), "passed": rec.passed}
 
     nsq = tangent_norm_sq(subgroup.tangent(), cfg.gram)
     cap = params.M * params.M
@@ -693,30 +546,25 @@ def _cmd_local_isometry(cfg: RunConfig):
     radius_sq = scalar_min(cap, sys_quarter) / (nsq if scalar_lt(1, nsq) else 1)
     r_lo = sqrt_interval(radius_sq, 12)[0]
 
-    rows = []
-    all_ok = True
-    for i in range(cfg.extras["count"]):
+    records = []
+    for i in range(cfg.count):
         rng = rng_for(cfg.seed, i)
         t_i = random_span_scalar(rng, 3, cfg.d)
         delta = r_lo * Fraction(rng.randrange(1, 1000), 1000)
         if rng.random() < 0.5:
             delta = -delta
-        rec = local_isometry_check(t_i, t_i + delta, subgroup, params, cfg.gram, cfg.mode)
-        all_ok = all_ok and rec.passed
-        rows.append(rec.describe())
-    payload = {"config": cfg.describe(), "records": rows, "passed": all_ok}
-    return (0 if all_ok else 1), payload
+        records.append(local_isometry_check(t_i, t_i + delta, subgroup, params, cfg.gram, cfg.mode))
+    return {"records": [r.describe() for r in records], "passed": all(r.passed for r in records)}
 
 
-def _cmd_x1_group(cfg: RunConfig):
-    params = cfg.params()
+def _cmd_x1_group(cfg: RunConfig) -> dict:
+    cfg.params()  # validates R and M, though the family does not use them
     subgroup = cfg.subgroup()
     circle = Subtorus(0)
-    lo, hi = cfg.extras["k_range"]
+    lo, hi = cfg.k_range
     elements = subtorus_isometries(subgroup, circle, lo, hi)
 
     sample_coords = (Fraction(0), Fraction(1, 3), Fraction(5, 8))
-    elements_ok = True
     rows = []
     for elem in elements:
         ok = True
@@ -732,20 +580,17 @@ def _cmd_x1_group(cfg: RunConfig):
                 else frac(elem.circle_shift - s)
             )
             ok = ok and got == expect
-        elements_ok = elements_ok and ok
         rows.append({"element": elem.describe(), "circle_action_ok": ok})
 
     theta = frac(1 / subgroup.alpha)
     g_axis = circle.gram_entry(cfg.gram)
-    count = cfg.extras["count"]
-    eps = cfg.extras["eps"]
     worst = 0.0
     density_ok = True
     # each hit is certified exactly inside circle_density_hit; a failure surfaces
     # as an exception rather than a loose distance
-    for j in range(count):
+    for j in range(cfg.count):
         try:
-            hit = circle_density_hit(Fraction(j, count), theta, Fraction(0), eps, g_axis)
+            hit = circle_density_hit(Fraction(j, cfg.count), theta, Fraction(0), cfg.eps, g_axis)
         except (ValueError, AssertionError):
             density_ok = False
             continue
@@ -761,22 +606,20 @@ def _cmd_x1_group(cfg: RunConfig):
         except AssertionError:
             transitivity_ok = False
 
-    passed = elements_ok and density_ok and cert_ok and transitivity_ok
-    payload = {
-        "config": cfg.describe(),
+    elements_ok = all(r["circle_action_ok"] for r in rows)
+    return {
         "elements": rows,
         "circle_density": {
             "theta": format_scalar(theta),
-            "targets": count,
-            "eps": eps,
+            "targets": cfg.count,
+            "eps": cfg.eps,
             "worst_distance": worst,
             "ok": density_ok,
         },
         "rational_target_certificate": {"ok": cert_ok, "certificate": cert.describe()},
         "line_transitivity": transitivity_ok,
-        "passed": passed,
+        "passed": elements_ok and density_ok and cert_ok and transitivity_ok,
     }
-    return (0 if passed else 1), payload
 
 
 HANDLERS = {
@@ -791,6 +634,12 @@ HANDLERS = {
     "x1-group": _cmd_x1_group,
 }
 
+# commands with a CSV form: payload -> the density report data it tabulates
+CSV_TABLES = {
+    "density": lambda payload: payload["reports"],
+    "non-closure": lambda payload: payload["report"]["density"],
+}
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -801,28 +650,22 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     try:
-        merged = _resolve_strings(args)
-        cfg = _typed_config(args.command, merged)
-        if cfg.out_format == "csv" and cfg.command not in ("density", "non-closure"):
-            raise ConfigError("format", "csv output applies only to density tables")
-        outcome = HANDLERS[cfg.command](cfg)
+        cfg = _typed_config(args.command, _resolve_strings(args))
+        payload = {"config": cfg.describe(), **HANDLERS[cfg.command](cfg)}
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if len(outcome) == 3:
-        code, payload, csv_text = outcome
+    if cfg.format == "csv":
+        text = density_csv(CSV_TABLES[cfg.command](payload))
     else:
-        code, payload = outcome
-        csv_text = None
-
-    text = csv_text if cfg.out_format == "csv" else canonical_json(payload)
+        text = canonical_json(payload)
     try:
         write_report(text, cfg.output)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2
-    return code
+    return 0 if payload["passed"] else 1
 
 
 if __name__ == "__main__":

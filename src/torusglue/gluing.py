@@ -155,6 +155,9 @@ class Distance(Record):
         return {**super().report_fields(), "value": self.value}
 
 
+_ZERO = Distance(0, 0)
+
+
 def glued_distance(a: GluedPoint, b: GluedPoint, params: GluingParams, gram: GramMatrix) -> Distance:
     base_sq = torus_distance_sq(a.y, b.y, gram)
     if a.is_compact and b.is_compact:
@@ -216,8 +219,28 @@ class AxiomReport(Record):
         return {**out, "passed": self.passed}
 
 
+def _sign_with_root(p, q, x) -> int:
+    """Exact sign of p + q*sqrt(x) for p, q in Q(sqrt(d)) and x >= 0.
+
+    With opposite signs the larger magnitude wins, and comparing p^2 with
+    q^2 * x decides which one that is without leaving the field.
+    """
+    sp = sign_of(p)
+    sq = sign_of(q) if sign_of(x) else 0
+    if sq == 0 or sp in (0, sq):
+        return sq or sp
+    return sp * sign_of(p * p - q * q * x)
+
+
 def _triangle_exact(lhs: Distance, r1: Distance, r2: Distance) -> tuple[bool, float]:
-    """Decide lhs <= r1 + r2 with exact rational enclosures."""
+    """Decide lhs <= r1 + r2 exactly; a violation carries its slack.
+
+    Rational enclosures settle the clear cases and give the slack of the
+    violations they find.  Ties and near-ties fall through to sign-tracked
+    squaring: with X, Y, Z the squared torus parts and c the offset
+    difference, the question is the sign of sqrt(X) + c - sqrt(Y) - sqrt(Z),
+    and three exact signs in Q(sqrt(d)) settle it (see `_sign_with_root`).
+    """
     for digits in (30, 60):
         llo, lhi = lhs.interval(digits)
         alo, ahi = r1.interval(digits)
@@ -226,7 +249,20 @@ def _triangle_exact(lhs: Distance, r1: Distance, r2: Distance) -> tuple[bool, fl
             return True, 0.0
         if llo > ahi + bhi:
             return False, float(llo - ahi - bhi)
-    # ambiguous below 1e-60: a tight triangle equality
+    X, Y, Z = lhs.torus_sq, r1.torus_sq, r2.torus_sq
+    c = lhs.offset - r1.offset - r2.offset
+    e = X + c * c - Y - Z
+    # sqrt(X) + c > sqrt(Y) + sqrt(Z) iff P = sqrt(X) + c > 0 and
+    # P^2 - (sqrt(Y) + sqrt(Z))^2 = U - 2 sqrt(YZ) > 0 with U = e + 2c sqrt(X),
+    # that is, iff P > 0, U > 0 and U^2 - 4YZ > 0
+    violated = (
+        _sign_with_root(c, 1, X) > 0
+        and _sign_with_root(e, 2 * c, X) > 0
+        and _sign_with_root(e * e + 4 * c * c * X - 4 * Y * Z, 4 * e * c, X) > 0
+    )
+    if violated:
+        # a float estimate of the slack; 0.0 when it is below float resolution
+        return False, max(0.0, lhs.value - (r1.value + r2.value))
     return True, 0.0
 
 
@@ -251,9 +287,10 @@ class _ViolationLog:
 def _points_equal(a: GluedPoint, b: GluedPoint, mode: ScalarMode) -> bool:
     if a.is_compact != b.is_compact:
         return False
-    if mode.exact and a.is_exact() and b.is_exact():
+    if mode.for_points(a, b).exact:
         return a == b
-    eps = mode.eps if not mode.exact else 1e-12
+    # an exact run that meets float points holds them to the identity tolerance
+    eps = mode.identity_eps if mode.exact else mode.eps
     ya, yb = np.array([a.y.as_floats()]), np.array([b.y.as_floats()])
     wrapped = batch_torus_distance_sq(ya, yb, GramMatrix.identity())[0]
     if wrapped > eps * eps:
@@ -264,7 +301,7 @@ def _points_equal(a: GluedPoint, b: GluedPoint, mode: ScalarMode) -> bool:
 
 
 def _check_triple(a, b, c, params, gram, mode, log: _ViolationLog) -> int:
-    exact = mode.exact and a.is_exact() and b.is_exact() and c.is_exact()
+    cmp = mode.for_points(a, b, c)
     d_ab = glued_distance(a, b, params, gram)
     d_ba = glued_distance(b, a, params, gram)
     d_ac = glued_distance(a, c, params, gram)
@@ -276,22 +313,19 @@ def _check_triple(a, b, c, params, gram, mode, log: _ViolationLog) -> int:
     checks += 1
     err = abs(d_ab.value - d_ba.value)
     log.note_error(err)
-    sym_ok = d_ab.same_components(d_ba) if exact else err <= mode.eps
-    if not sym_ok:
+    if not cmp.equal(d_ab, d_ba, mode.eps):
         log.add("symmetry", a, b, None, d_ab.value, d_ba.value, err)
 
     # d(a, a) = 0
     checks += 1
     log.note_error(abs(d_aa.value))
-    zero_ok = d_aa.is_zero() if exact else abs(d_aa.value) <= mode.identity_eps
-    if not zero_ok:
+    if not cmp.equal(d_aa, _ZERO, mode.identity_eps):
         log.add("identity-zero", a, a, None, d_aa.value, 0.0, abs(d_aa.value))
 
     # d = 0 implies equal points
     for p, q, d in ((a, b, d_ab), (a, c, d_ac), (b, c, d_bc)):
         checks += 1
-        is_null = d.is_zero() if exact else d.value <= mode.identity_eps
-        if is_null and not _points_equal(p, q, mode):
+        if cmp.equal(d, _ZERO, mode.identity_eps) and not _points_equal(p, q, mode):
             log.add("identity-distinct", p, q, None, d.value, 0.0, d.value)
 
     # triangle inequality, all three rotations
@@ -301,7 +335,7 @@ def _check_triple(a, b, c, params, gram, mode, log: _ViolationLog) -> int:
         (d_bc, d_ab, d_ac, b, c, a),
     ):
         checks += 1
-        if exact:
+        if cmp.exact:
             ok, slack = _triangle_exact(lhs, r1, r2)
             if not ok:
                 log.add("triangle", pa, pb, pc, lhs.value, r1.value + r2.value, slack)
@@ -565,17 +599,12 @@ def nearest_line_set(
     grid_n: int = 100,
     mode: ScalarMode = EXACT,
 ) -> LineSetResult:
-    base = glued_distance(GluedPoint.compact(y), GluedPoint.cylinder(y, ts[0]), params, gram)
-    constant = True
-    for t in ts:
-        d = glued_distance(GluedPoint.compact(y), GluedPoint.cylinder(y, t), params, gram)
-        if mode.exact:
-            if not (sign_of(d.torus_sq) == 0 and d.offset == params.R):
-                constant = False
-        elif abs(d.value - as_float(params.R)) > mode.eps:
-            constant = False
+    dists = [
+        glued_distance(GluedPoint.compact(y), GluedPoint.cylinder(y, t), params, gram) for t in ts
+    ]
+    constant = all(mode.equal(d, Distance(0, params.R), mode.eps) for d in dists)
     witness, margin_sq = _grid_min_excluding(y, gram, grid_n, mode)
-    return LineSetResult(y, base, Length(margin_sq), witness, tuple(ts), grid_n, constant)
+    return LineSetResult(y, dists[0], Length(margin_sq), witness, tuple(ts), grid_n, constant)
 
 
 @dataclass(frozen=True)

@@ -275,8 +275,7 @@ def verify_isometry(
         d1 = dist(apply_map(p), apply_map(q))
         err = abs(d0.value - d1.value)
         max_err = max(max_err, err)
-        ok = d0.same_components(d1) if mode.exact else err <= mode.identity_eps
-        if not ok:
+        if not mode.equal(d0, d1, mode.identity_eps):
             total_failures += 1
             if len(failures) < max_recorded:
                 failures.append(PairFailure(p, q, d0, d1))
@@ -364,16 +363,12 @@ def decompose_isometry(
     for p in check_points:
         expect = candidate.apply(p)
         got = apply_map(p)
-        if mode.exact:
-            ok = expect == got
-        else:
-            ok = (
-                expect.is_compact == got.is_compact
-                and abs(as_float(expect.y.u1) - as_float(got.y.u1)) <= mode.eps
-                and abs(as_float(expect.y.u2) - as_float(got.y.u2)) <= mode.eps
-                and (expect.is_compact or abs(as_float(expect.t) - as_float(got.t)) <= mode.eps)
-            )
-        if not ok:
+        pairs = [(expect.y.u1, got.y.u1), (expect.y.u2, got.y.u2)]
+        if not expect.is_compact:
+            pairs.append((expect.t, got.t))
+        if expect.is_compact != got.is_compact or not all(
+            mode.equal(x, y, mode.eps) for x, y in pairs
+        ):
             raise ProductFormError("map disagrees with its fitted product form")
     return candidate
 

@@ -570,6 +570,25 @@ class ScalarMode:
     def float_mode(cls, eps: float = 1e-9, identity_eps: float = 1e-12) -> "ScalarMode":
         return cls(exact=False, eps=eps, identity_eps=identity_eps)
 
+    def equal(self, a, b, tol: float) -> bool:
+        """a == b, decided exactly in exact mode and within tol in float mode.
+
+        Operands are scalars or records with a float view, such as distances.
+        """
+        if self.exact:
+            return a == b
+        return abs(float(a) - float(b)) <= tol
+
+    def for_points(self, *points) -> "ScalarMode":
+        """This mode, or float mode with its tolerances when a point is inexact.
+
+        An exact run over float points cannot decide anything exactly, so it
+        compares with the tolerances instead.
+        """
+        if self.exact and not all(p.is_exact() for p in points):
+            return ScalarMode(False, self.eps, self.identity_eps)
+        return self
+
     def describe(self) -> dict:
         if self.exact:
             return {"kind": "exact"}

@@ -57,6 +57,11 @@ def _radical_parts(x, d: int) -> tuple[Fraction, Fraction]:
     return Fraction(x), Fraction(0)
 
 
+def _require_irrational(x, what: str) -> None:
+    if not isinstance(x, QuadScalar) or x.b == 0:
+        raise ValueError(f"{what} must be a quadratic irrational")
+
+
 # -- continued fractions ------------------------------------------------------------
 
 
@@ -82,8 +87,7 @@ def cf_expansion(x, n: int) -> list[int]:
     Rationals are rejected: their expansions terminate and every question
     this module asks about them has a direct answer.
     """
-    if not isinstance(x, QuadScalar) or x.b == 0:
-        raise ValueError("continued fraction expansion expects a quadratic irrational")
+    _require_irrational(x, "continued fraction input")
     out = []
     cur = x
     for _ in range(n):
@@ -100,8 +104,7 @@ def _convergent_stream(x):
     alternating defect signs; a failure means the exact arithmetic broke and
     raises AssertionError.
     """
-    if not isinstance(x, QuadScalar) or x.b == 0:
-        raise ValueError("continued fraction expansion expects a quadratic irrational")
+    _require_irrational(x, "continued fraction input")
     p_prev, p_prev2 = 1, 0
     q_prev, q_prev2 = 0, 1
     prev_abs = None
@@ -170,8 +173,7 @@ def circle_density_hit(
     """
     require_exact(target, "circle density target")
     require_exact(x0, "circle base point")
-    if not isinstance(theta, QuadScalar) or theta.b == 0:
-        raise ValueError("rotation step must be a quadratic irrational")
+    _require_irrational(theta, "rotation step")
     eps = _exact_eps(eps)
     eps_sq = eps * eps
     w = frac(target - x0)
@@ -310,6 +312,51 @@ def density_report(
 
 # -- membership: exact decision over the basis (1, sqrt(d)) -------------------------
 
+_BRANCHES = ("direct", "inverted")
+
+
+def _solve_rotation(w, theta) -> tuple:
+    """Is k*theta - w an integer for some integer k?  (k_star, k integral, residue, member).
+
+    The sqrt(d) coordinate of k*theta - w is linear in k with slope
+    theta.b != 0, so it pins k to the single rational k_star; membership then
+    needs k_star integral and the rational residue k_star*theta.a - w.a integral.
+    """
+    wa, wb = _radical_parts(w, theta.d)
+    k_star = wb / theta.b
+    if k_star.denominator != 1:
+        return k_star, False, None, False
+    residue = k_star * theta.a - wa
+    return k_star, True, residue, residue.denominator == 1
+
+
+def _decide(derive):
+    """(first member derivation or None, the derivations of both branches)."""
+    derivations = tuple(derive(branch) for branch in _BRANCHES)
+    return next((der for der in derivations if der.member), None), derivations
+
+
+class _Witness(Record):
+    """A branch on which the target lies, with the shift that reaches it."""
+
+    def report_fields(self) -> dict:
+        return {"member": True, **super().report_fields()}
+
+
+class _Refutation(Record):
+    """Both orbit branches refuted; replay() re-derives them from the inputs."""
+
+    def replay(self, line) -> bool:
+        """Recompute each branch from the inputs and confirm the stored verdicts."""
+        for stored in self.branches:
+            fresh = self._derive(line, stored.branch)
+            if fresh != stored or fresh.member:
+                return False
+        return True
+
+    def report_fields(self) -> dict:
+        return {"member": False, **super().report_fields()}
+
 
 @dataclass(frozen=True)
 class BranchDerivation(Record):
@@ -334,31 +381,18 @@ def derive_branch(
     """Decide g(t) = target -+ y0 by splitting both coordinates over (1, sqrt(d)).
 
     Writing t*v1 = w1 + m, the second coordinate needs alpha*(w1 + m) - w2
-    integral.  Its sqrt(d) coordinate is linear in m with nonzero slope, so
-    m is pinned to one rational value; everything else is bookkeeping.
+    integral: the circle question with rotation alpha and w = w2 - alpha*w1.
     """
-    alpha = subgroup.alpha
-    d = alpha.d
-    aa, ab = alpha.a, alpha.b
-    if branch == "direct":
-        w1 = frac(target.u1 - y0.u1)
-        w2 = frac(target.u2 - y0.u2)
-    elif branch == "inverted":
-        w1 = frac(target.u1 + y0.u1)
-        w2 = frac(target.u2 + y0.u2)
-    else:
+    if branch not in _BRANCHES:
         raise ValueError("branch must be 'direct' or 'inverted'")
-    w1a, w1b = _radical_parts(w1, d)
-    w2a, w2b = _radical_parts(w2, d)
-    m_star = (w2b - aa * w1b - ab * w1a) / ab
-    if m_star.denominator != 1:
-        return BranchDerivation(branch, w1, w2, m_star, False, None, False)
-    residue = aa * w1a + d * ab * w1b + aa * m_star - w2a
-    return BranchDerivation(branch, w1, w2, m_star, True, residue, residue.denominator == 1)
+    base = y0 if branch == "direct" else y0.invert()
+    w1, w2 = map(frac, base.delta(target))
+    alpha = subgroup.alpha
+    return BranchDerivation(branch, w1, w2, *_solve_rotation(w2 - alpha * w1, alpha))
 
 
 @dataclass(frozen=True)
-class OrbitMembership(Record):
+class OrbitMembership(_Witness):
     """Witness t with g(t) + y0 (direct) or g(t) - y0 (inverted) equal to target."""
 
     target: TorusPoint
@@ -371,28 +405,17 @@ class OrbitMembership(Record):
         base = self.y0 if self.branch == "direct" else self.y0.invert()
         return subgroup.point(self.t).translate(base)
 
-    def report_fields(self) -> dict:
-        return {"member": True, **super().report_fields()}
-
 
 @dataclass(frozen=True)
-class NonMembershipCertificate(Record):
+class NonMembershipCertificate(_Refutation):
     """Exact refutation of both orbit branches; replay() re-derives it."""
 
     target: TorusPoint
     y0: TorusPoint
     branches: tuple
 
-    def replay(self, subgroup: OneParamSubgroup) -> bool:
-        """Recompute each branch from the inputs and confirm the stored verdicts."""
-        for stored in self.branches:
-            fresh = derive_branch(self.target, subgroup, self.y0, stored.branch)
-            if fresh != stored or fresh.member:
-                return False
-        return True
-
-    def report_fields(self) -> dict:
-        return {"member": False, **super().report_fields()}
+    def _derive(self, subgroup: OneParamSubgroup, branch: str) -> BranchDerivation:
+        return derive_branch(self.target, subgroup, self.y0, branch)
 
 
 def orbit_membership(
@@ -407,17 +430,14 @@ def orbit_membership(
     y0 = y0 or TorusPoint.origin()
     for val, what in ((target.u1, "target"), (target.u2, "target"), (y0.u1, "base"), (y0.u2, "base")):
         require_exact(val, f"orbit membership {what}")
-    refutations = []
-    for branch in ("direct", "inverted"):
-        der = derive_branch(target, subgroup, y0, branch)
-        if der.member:
-            t = (der.w1 + der.m_star) / subgroup.v1
-            witness = OrbitMembership(target, y0, branch, t, der)
-            if witness.orbit_point(subgroup) != target:
-                raise AssertionError("the membership witness must evaluate to the target")
-            return witness
-        refutations.append(der)
-    return NonMembershipCertificate(target, y0, tuple(refutations))
+    der, derivations = _decide(lambda branch: derive_branch(target, subgroup, y0, branch))
+    if der is None:
+        return NonMembershipCertificate(target, y0, derivations)
+    t = (der.w1 + der.m_star) / subgroup.v1
+    witness = OrbitMembership(target, y0, der.branch, t, der)
+    if witness.orbit_point(subgroup) != target:
+        raise AssertionError("the membership witness must evaluate to the target")
+    return witness
 
 
 @dataclass(frozen=True)
@@ -431,62 +451,42 @@ class CircleBranchDerivation(Record):
 
 
 @dataclass(frozen=True)
-class CircleMembership(Record):
+class CircleMembership(_Witness):
     target: object
     x0: object
     branch: str
     k: int
     derivation: CircleBranchDerivation
 
-    def report_fields(self) -> dict:
-        return {"member": True, **super().report_fields()}
-
 
 @dataclass(frozen=True)
-class CircleNonMembership(Record):
+class CircleNonMembership(_Refutation):
     target: object
     x0: object
     branches: tuple
 
-    def replay(self, theta) -> bool:
-        for stored in self.branches:
-            fresh = _derive_circle_branch(self.target, theta, self.x0, stored.branch)
-            if fresh != stored or fresh.member:
-                return False
-        return True
-
-    def report_fields(self) -> dict:
-        return {"member": False, **super().report_fields()}
+    def _derive(self, theta, branch: str) -> CircleBranchDerivation:
+        return _derive_circle_branch(self.target, theta, self.x0, branch)
 
 
 def _derive_circle_branch(target, theta, x0, branch: str) -> CircleBranchDerivation:
-    d = theta.d
     w = frac(target - x0) if branch == "direct" else frac(target + x0)
-    wa, wb = _radical_parts(w, d)
-    k_star = wb / theta.b
-    if k_star.denominator != 1:
-        return CircleBranchDerivation(branch, w, k_star, False, None, False)
-    residue = k_star * theta.a - wa
-    return CircleBranchDerivation(branch, w, k_star, True, residue, residue.denominator == 1)
+    return CircleBranchDerivation(branch, w, *_solve_rotation(w, theta))
 
 
 def circle_orbit_membership(target, theta, x0=Fraction(0)):
     """Exact membership of target in {x0 + k*theta} | {k*theta - x0} on the circle."""
     require_exact(target, "circle membership target")
     require_exact(x0, "circle base point")
-    if not isinstance(theta, QuadScalar) or theta.b == 0:
-        raise ValueError("rotation step must be a quadratic irrational")
-    refutations = []
-    for branch in ("direct", "inverted"):
-        der = _derive_circle_branch(target, theta, x0, branch)
-        if der.member:
-            k = int(der.k_star)
-            landed = frac(x0 + k * theta) if branch == "direct" else frac(k * theta - x0)
-            if landed != frac(target):
-                raise AssertionError(f"k = {k} rotation steps must land on the target")
-            return CircleMembership(target, x0, branch, k, der)
-        refutations.append(der)
-    return CircleNonMembership(target, x0, tuple(refutations))
+    _require_irrational(theta, "rotation step")
+    der, derivations = _decide(lambda branch: _derive_circle_branch(target, theta, x0, branch))
+    if der is None:
+        return CircleNonMembership(target, x0, derivations)
+    k = int(der.k_star)
+    landed = frac(x0 + k * theta) if der.branch == "direct" else frac(k * theta - x0)
+    if landed != frac(target):
+        raise AssertionError(f"k = {k} rotation steps must land on the target")
+    return CircleMembership(target, x0, der.branch, k, der)
 
 
 # -- dense but not closed ------------------------------------------------------------
@@ -606,10 +606,7 @@ def local_isometry_check(
     slope = 1 + math.sqrt(as_float(nsq))
     lhs = dist.value
     rhs = slope * separation
-    if mode.exact:
-        ok = dist.torus_sq == expected_torus_sq and dist.offset == expected_offset
-    else:
-        ok = abs(lhs - rhs) <= mode.eps
+    ok = mode.equal(dist, Distance(expected_torus_sq, expected_offset), mode.eps)
     return LocalIsometryRecord(
         t,
         s,

@@ -5,7 +5,6 @@ compared as raw bytes where the contract promises byte-identical output.
 """
 
 import json
-import os
 
 import pytest
 
@@ -275,3 +274,24 @@ def test_output_write_failure_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "verify-metric", "--samples", "10", "--output", str(dest))
     assert code == 2
     assert "cannot write report" in err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("density", "--epsilons", "0"), "epsilons"),
+        (("non-closure", "--epsilons", "0"), "epsilons"),
+        (("density", "--epsilons=-1e-2"), "epsilons"),
+        (("x1-group", "--eps", "0"), "eps"),
+        (("x1-group", "--eps=-1e-3"), "eps"),
+        (("x1-group", "--eps", "1e-3,1e-5"), "eps"),
+        (("nearest", "--instances", "-1"), "instances"),
+        (("isometry-check", "--instances", "-1"), "instances"),
+        (("local-isometry", "--count", "-3"), "count"),
+    ],
+)
+def test_bad_values_exit_2_naming_the_key(capsys, argv, key):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"config key '{key}'" in err

@@ -107,6 +107,19 @@ def test_axioms_flag_degenerate_params():
     assert rep.violations[0].kind == "triangle"
 
 
+def test_exact_mode_falls_back_to_tolerances_on_float_points():
+    def float_point(rng):
+        return random_glued_point(rng, 6, exact=False)
+
+    rep = check_metric_axioms(200, PARAMS, GRAM, mode=EXACT, seed=5, sampler=float_point)
+    assert rep.passed and rep.checks == 8 * 200
+    bad = GluingParams(Fraction(2, 5), Fraction(1), strict=False)
+    a, b, c = (GluedPoint(TorusPoint(0.0, 0.0), t) for t in (0.0, 1.0, None))
+    rep = check_metric_axioms(0, bad, GRAM, mode=EXACT, extra_triples=[(a, b, c)])
+    assert [v.kind for v in rep.violations] == ["triangle"]
+    assert rep.violations[0].slack == pytest.approx(0.2)
+
+
 def test_counterexample_structure():
     bad = GluingParams(Fraction(2, 5), Fraction(1), strict=False)
     wit = triangle_counterexample(bad, GRAM)

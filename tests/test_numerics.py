@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from torusglue.numerics import (
-    DEFAULT_D,
     EXACT,
     FLOAT,
     ExactnessError,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from torusglue.numerics import ExactnessError, QuadScalar, as_float, frac, sign_of
-from torusglue.sampling import random_fraction, random_torus_point, rng_for
+from torusglue.sampling import random_torus_point, rng_for
 from torusglue.torus import (
     GramMatrix,
     OneParamSubgroup,
