@@ -348,7 +348,7 @@ def _typed_config(command: str, merged: dict) -> RunConfig:
 
 def _cmd_verify_metric(cfg: RunConfig) -> dict:
     rep = check_metric_axioms(cfg.samples, cfg.params(), cfg.gram, mode=cfg.mode, seed=cfg.seed)
-    return {"report": rep.describe(), "passed": rep.passed}
+    return {"report": rep, "passed": rep.passed}
 
 
 def _cmd_counterexample(cfg: RunConfig) -> dict:
@@ -362,8 +362,8 @@ def _cmd_counterexample(cfg: RunConfig) -> dict:
         extra_triples=(witness.as_triple(),),
     )
     return {
-        "witness": witness.describe(),
-        "axioms": axioms.describe(),
+        "witness": witness,
+        "axioms": axioms,
         "flagged": not axioms.passed,
         "passed": False,
     }
@@ -407,12 +407,12 @@ def _cmd_nearest(cfg: RunConfig) -> dict:
             {
                 "instance": i,
                 "nearest_in_compact": {
-                    "ok": ok_a, "record": rec_a.describe(), "grid_min": oracle_a
+                    "ok": ok_a, "record": rec_a, "grid_min": oracle_a
                 },
-                "nearest_line_set": {"ok": ok_b, "record": rec_b.describe()},
+                "nearest_line_set": {"ok": ok_b, "record": rec_b},
                 "nearest_on_line": {
                     "ok": ok_c,
-                    "record": rec_c.describe(),
+                    "record": rec_c,
                     "grid_t": as_float(oracle_t),
                     "grid_min": oracle_c,
                 },
@@ -462,7 +462,7 @@ def _cmd_isometry_check(cfg: RunConfig) -> dict:
             space="winding", subgroup=subgroup,
         )
         lift_rows.append(
-            {"iso": iso.describe(), "verified": rep.passed, "max_error": rep.max_error}
+            {"iso": iso, "verified": rep.passed, "max_error": rep.max_error}
         )
 
     roundtrip_failures = 0
@@ -500,8 +500,8 @@ def _cmd_lift(cfg: RunConfig) -> dict:
             )
             rows.append(
                 {
-                    "line": iso.line_part.describe(),
-                    "torus": iso.torus_part.describe(),
+                    "line": iso.line_part,
+                    "torus": iso.torus_part,
                     "verified": rep.passed,
                     "max_error": rep.max_error,
                 }
@@ -515,7 +515,7 @@ def _cmd_density(cfg: RunConfig) -> dict:
         density_report(target, subgroup, cfg.epsilons, gram=cfg.gram, budget=cfg.budget)
         for target in cfg.targets
     ]
-    return {"reports": [r.describe() for r in reports], "passed": all(r.passed for r in reports)}
+    return {"reports": reports, "passed": all(r.passed for r in reports)}
 
 
 def _cmd_non_closure(cfg: RunConfig) -> dict:
@@ -525,7 +525,7 @@ def _cmd_non_closure(cfg: RunConfig) -> dict:
         )
     except ValueError as exc:
         raise ConfigError("target", str(exc))
-    return {"report": rep.describe(), "passed": rep.passed}
+    return {"report": rep, "passed": rep.passed}
 
 
 def _cmd_local_isometry(cfg: RunConfig) -> dict:
@@ -538,7 +538,7 @@ def _cmd_local_isometry(cfg: RunConfig) -> dict:
             return {
                 "refused": True, "radius": exc.radius, "separation": exc.separation, "passed": False
             }
-        return {"refused": False, "record": rec.describe(), "passed": rec.passed}
+        return {"refused": False, "record": rec, "passed": rec.passed}
 
     nsq = tangent_norm_sq(subgroup.tangent(), cfg.gram)
     cap = params.M * params.M
@@ -554,7 +554,7 @@ def _cmd_local_isometry(cfg: RunConfig) -> dict:
         if rng.random() < 0.5:
             delta = -delta
         records.append(local_isometry_check(t_i, t_i + delta, subgroup, params, cfg.gram, cfg.mode))
-    return {"records": [r.describe() for r in records], "passed": all(r.passed for r in records)}
+    return {"records": records, "passed": all(r.passed for r in records)}
 
 
 def _cmd_x1_group(cfg: RunConfig) -> dict:
@@ -580,7 +580,7 @@ def _cmd_x1_group(cfg: RunConfig) -> dict:
                 else frac(elem.circle_shift - s)
             )
             ok = ok and got == expect
-        rows.append({"element": elem.describe(), "circle_action_ok": ok})
+        rows.append({"element": elem, "circle_action_ok": ok})
 
     theta = frac(1 / subgroup.alpha)
     g_axis = circle.gram_entry(cfg.gram)
@@ -616,7 +616,7 @@ def _cmd_x1_group(cfg: RunConfig) -> dict:
             "worst_distance": worst,
             "ok": density_ok,
         },
-        "rational_target_certificate": {"ok": cert_ok, "certificate": cert.describe()},
+        "rational_target_certificate": {"ok": cert_ok, "certificate": cert},
         "line_transitivity": transitivity_ok,
         "passed": elements_ok and density_ok and cert_ok and transitivity_ok,
     }
@@ -637,7 +637,7 @@ HANDLERS = {
 # commands with a CSV form: payload -> the density report data it tabulates
 CSV_TABLES = {
     "density": lambda payload: payload["reports"],
-    "non-closure": lambda payload: payload["report"]["density"],
+    "non-closure": lambda payload: payload["report"].density,
 }
 
 
@@ -659,7 +659,7 @@ def main(argv=None) -> int:
     if cfg.format == "csv":
         text = density_csv(CSV_TABLES[cfg.command](payload))
     else:
-        text = canonical_json(payload)
+        text = canonical_json(plain(payload))
     try:
         write_report(text, cfg.output)
     except OSError as exc:

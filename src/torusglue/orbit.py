@@ -3,9 +3,13 @@
 Under the isometry group of the winding space, the orbit of a torus point y0
 is {g(c) + y0} united with {g(c) - y0}.  It is dense because the slope is
 irrational, yet it misses most points.  Both halves of that statement are
-decided here with exact certificates: a closed-form return-time construction
-(plus a budgeted scan) produces approach witnesses, and a two-line linear
-argument over the basis {1, sqrt(d)} refutes membership.
+decided here with exact certificates.  Approach witnesses come from the
+rotation by the slope on a transversal circle: on the torus, an exact
+first-entry search lists the return times whose second coordinate can land
+within eps, in increasing order, and the first that passes the exact distance
+check is the witness; on a circle, a continued-fraction convergent gives one
+in closed form.  Both work for any positive eps.  A two-line linear argument
+over the basis {1, sqrt(d)} refutes membership.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .gluing import Distance, GluingParams, WindingPoint, winding_distance
 from .numerics import (
@@ -162,7 +164,7 @@ def circle_density_hit(
     x0=Fraction(0),
     eps=Fraction(1, 1000),
     g_axis: Fraction = Fraction(1),
-    max_terms: int = 64,
+    max_terms: int | None = None,
 ) -> CircleHit:
     """Closed-form approach to `target` by rotations s -> s + theta on the circle.
 
@@ -170,6 +172,11 @@ def circle_density_hit(
     satisfies delta^2 * g_axis < eps^2, then take m blocks of q steps so that
     m*delta crosses the gap to the target.  The landing error is below |delta|
     by construction and is re-verified exactly before returning.
+
+    Convergent j has |delta| < 1/q_(j+1) <= phi^-j (q_j grows at least like
+    the Fibonacci numbers), and phi^2 > 2, so convergent j = bit_length of
+    ceil(g_axis / eps^2) is sharp enough: that index plus one is the default
+    `max_terms`, O(log 1/eps).
     """
     require_exact(target, "circle density target")
     require_exact(x0, "circle base point")
@@ -180,6 +187,8 @@ def circle_density_hit(
     d0 = _circle_dist_sq(w, g_axis)
     if scalar_lt(d0, eps_sq):
         return CircleHit(target, eps, 0, frac(x0), d0, sqrt_as_float(d0), None)
+    if max_terms is None:
+        max_terms = math.ceil(g_axis / eps_sq).bit_length() + 1
     conv = None
     stream = _convergent_stream(theta)
     for _ in range(max_terms):
@@ -216,9 +225,60 @@ class DensityHit(Record):
     scanned: int
 
 
-def _min_eigen_float(gram: GramMatrix) -> float:
-    a, b, c = float(gram.g11), float(gram.g12), float(gram.g22)
-    return (a + c - math.sqrt((a - c) ** 2 + 4 * b * b)) / 2
+# Window radii are eps * sqrt(g11 / det) rounded up on a grid of eps / _RADIUS_GRID,
+# so the slack is relative to eps at every scale.
+_RADIUS_GRID = 1 << 20
+
+
+def _window_radius(eps: Fraction, gram: GramMatrix) -> Fraction:
+    """A rational r > eps * sqrt(g11 / det): isqrt(floor(x)) + 1 > sqrt(x)."""
+    n = math.isqrt(math.floor(gram.g11 / gram.det() * _RADIUS_GRID**2)) + 1
+    return eps * n / _RADIUS_GRID
+
+
+def _first_entry(alpha, c, width) -> int:
+    """Least k >= 0 with frac(c + k*alpha) < width, decided exactly.
+
+    alpha is irrational in (0, 1), c lies in [0, 1) and width > 0; the
+    window [0, width) is half-open exactly as written.  When k = 0 misses,
+    every hit has one of two forms, and each form is a first-entry problem
+    for a new rotation with window width / step:
+
+    - alpha < 1/2: the hits with floor(c + k*alpha) = m + 1 are the integers
+      in [y, y + width/alpha), y = (m + 1 - c)/alpha.  There is one iff
+      frac(-y) = frac((c - 1)/alpha - m/alpha) < width/alpha, and then the
+      least is ceil(y).
+    - alpha > 1/2, beta = 1 - alpha: the hits with k - floor(c + k*alpha) = m
+      are the integers in (z - width/beta, z], z = (c + m)/beta.  There is
+      one iff frac(z) = frac(c/beta + m/beta) < width/beta, and then the
+      greatest is floor(z); it is the least as well unless width >= beta,
+      when block m = 0 holds them all and floor((c - width)/beta) + 1 is
+      the answer.
+
+    The blocks increase with m, so the least m gives the least k.  The step
+    is at most 1/2, so the window at least doubles per level and a window
+    of width w needs at most log2(1/w) + 1 levels, unwound from the inside.
+    """
+    levels = []
+    k = 0
+    while not scalar_lt(c, width):
+        if scalar_lt(2 * alpha, 1):
+            inv = alpha.reciprocal()
+            levels.append((alpha, 1 - c, True))
+            c, alpha = frac((c - 1) * inv), frac(-inv)
+        else:
+            step = 1 - alpha
+            if not scalar_lt(width, step):
+                k = ((c - width) / step).floor() + 1
+                break
+            inv = step.reciprocal()
+            levels.append((step, c, False))
+            c, alpha = frac(c * inv), frac(inv)
+        width = width * inv
+    for step, offset, up in reversed(levels):
+        y = (k + offset) / step
+        k = -(-y).floor() if up else y.floor()
+    return k
 
 
 def torus_density_hit(
@@ -232,12 +292,19 @@ def torus_density_hit(
 ) -> DensityHit | None:
     """First certified orbit point within eps of the target, or None.
 
-    Scans return times t = w1 + k whose first coordinate matches the target
-    exactly, so only the second coordinate can miss.  A vectorized float pass
-    over each chunk of k discards everything that cannot possibly land inside
-    eps (second-coordinate wrap above eps / sqrt(min eigenvalue), with a
-    generous float-error guard); survivors are re-checked exactly in
-    increasing k against the full lattice distance.
+    Follows return times t = (w1 + k)/v1, k = 0, 1, ..., whose first
+    coordinate matches the target exactly, so only the second can miss, by
+    delta = alpha*(w1 + k) - w2 mod 1.  Completing the square,
+
+        Q(x, y) = g11*(x + y*g12/g11)^2 + (det/g11)*y^2 >= (det/g11)*y^2,
+
+    so every lattice shift of (0, delta) has Gram length^2 at least
+    (det/g11)*wrap(delta)^2, and a k within eps has wrap(delta) below
+    eps*sqrt(g11/det) < r (`_window_radius`).  The k with frac(alpha*(w1 + k))
+    in [w2 - r, w2 + r) mod 1 come from an exact first-entry search
+    (`_first_entry`) in increasing order; each is re-checked against the full
+    lattice distance, and the first within eps is returned, with k <= budget.
+    `chunk` is accepted for compatibility and unused.
     """
     gram = gram or GramMatrix.identity()
     y0 = y0 or TorusPoint.origin()
@@ -251,27 +318,18 @@ def torus_density_hit(
     w1 = frac(target.u1 - y0.u1)
     w2 = frac(target.u2 - y0.u2)
 
-    beta = as_float(alpha)
-    base = as_float(frac(alpha * w1))
-    w2f = as_float(w2)
-    tol = as_float(eps) / math.sqrt(_min_eigen_float(gram)) * 1.0001 + 1e-6
-
-    for start in range(0, budget + 1, chunk):
-        stop = min(start + chunk, budget + 1)
-        ks = np.arange(start, stop, dtype=np.float64)
-        vals = base + beta * ks
-        vals -= np.floor(vals)
-        diff = np.abs(vals - w2f)
-        np.minimum(diff, 1.0 - diff, out=diff)
-        for idx in np.nonzero(diff <= tol)[0]:
-            k = start + int(idx)
-            t = (w1 + k) / subgroup.v1
-            point = subgroup.point(t).translate(y0)
-            dist_sq = torus_distance_sq(point, target, gram)
-            if scalar_lt(dist_sq, eps_sq):
-                return DensityHit(
-                    target, eps, k, t, point, dist_sq, sqrt_as_float(dist_sq), k + 1
-                )
+    r = _window_radius(eps, gram)
+    step = frac(alpha)
+    # frac(alpha*(w1 + k)) - (w2 - r) mod 1 is frac(c + k*step)
+    c = frac(alpha * w1 - w2 + r)
+    k = _first_entry(step, c, 2 * r)
+    while k <= budget:
+        t = (w1 + k) / subgroup.v1
+        point = subgroup.point(t).translate(y0)
+        dist_sq = torus_distance_sq(point, target, gram)
+        if scalar_lt(dist_sq, eps_sq):
+            return DensityHit(target, eps, k, t, point, dist_sq, sqrt_as_float(dist_sq), k + 1)
+        k += 1 + _first_entry(step, frac(c + (k + 1) * step), 2 * r)
     return None
 
 

@@ -133,30 +133,31 @@ DENSITY_CSV_HEADER = "target_u1,target_u2,t,distance"
 def density_csv(report) -> str:
     """Flat table of density hits, one row per achieved approach.
 
-    Columns are target_u1, target_u2, t, distance; all values print as
-    %.17g floats.  Misses (no hit within budget) are skipped: the table
+    `report` is a density report, its `describe()` dict, or a list of
+    either.  Columns are target_u1, target_u2, t, distance; all values print
+    as %.17g floats.  Misses (no hit within budget) are skipped: the table
     records achieved distances, the JSON report records failures.
     """
-    data = report.describe() if hasattr(report, "describe") else report
     rows = [DENSITY_CSV_HEADER]
-    reports = data if isinstance(data, list) else [data]
-
-    def value_of(x) -> float:
-        return as_float(parse_scalar(x)) if isinstance(x, str) else float(x)
-
-    for rep in reports:
-        u1 = value_of(rep["target"]["u1"])
-        u2 = value_of(rep["target"]["u2"])
-        for entry in rep["results"]:
-            hit = entry["hit"]
-            if hit is None:
-                continue
-            rows.append(
-                ",".join(
-                    _float_text(v) for v in (u1, u2, value_of(hit["t"]), hit["distance"])
-                )
-            )
+    for rep in report if isinstance(report, list) else [report]:
+        u1, u2, hits = _density_values(rep)
+        for t, distance in hits:
+            rows.append(",".join(_float_text(as_float(v)) for v in (u1, u2, t, distance)))
     return "\n".join(rows) + "\n"
+
+
+def _density_values(rep):
+    """(u1, u2, [(t, distance) per hit]) of a density report or its description."""
+    if isinstance(rep, Record):
+        hits = [(h.t, h.distance) for h in rep.hits if h is not None]
+        return rep.target.u1, rep.target.u2, hits
+
+    def value(x):  # a description carries exact values as wire strings
+        return parse_scalar(x) if isinstance(x, str) else x
+
+    hits = [entry["hit"] for entry in rep["results"] if entry["hit"] is not None]
+    target = rep["target"]
+    return value(target["u1"]), value(target["u2"]), [(value(h["t"]), h["distance"]) for h in hits]
 
 
 def write_report(text: str, path: str | None) -> None:
