@@ -347,7 +347,9 @@ def _typed_config(command: str, merged: dict) -> RunConfig:
 
 
 def _cmd_verify_metric(cfg: RunConfig) -> dict:
-    rep = check_metric_axioms(cfg.samples, cfg.params(), cfg.gram, mode=cfg.mode, seed=cfg.seed)
+    rep = check_metric_axioms(
+        cfg.samples, cfg.params(), cfg.gram, mode=cfg.mode, seed=cfg.seed, d=cfg.d
+    )
     return {"report": rep, "passed": rep.passed}
 
 
@@ -358,7 +360,7 @@ def _cmd_counterexample(cfg: RunConfig) -> dict:
     except ValueError as exc:
         raise ConfigError("R", str(exc))
     axioms = check_metric_axioms(
-        cfg.samples, params, cfg.gram, mode=cfg.mode, seed=cfg.seed,
+        cfg.samples, params, cfg.gram, mode=cfg.mode, seed=cfg.seed, d=cfg.d,
         extra_triples=(witness.as_triple(),),
     )
     return {

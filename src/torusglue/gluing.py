@@ -15,11 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .numerics import (
+    DEFAULT_D,
     EXACT,
+    CertificationError,
+    QuadScalar,
     ScalarMode,
     as_float,
     is_exact,
@@ -283,6 +287,18 @@ class _ViolationLog:
         if len(self.entries) < self.max_recorded:
             self.entries.append(AxiomViolation(kind, a, b, c, lhs, rhs, slack))
 
+    def add_flagged(self, flagged: np.ndarray, slack: np.ndarray, fields):
+        """Count the violations at the indices `flagged`, taken in order.
+
+        Only those that still fit in the log become records, each built from
+        `fields(i)`; the largest nonnegative slack among them is noted.
+        """
+        self.total += len(flagged)
+        if len(flagged):
+            self.note_error(max(0.0, float(np.max(slack[flagged]))))
+        room = max(0, self.max_recorded - len(self.entries))
+        self.entries.extend(AxiomViolation(*fields(i)) for i in flagged[:room])
+
 
 def _points_equal(a: GluedPoint, b: GluedPoint, mode: ScalarMode) -> bool:
     if a.is_compact != b.is_compact:
@@ -348,13 +364,20 @@ def _check_triple(a, b, c, params, gram, mode, log: _ViolationLog) -> int:
 
 
 def _batch_glued_values(ka, ya, ta, kb, yb, tb, params, gram):
-    base = np.sqrt(np.maximum(batch_torus_distance_sq(ya, yb, gram), 0.0))
-    both_cyl = (ka == 1) & (kb == 1)
-    mixed = ka != kb
-    m = float(as_float(params.M))
-    r = float(as_float(params.R))
-    off = np.where(both_cyl, np.minimum(np.abs(ta - tb), m), np.where(mixed, r, 0.0))
-    return base + off
+    base = batch_torus_distance_sq(ya, yb, gram)
+    np.sqrt(np.maximum(base, 0.0, out=base), out=base)
+    gap = np.abs(ta - tb)
+    np.minimum(gap, float(as_float(params.M)), out=gap)
+    off = np.where(ka != kb, float(as_float(params.R)), 0.0)
+    np.copyto(off, gap, where=(ka == 1) & (kb == 1))
+    base += off
+    return base
+
+
+def _batch_points_equal(ka, ya, ta, kb, yb, tb, eps: float) -> np.ndarray:
+    """`_points_equal` of float points, row by row, in float mode."""
+    wrapped = batch_torus_distance_sq(ya, yb, GramMatrix.identity())
+    return (ka == kb) & ~(wrapped > eps * eps) & ((ka == 0) | (np.abs(ta - tb) <= eps))
 
 
 def _float_point(kind: int, y: np.ndarray, t: float) -> GluedPoint:
@@ -363,46 +386,56 @@ def _float_point(kind: int, y: np.ndarray, t: float) -> GluedPoint:
 
 
 def _check_batch(n, params, gram, mode, seed, log: _ViolationLog) -> int:
+    """Float checks of n sampled triples, one numpy pass per axiom.
+
+    The flags, totals and maximum error come from whole arrays; point
+    objects are built only for the violations the log records.
+    """
     rng = np.random.default_rng(seed)
     kind = rng.integers(0, 2, size=(3, n))
     y = rng.random((3, n, 2))
     span = 3.0 * max(1.0, as_float(params.M))
     t = rng.uniform(-span, span, (3, n))
 
-    d_ab = _batch_glued_values(kind[0], y[0], t[0], kind[1], y[1], t[1], params, gram)
-    d_ba = _batch_glued_values(kind[1], y[1], t[1], kind[0], y[0], t[0], params, gram)
-    d_ac = _batch_glued_values(kind[0], y[0], t[0], kind[2], y[2], t[2], params, gram)
-    d_bc = _batch_glued_values(kind[1], y[1], t[1], kind[2], y[2], t[2], params, gram)
-    d_aa = _batch_glued_values(kind[0], y[0], t[0], kind[0], y[0], t[0], params, gram)
+    def glued(c1, c2):
+        return _batch_glued_values(kind[c1], y[c1], t[c1], kind[c2], y[c2], t[c2], params, gram)
+
+    d_ab, d_ba, d_ac, d_bc, d_aa = glued(0, 1), glued(1, 0), glued(0, 2), glued(1, 2), glued(0, 0)
 
     def point(col, i):
         return _float_point(int(kind[col][i]), y[col][i], float(t[col][i]))
 
-    log.note_error(float(np.max(np.abs(d_ab - d_ba), initial=0.0)))
-    for i in np.nonzero(np.abs(d_ab - d_ba) > mode.eps)[0]:
-        log.add("symmetry", point(0, i), point(1, i), None,
-                float(d_ab[i]), float(d_ba[i]), float(abs(d_ab[i] - d_ba[i])))
+    sym = np.abs(d_ab - d_ba)
+    log.note_error(float(np.max(sym, initial=0.0)))
+    log.add_flagged(np.flatnonzero(sym > mode.eps), sym, lambda i: (
+        "symmetry", point(0, i), point(1, i), None, float(d_ab[i]), float(d_ba[i]), float(sym[i])))
 
-    log.note_error(float(np.max(np.abs(d_aa), initial=0.0)))
-    for i in np.nonzero(np.abs(d_aa) > mode.identity_eps)[0]:
-        log.add("identity-zero", point(0, i), point(0, i), None, float(d_aa[i]), 0.0, float(abs(d_aa[i])))
+    zero = np.abs(d_aa)
+    log.note_error(float(np.max(zero, initial=0.0)))
+    log.add_flagged(np.flatnonzero(zero > mode.identity_eps), zero, lambda i: (
+        "identity-zero", point(0, i), point(0, i), None, float(d_aa[i]), 0.0, float(zero[i])))
 
     for dv, c1, c2 in ((d_ab, 0, 1), (d_ac, 0, 2), (d_bc, 1, 2)):
-        for i in np.nonzero(dv <= mode.identity_eps)[0]:
-            p, q = point(c1, i), point(c2, i)
-            if not _points_equal(p, q, mode):
-                log.add("identity-distinct", p, q, None, float(dv[i]), 0.0, float(dv[i]))
+        near = np.flatnonzero(dv <= mode.identity_eps)
+        if len(near):
+            same = _batch_points_equal(
+                kind[c1][near], y[c1][near], t[c1][near],
+                kind[c2][near], y[c2][near], t[c2][near], mode.eps,
+            )
+            near = near[~same]
+        log.add_flagged(near, dv, lambda i: (
+            "identity-distinct", point(c1, i), point(c2, i), None, float(dv[i]), 0.0, float(dv[i])))
 
-    for lhs, r1, r2, cols in (
+    for lhs, r1, r2, (ca, cb, cc) in (
         (d_ab, d_ac, d_bc, (0, 1, 2)),
         (d_ac, d_ab, d_bc, (0, 2, 1)),
         (d_bc, d_ab, d_ac, (1, 2, 0)),
     ):
         slack = lhs - (r1 + r2)
         log.note_error(float(np.max(slack, initial=0.0)))
-        for i in np.nonzero(slack > mode.eps)[0]:
-            log.add("triangle", point(cols[0], i), point(cols[1], i), point(cols[2], i),
-                    float(lhs[i]), float(r1[i] + r2[i]), float(slack[i]))
+        log.add_flagged(np.flatnonzero(slack > mode.eps), slack, lambda i: (
+            "triangle", point(ca, i), point(cb, i), point(cc, i),
+            float(lhs[i]), float(r1[i] + r2[i]), float(slack[i])))
     return 8 * n
 
 
@@ -415,12 +448,17 @@ def check_metric_axioms(
     sampler=None,
     extra_triples=(),
     max_recorded: int = 100,
+    d: int = DEFAULT_D,
 ) -> AxiomReport:
     """Sample n triples and test symmetry, identity, and the triangle inequality.
 
-    Exact mode decides every comparison with exact arithmetic (triangle
-    inequalities through rational square-root enclosures).  Float mode with
-    the default sampler runs a vectorized batch.
+    Exact mode decides every comparison with exact arithmetic over
+    Q(sqrt(d)), the field its default sampler draws from.  A triangle
+    inequality is settled by rational square-root enclosures when they
+    separate the sides, and by sign-tracked squaring when they do not.
+    Float mode with the default sampler runs a vectorized batch: flags,
+    totals and the maximum error come from whole arrays, and only the
+    violations the report records become point objects.
     """
     if n < 0:
         raise ValueError("sample count must be nonnegative")
@@ -434,9 +472,9 @@ def check_metric_axioms(
             for i in range(n):
                 rng = rng_for(seed, i)
                 if sampler is None:
-                    a = random_glued_point(rng, span, exact=mode.exact)
-                    b = a if rng.random() < 0.05 else random_glued_point(rng, span, exact=mode.exact)
-                    c = a if rng.random() < 0.08 else random_glued_point(rng, span, exact=mode.exact)
+                    a = random_glued_point(rng, span, exact=mode.exact, d=d)
+                    b = a if rng.random() < 0.05 else random_glued_point(rng, span, exact=mode.exact, d=d)
+                    c = a if rng.random() < 0.08 else random_glued_point(rng, span, exact=mode.exact, d=d)
                 else:
                     a, b, c = sampler(rng), sampler(rng), sampler(rng)
                 checks += _check_triple(a, b, c, params, gram, mode, log)
@@ -500,11 +538,25 @@ def triangle_counterexample(params: GluingParams, gram: GramMatrix | None = None
     d_cb = glued_distance(c, b, params, gram)
     slack = params.M - 2 * params.R
     if sign_of(slack) <= 0:
-        raise AssertionError("a degenerate gluing must have positive slack M - 2R")
+        raise CertificationError("a degenerate gluing must have positive slack M - 2R")
     return TriangleWitness(a, b, c, d_ab, d_ac, d_cb, slack)
 
 
 # -- nearest-point structure -------------------------------------------------------
+
+
+@lru_cache(maxsize=4)
+def _grid_dsq(y: tuple[float, float], gram: GramMatrix, grid_n: int) -> np.ndarray:
+    """Float squared distances from y to the grid points (k // grid_n, k % grid_n) / grid_n.
+
+    Cached, read-only: a nearest-point check asks for the same y and grid
+    several times, once per record and once per oracle.
+    """
+    idx = np.arange(grid_n * grid_n)
+    pts = np.stack([(idx // grid_n) / grid_n, (idx % grid_n) / grid_n], axis=1)
+    dsq = batch_torus_distance_sq(np.repeat(np.array([y]), len(pts), axis=0), pts, gram)
+    dsq.flags.writeable = False
+    return dsq
 
 
 def _grid_min_excluding(y: TorusPoint, gram: GramMatrix, grid_n: int, mode: ScalarMode):
@@ -513,17 +565,14 @@ def _grid_min_excluding(y: TorusPoint, gram: GramMatrix, grid_n: int, mode: Scal
     A vectorized float pass narrows the candidates; the winner (and the
     exclusion of y itself) is settled exactly when inputs are exact.
     """
-    yf = np.array([y.as_floats()])
-    idx = np.arange(grid_n * grid_n)
-    pts = np.stack([(idx // grid_n) / grid_n, (idx % grid_n) / grid_n], axis=1)
-    dsq = batch_torus_distance_sq(np.repeat(yf, len(pts), axis=0), pts, gram)
+    dsq = _grid_dsq(y.as_floats(), gram, grid_n)
 
     exact = mode.exact and y.is_exact()
 
     def grid_point(k: int) -> TorusPoint:
         return TorusPoint(Fraction(int(k) // grid_n, grid_n), Fraction(int(k) % grid_n, grid_n))
 
-    excluded = np.zeros(len(pts), dtype=bool)
+    excluded = np.zeros(len(dsq), dtype=bool)
     for k in np.nonzero(dsq < 1e-18)[0]:
         if exact:
             if grid_point(k) == y:
@@ -543,7 +592,7 @@ def _grid_min_excluding(y: TorusPoint, gram: GramMatrix, grid_n: int, mode: Scal
         if best_sq is None or scalar_lt(sq, best_sq):
             best_pt, best_sq = p, sq
     if sign_of(best_sq) <= 0:
-        raise AssertionError("the nearest grid point other than y must be at positive distance")
+        raise CertificationError("the nearest grid point other than y must be at positive distance")
     return best_pt, best_sq
 
 
@@ -634,10 +683,7 @@ def grid_nearest_in_compact(
     p: GluedPoint, params: GluingParams, gram: GramMatrix, grid_n: int = 100
 ) -> tuple[TorusPoint, float]:
     """Argmin of d(p, compact(y')) over the uniform grid, by direct enumeration."""
-    yf = np.array([p.y.as_floats()])
-    idx = np.arange(grid_n * grid_n)
-    pts = np.stack([(idx // grid_n) / grid_n, (idx % grid_n) / grid_n], axis=1)
-    dsq = batch_torus_distance_sq(np.repeat(yf, len(pts), axis=0), pts, gram)
+    dsq = _grid_dsq(p.y.as_floats(), gram, grid_n)
     vals = np.sqrt(np.maximum(dsq, 0.0)) + as_float(params.R)
     k = int(np.argmin(vals))
     return (
@@ -654,17 +700,28 @@ def grid_nearest_on_line(
     t_n: int = 401,
     span=None,
 ) -> tuple[object, float]:
-    """Argmin of d(p, (y2, s)) over a uniform s-grid centered at p.t."""
+    """Argmin of d(p, (y2, s)) over a uniform s-grid centered at p.t.
+
+    The first minimum wins.  For an exact p.t the gap |p.t - s| at
+    s = p.t - span + j*step is |span - j*step| = |span|*|n - 2j|/n with
+    n = t_n - 1, so p.t enters only the s of the argmin; with a rational
+    span and cap the gaps are integer ratios, whose true division rounds
+    as float() of the Fraction does.
+    """
     if span is None:
         span = 2 * params.M
-    base_sq = torus_distance_sq(p.y, y2, gram)
-    base = sqrt_as_float(base_sq)
-    step = 2 * span / (t_n - 1)
-    best_t, best_v = None, None
-    for j in range(t_n):
-        s = p.t - span + j * step
-        gap = scalar_abs(p.t - s)
-        v = base + as_float(scalar_min(gap, params.M))
-        if best_v is None or v < best_v:
-            best_t, best_v = s, v
-    return best_t, float(best_v)
+    base = sqrt_as_float(torus_distance_sq(p.y, y2, gram))
+    n = t_n - 1
+    step = 2 * span / n
+    if is_exact(p.t) and not isinstance(span, QuadScalar) and not isinstance(params.M, QuadScalar):
+        (a, b), (ma, mb) = abs(span).as_integer_ratio(), params.M.as_integer_ratio()
+        cap = as_float(params.M)
+        vals = [
+            base + (a * c / (b * n) if a * c * mb < ma * b * n else cap)
+            for c in map(abs, range(n, -n - 1, -2))
+        ]
+    else:
+        gaps = [scalar_abs(p.t - (p.t - span + j * step)) for j in range(t_n)]
+        vals = [base + as_float(scalar_min(gap, params.M)) for gap in gaps]
+    j = vals.index(min(vals))
+    return p.t - span + j * step, float(vals[j])

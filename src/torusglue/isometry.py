@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gluing import Distance, GluedPoint, GluingParams, WindingPoint, glued_distance, winding_distance
-from .numerics import DEFAULT_D, EXACT, ScalarMode, as_float, require_exact
+from .numerics import DEFAULT_D, EXACT, CertificationError, ScalarMode, as_float, require_exact
 from .report import Record
 from .sampling import random_glued_point, random_torus_point, random_winding_point, rng_for
 from .torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint
@@ -189,9 +189,9 @@ def line_transitivity_witness(t, s, subgroup: OneParamSubgroup) -> LiftedIsometr
     """
     iso = lift_line_isometry(LineIsometry.translation(s - t), subgroup)
     if iso.apply(WindingPoint.line(t)).t != s:
-        raise AssertionError("the lifted translation must carry t to s on the line")
+        raise CertificationError("the lifted translation must carry t to s on the line")
     if iso.torus_part.apply(subgroup.point(t)) != subgroup.point(s):
-        raise AssertionError("the lifted translation must carry g(t) to g(s) on the torus")
+        raise CertificationError("the lifted translation must carry g(t) to g(s) on the torus")
     return iso
 
 
@@ -410,7 +410,7 @@ def subtorus_isometries(
         c = k / alpha
         anchor = subgroup.point(c)
         if not subtorus.contains(anchor):
-            raise AssertionError("anchor g(k/alpha) must lie on the circle")
+            raise CertificationError("anchor g(k/alpha) must lie on the circle")
         shift = subtorus.coordinate(anchor)
         for kind, sign in (("translation", 1), ("reflection", -1)):
             elem = lift_line_isometry(LineIsometry(sign, c), subgroup)

@@ -34,6 +34,13 @@ class ExactnessError(TypeError):
     """An exact decision procedure received floating-point input."""
 
 
+class CertificationError(AssertionError):
+    """A certificate failed its own check: the arithmetic or a derivation is wrong.
+
+    An AssertionError subclass, raised explicitly so that `python -O` keeps it.
+    """
+
+
 def is_square_free(n: int) -> bool:
     if n < 2:
         return False

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .gluing import Distance, GluingParams, WindingPoint, winding_distance
 from .numerics import (
     EXACT,
+    CertificationError,
     FieldMismatchError,
     QuadScalar,
     ScalarMode,
@@ -104,7 +105,7 @@ def _convergent_stream(x):
 
     Each step checks gcd(p, q) = 1, strictly shrinking |q*x - p|, and
     alternating defect signs; a failure means the exact arithmetic broke and
-    raises AssertionError.
+    raises CertificationError.
     """
     _require_irrational(x, "continued fraction input")
     p_prev, p_prev2 = 1, 0
@@ -120,9 +121,9 @@ def _convergent_stream(x):
         err = q * x - p
         s = sign_of(err)
         if math.gcd(p, q) != 1 or s == 0:
-            raise AssertionError(f"convergent {p}/{q} is not reduced or has zero defect")
+            raise CertificationError(f"convergent {p}/{q} is not reduced or has zero defect")
         if prev_abs is not None and (s != -prev_sign or not scalar_lt(scalar_abs(err), prev_abs)):
-            raise AssertionError(f"convergent {p}/{q} breaks the alternating, shrinking defect")
+            raise CertificationError(f"convergent {p}/{q} breaks the alternating, shrinking defect")
         prev_sign = s
         prev_abs = scalar_abs(err)
         yield Convergent(p, q, err)
@@ -207,7 +208,7 @@ def circle_density_hit(
     position = frac(x0 + k * theta)
     dist_sq = _circle_dist_sq(frac(position - target), g_axis)
     if not scalar_lt(dist_sq, eps_sq):
-        raise AssertionError(f"rotation by k = {k} steps does not land within eps of the target")
+        raise CertificationError(f"rotation by k = {k} steps does not land within eps of the target")
     return CircleHit(target, eps, k, position, dist_sq, sqrt_as_float(dist_sq), conv)
 
 
@@ -494,7 +495,7 @@ def orbit_membership(
     t = (der.w1 + der.m_star) / subgroup.v1
     witness = OrbitMembership(target, y0, der.branch, t, der)
     if witness.orbit_point(subgroup) != target:
-        raise AssertionError("the membership witness must evaluate to the target")
+        raise CertificationError("the membership witness must evaluate to the target")
     return witness
 
 
@@ -543,7 +544,7 @@ def circle_orbit_membership(target, theta, x0=Fraction(0)):
     k = int(der.k_star)
     landed = frac(x0 + k * theta) if der.branch == "direct" else frac(k * theta - x0)
     if landed != frac(target):
-        raise AssertionError(f"k = {k} rotation steps must land on the target")
+        raise CertificationError(f"k = {k} rotation steps must land on the target")
     return CircleMembership(target, x0, der.branch, k, der)
 
 

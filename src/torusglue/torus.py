@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import (
+    CertificationError,
     QuadScalar,
     as_float,
     float_with_error,
@@ -85,9 +86,9 @@ class GramMatrix(Record):
         u = ((c1[0], c2[0]), (c1[1], c2[1]))
         det = u[0][0] * u[1][1] - u[0][1] * u[1][0]
         if det not in (1, -1):
-            raise AssertionError("the reduction's basis change must be unimodular")
+            raise CertificationError("the reduction's basis change must be unimodular")
         if not 2 * abs(g12) <= g11 <= g22:
-            raise AssertionError("the reduced Gram matrix must satisfy 2|g12| <= g11 <= g22")
+            raise CertificationError("the reduced Gram matrix must satisfy 2|g12| <= g11 <= g22")
         return u, GramMatrix(g11, g12, g22)
 
     @cached_property
@@ -263,18 +264,38 @@ def naive_torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, wind
     return best
 
 
+_BATCH_CHUNK = 8192  # rows per pass: the per-axis terms of a chunk stay in cache
+_SHIFTS = (-1.0, 0.0, 1.0)
+
+
 def batch_torus_distance_sq(ya: np.ndarray, yb: np.ndarray, gram: GramMatrix) -> np.ndarray:
-    """Vectorized float path over (n, 2) coordinate arrays."""
+    """Vectorized float path over (n, 2) coordinate arrays.
+
+    Each of the 9 window shifts evaluates, per row, the same float expression
+    ((g11*v1)*v1 + ((2*g12)*v1)*v2) + (g22*v2)*v2 with v = w + s.  The terms
+    that depend on one axis are computed once per shift of that axis, chunk
+    by chunk, and the shifts are folded in window order, so the result is
+    the one the plain 9-shift loop gives, bit for bit.
+    """
     ui, (g11, g12, g22) = gram._float_data
     w = (yb - ya) @ ui.T
     w -= np.rint(w)
-    best = None
-    for s1 in (-1.0, 0.0, 1.0):
-        for s2 in (-1.0, 0.0, 1.0):
-            v1 = w[:, 0] + s1
-            v2 = w[:, 1] + s2
-            val = g11 * v1 * v1 + 2 * g12 * v1 * v2 + g22 * v2 * v2
-            best = val if best is None else np.minimum(best, val)
+    g12x2 = 2 * g12
+    best = np.full(len(w), np.inf)
+    for lo in range(0, len(w), _BATCH_CHUNK):
+        w1, w2 = w[lo:lo + _BATCH_CHUNK].T
+        v2 = [w2 + s2 for s2 in _SHIFTS]
+        sq2 = [g22 * v * v for v in v2]
+        out = best[lo:lo + _BATCH_CHUNK]
+        val = np.empty_like(out)
+        for s1 in _SHIFTS:
+            v1 = w1 + s1
+            sq1, cross = g11 * v1 * v1, g12x2 * v1
+            for v, sq in zip(v2, sq2):
+                np.multiply(cross, v, out=val)
+                val += sq1
+                val += sq
+                np.minimum(out, val, out=out)
     return best
 
 

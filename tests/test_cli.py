@@ -5,6 +5,7 @@ compared as raw bytes where the contract promises byte-identical output.
 """
 
 import json
+import re
 
 import pytest
 
@@ -94,6 +95,20 @@ def test_isometry_check_over_sqrt3(capsys):
     code, payload = run_json(capsys, "lift", "--d", "3", "--samples", "5")
     assert code == 0
     assert payload["passed"] is True
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("counterexample", ["--R", "1/2", "--M", "2", "--allow-invalid-metric"]),
+    ("verify-metric", ["--mode", "exact", "--samples", "60", "--R", "1/2", "--M", "2",
+                       "--allow-invalid-metric"]),
+])
+def test_exact_axiom_samples_over_sqrt3(capsys, command, extra):
+    # the exact axiom sampler draws its points in the configured field
+    code, out, err = run(capsys, command, "--d", "3", *extra)
+    assert code == 1 and err == ""
+    radicals = re.findall(r"\*sqrt\((\d+)\)", out)
+    assert len(radicals) > 20
+    assert set(radicals) == {"3"}
 
 
 def test_nearest_rejects_even_t_grid(capsys):

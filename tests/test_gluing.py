@@ -21,9 +21,18 @@ from torusglue.gluing import (
     triangle_counterexample,
     winding_distance,
 )
-from torusglue.numerics import EXACT, FLOAT, QuadScalar, as_float, sign_of
+from torusglue.numerics import (
+    EXACT,
+    FLOAT,
+    QuadScalar,
+    as_float,
+    scalar_abs,
+    scalar_min,
+    sign_of,
+    sqrt_as_float,
+)
 from torusglue.sampling import random_glued_point, rng_for
-from torusglue.torus import GramMatrix, OneParamSubgroup, TorusPoint
+from torusglue.torus import GramMatrix, OneParamSubgroup, TorusPoint, torus_distance_sq
 
 SQRT2 = QuadScalar(0, 1, 2)
 PARAMS = GluingParams(Fraction(1), Fraction(2))
@@ -184,6 +193,49 @@ def test_nearest_on_line_matches_grid():
     assert res.point.t == p.t  # the minimizing height equals the query height
     _, oracle = grid_nearest_on_line(p, y2, PARAMS, GRAM, t_n=201)
     assert abs(oracle - res.achieved.value) <= 1e-9
+
+
+def _loop_grid_nearest_on_line(p, y2, params, gram, t_n, span=None):
+    # the per-step scan grid_nearest_on_line ran before its gaps left out p.t
+    if span is None:
+        span = 2 * params.M
+    base = sqrt_as_float(torus_distance_sq(p.y, y2, gram))
+    step = 2 * span / (t_n - 1)
+    best_t, best_v = None, None
+    for j in range(t_n):
+        s = p.t - span + j * step
+        v = base + as_float(scalar_min(scalar_abs(p.t - s), params.M))
+        if best_v is None or v < best_v:
+            best_t, best_v = s, v
+    return best_t, float(best_v)
+
+
+@pytest.mark.parametrize("t_n", [3, 8, 41, 401])
+@pytest.mark.parametrize("d", [2, 3])
+def test_grid_nearest_on_line_matches_loop(t_n, d):
+    rng = rng_for(4, t_n)
+    irrational_cap = GluingParams(3, 1 + QuadScalar(0, 1, d))
+    for i in range(9):
+        exact = i % 3 != 2
+        p = random_glued_point(rng, 3, exact=exact, d=d)
+        if p.is_compact:
+            p = GluedPoint.cylinder(p.y, Fraction(i, 7) if exact else rng.uniform(-3, 3))
+        y2 = random_glued_point(rng, 3, exact=exact, d=d).y
+        for params in (PARAMS, GluingParams(Fraction(3), Fraction(7, 3)), irrational_cap):
+            for span in (None, Fraction(-5, 3)):
+                got = grid_nearest_on_line(p, y2, params, GRAM, t_n, span)
+                assert got == _loop_grid_nearest_on_line(p, y2, params, GRAM, t_n, span)
+
+
+def test_grid_nearest_on_line_keeps_first_float_minimum():
+    # far from y2 the gaps near the middle vanish in the float sum, so several
+    # heights tie and the first of them is the answer
+    far = GramMatrix(Fraction(10**40), Fraction(0), Fraction(10**40))
+    p = GluedPoint.cylinder(TorusPoint(Fraction(0), Fraction(0)), Fraction(1, 3))
+    y2 = TorusPoint(Fraction(1, 2), Fraction(1, 2))
+    got = grid_nearest_on_line(p, y2, PARAMS, far, 401)
+    assert got == _loop_grid_nearest_on_line(p, y2, PARAMS, far, 401)
+    assert got[0] < p.t
 
 
 def test_winding_point_validation():

@@ -2,7 +2,8 @@
 
 - No `assert` statement: `python -O` strips them, and a certificate must
   not depend on how the interpreter was started.  Certification checks
-  raise AssertionError explicitly instead.
+  raise CertificationError, an AssertionError subclass, explicitly instead,
+  and never a bare AssertionError.
 - No function-local `from .report import`: `report` imports only
   `numerics`, so every module can import it at the top.
 """
@@ -33,6 +34,24 @@ def test_sources_found():
 def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements on lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_certification_raises_are_typed(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+        and node.exc.func.id == "AssertionError"
+    ]
+    assert lines == [], f"{path.name}: bare AssertionError raised on lines {lines}"
+
+
+def test_certification_error_is_an_assertion_error():
+    assert issubclass(torusglue.CertificationError, AssertionError)
+    assert "CertificationError" in torusglue.__all__
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -78,7 +97,7 @@ if not sys.flags.optimize:
 try:
     exec(sys.argv[1])
 except AssertionError as exc:
-    print("rejected:", exc)
+    print("rejected:", type(exc).__name__, exc)
 else:
     print("accepted")
 """
@@ -96,4 +115,4 @@ def test_planted_fault_rejected_under_optimize(name):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("rejected:"), proc.stdout
+    assert proc.stdout.startswith("rejected: CertificationError"), proc.stdout
