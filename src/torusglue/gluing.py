@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .numerics import (
     QuadScalar,
     ScalarMode,
     as_float,
+    float_with_error,
     is_exact,
     rational_interval,
     require_exact,
@@ -144,6 +145,20 @@ class Distance(Record):
     def __float__(self) -> float:
         return self.value
 
+    @cached_property
+    def float_view(self) -> tuple[float, float, float] | None:
+        """(s, f, e): s = sqrt_as_float(torus_sq), within 2^-52 * sqrt(torus_sq)
+        (plus 2^-1075 when subnormal), and f = float(offset) with a proven
+        |f - offset| <= e.  None when a component is a float, whose error is
+        unknown, or lies beyond the float range."""
+        off = float_with_error(self.offset)
+        if off is None or not is_exact(self.torus_sq):
+            return None
+        try:
+            return sqrt_as_float(self.torus_sq), *off
+        except OverflowError:
+            return None
+
     def same_components(self, other: "Distance") -> bool:
         return self.torus_sq == other.torus_sq and self.offset == other.offset
 
@@ -236,38 +251,94 @@ def _sign_with_root(p, q, x) -> int:
     return sp * sign_of(p * p - q * q * x)
 
 
-def _triangle_exact(lhs: Distance, r1: Distance, r2: Distance) -> tuple[bool, float]:
-    """Decide lhs <= r1 + r2 exactly; a violation carries its slack.
+def _structural_tie(lhs: Distance, r1: Distance, r2: Distance) -> bool:
+    """lhs <= r1 + r2 read off the components: one side is zero and the other
+    has the components of lhs, as when two of the three points coincide."""
+    return (r1.is_zero() and r2.same_components(lhs)) or (
+        r2.is_zero() and r1.same_components(lhs)
+    )
 
-    Rational enclosures settle the clear cases and give the slack of the
-    violations they find.  Ties and near-ties fall through to sign-tracked
-    squaring: with X, Y, Z the squared torus parts and c the offset
-    difference, the question is the sign of sqrt(X) + c - sqrt(Y) - sqrt(Z),
-    and three exact signs in Q(sqrt(d)) settle it (see `_sign_with_root`).
+
+def _float_gap(lhs: Distance, r1: Distance, r2: Distance) -> tuple[float, float] | None:
+    """(gap, err): gap = fl(r1 + r2 - lhs) and a proven |gap - (r1 + r2 - lhs)| <= err.
+
+    Each distance sqrt(X) + o enters through its `float_view` (s, f, e).
+    With u = 2^-53, |s - sqrt(X)| <= 2^-52 * sqrt(X) + 2^-1075, which is at
+    most 2^-51 * s + 2^-1070, and |f - o| <= e.  The float expression
+    gap = fl(fl(fl(s1 + f1) + fl(s2 + f2)) - fl(s0 + f0)) passes every term
+    through at most three roundings, so it is within gamma_3 * m <= 2^-51 * m
+    of the exact sum of its float terms, with m = s0 + |f0| + s1 + |f1| +
+    s2 + |f2| (sums of floats do not underflow); index 0 is lhs.  Together
+
+        |gap - (r1 + r2 - lhs)| <= 2^-50 * m + (e0 + e1 + e2) + 2^-1068,
+
+    and err = 2^-48 * m + 2 * (e0 + e1 + e2) + 2^-1000 exceeds that bound
+    even after the roundings that compute it (at most seven on the way of
+    any nonnegative term, each a factor of at least 1 - u).  So gap > err
+    proves lhs < r1 + r2.  None when a distance has no float view; a
+    non-finite gap or err never passes gap > err.
     """
-    for digits in (30, 60):
-        llo, lhi = lhs.interval(digits)
-        alo, ahi = r1.interval(digits)
-        blo, bhi = r2.interval(digits)
-        if lhi <= alo + blo:
-            return True, 0.0
-        if llo > ahi + bhi:
-            return False, float(llo - ahi - bhi)
+    views = lhs.float_view, r1.float_view, r2.float_view
+    if None in views:
+        return None
+    (s0, f0, e0), (s1, f1, e1), (s2, f2, e2) = views
+    gap = (s1 + f1) + (s2 + f2) - (s0 + f0)
+    m = s0 + abs(f0) + s1 + abs(f1) + s2 + abs(f2)
+    return gap, 2.0**-48 * m + 2 * (e0 + e1 + e2) + 2.0**-1000
+
+
+def _exceeds(lhs: Distance, r1: Distance, r2: Distance) -> bool:
+    """lhs > r1 + r2, decided exactly by sign-tracked squaring.
+
+    With X, Y, Z the squared torus parts and c the offset difference, the
+    question is the sign of sqrt(X) + c - sqrt(Y) - sqrt(Z), and three exact
+    signs in Q(sqrt(d)) settle it (see `_sign_with_root`).
+    """
     X, Y, Z = lhs.torus_sq, r1.torus_sq, r2.torus_sq
     c = lhs.offset - r1.offset - r2.offset
     e = X + c * c - Y - Z
     # sqrt(X) + c > sqrt(Y) + sqrt(Z) iff P = sqrt(X) + c > 0 and
     # P^2 - (sqrt(Y) + sqrt(Z))^2 = U - 2 sqrt(YZ) > 0 with U = e + 2c sqrt(X),
     # that is, iff P > 0, U > 0 and U^2 - 4YZ > 0
-    violated = (
+    return (
         _sign_with_root(c, 1, X) > 0
         and _sign_with_root(e, 2 * c, X) > 0
         and _sign_with_root(e * e + 4 * c * c * X - 4 * Y * Z, 4 * e * c, X) > 0
     )
-    if violated:
-        # a float estimate of the slack; 0.0 when it is below float resolution
-        return False, max(0.0, lhs.value - (r1.value + r2.value))
-    return True, 0.0
+
+
+def _violation_slack(lhs: Distance, r1: Distance, r2: Distance) -> float:
+    """Float slack lhs - (r1 + r2) of a decided violation.
+
+    The 30- and 60-digit rational enclosures price it when they separate
+    the sides; otherwise it is a float estimate, 0.0 below float resolution.
+    """
+    for digits in (30, 60):
+        llo, _ = lhs.interval(digits)
+        _, ahi = r1.interval(digits)
+        _, bhi = r2.interval(digits)
+        if llo > ahi + bhi:
+            return float(llo - ahi - bhi)
+    return max(0.0, lhs.value - (r1.value + r2.value))
+
+
+def _triangle_exact(lhs: Distance, r1: Distance, r2: Distance) -> tuple[bool, float]:
+    """Decide lhs <= r1 + r2 exactly; a violation carries its slack.
+
+    In order: an exact structural tie (`_structural_tie`); a float filter
+    whose error is proven (`_float_gap`), which only ever accepts; the exact
+    squaring chain (`_exceeds`) for what the filter leaves; and, for a
+    violation only, the enclosures that price its slack.  No float decides
+    a violation, and the enclosures decide nothing.
+    """
+    if _structural_tie(lhs, r1, r2):
+        return True, 0.0
+    fg = _float_gap(lhs, r1, r2)
+    if fg is not None and fg[0] > fg[1]:
+        return True, 0.0
+    if not _exceeds(lhs, r1, r2):
+        return True, 0.0
+    return False, _violation_slack(lhs, r1, r2)
 
 
 class _ViolationLog:
@@ -454,8 +525,10 @@ def check_metric_axioms(
 
     Exact mode decides every comparison with exact arithmetic over
     Q(sqrt(d)), the field its default sampler draws from.  A triangle
-    inequality is settled by rational square-root enclosures when they
-    separate the sides, and by sign-tracked squaring when they do not.
+    inequality holds by an exact structural tie, by a float filter with a
+    proven error bound, or by sign-tracked squaring, tried in that order;
+    only a violation, which the squaring decides, pays for the rational
+    enclosures that price its slack (see `_triangle_exact`).
     Float mode with the default sampler runs a vectorized batch: flags,
     totals and the maximum error come from whole arrays, and only the
     violations the report records become point objects.

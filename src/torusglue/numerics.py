@@ -83,6 +83,18 @@ def _sign(A: int, B: int, d: int) -> int:
     return 1 if B > 0 else -1
 
 
+def _floor(A: int, B: int, D: int, d: int) -> int:
+    """Closed-form floor of (A + B*sqrt(d)) / D, for any integers with D > 0.
+
+    B*sqrt(d) lies strictly between consecutive integers when B != 0.
+    """
+    if B == 0:
+        return A // D
+    s = math.isqrt(d * B * B)
+    # floor(x / D) == floor(floor(x) / D) for an integer D > 0
+    return (A + s if B > 0 else A - s - 1) // D
+
+
 def _magnitude_floor(A: int, B: int, D: int, d: int) -> int:
     """An m with |(A + B*sqrt(d)) / D| >= 2^m, for a nonzero value.
 
@@ -364,17 +376,12 @@ class QuadScalar:
     # -- floor / fractional part ---------------------------------------------
 
     def floor(self) -> int:
-        """Closed form: B*sqrt(d) lies strictly between consecutive integers."""
-        A, B = self._A, self._B
-        if B == 0:
-            return A // self._D
-        s = math.isqrt(self.d * B * B)
-        # floor(x / D) == floor(floor(x) / D) for an integer D > 0
-        return (A + s if B > 0 else A - s - 1) // self._D
+        return _floor(self._A, self._B, self._D, self.d)
 
     def floor_frac(self) -> tuple[int, "QuadScalar"]:
+        """(floor, fractional part); a value already in [0, 1) comes back as itself."""
         n = self.floor()
-        return n, self - n
+        return n, (self - n if n else self)
 
     def frac(self) -> "QuadScalar":
         return self.floor_frac()[1]
@@ -454,11 +461,15 @@ def sign_of(x) -> int:
 
 
 def floor_frac(x):
-    """(floor, fractional part) with the fractional part in the input's type."""
+    """(floor, fractional part) with the fractional part in the input's type.
+
+    A value already in [0, 1) is its own fractional part and comes back as
+    itself, float -0.0 included.
+    """
     if isinstance(x, QuadScalar):
         return x.floor_frac()
     n = math.floor(x)
-    return n, x - n
+    return n, (x - n if n else x)
 
 
 def frac(x):
@@ -551,8 +562,13 @@ def float_with_error(x) -> tuple[float, float] | None:
     """
     if not is_exact(x):
         return None
+    return _float_with_error(*_triple(x))
+
+
+def _float_with_error(A: int, B: int, D: int, d: int) -> tuple[float, float] | None:
+    """`float_with_error` of the value (A + B*sqrt(d)) / D, D > 0."""
     try:
-        f = _to_float(*_triple(x))
+        f = _to_float(A, B, D, d)
     except OverflowError:
         return None
     return f, abs(f) * 2.0**-51 + 2.0**-1060

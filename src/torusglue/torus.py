@@ -10,13 +10,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .numerics import (
+    DEFAULT_D,
     CertificationError,
+    FieldMismatchError,
     QuadScalar,
+    _float_with_error,
+    _floor,
+    _reduced,
+    _sign,
     as_float,
     float_with_error,
     floor_frac,
@@ -102,6 +108,14 @@ class GramMatrix(Record):
         )
 
     @cached_property
+    def _int_data(self):
+        """((n11, n12, n22), G): the reduced Gram as integers over the lcm G
+        of its denominators."""
+        _, gr = self.reduction
+        G = math.lcm(gr.g11.denominator, gr.g12.denominator, gr.g22.denominator)
+        return (int(gr.g11 * G), int(gr.g12 * G), int(gr.g22 * G)), G
+
+    @cached_property
     def _float_data(self):
         _, gr = self.reduction
         ui = self.unimodular_inverse
@@ -168,14 +182,15 @@ class Length:
 _U = 2.0**-53  # unit roundoff of float64
 
 
-def _window_survivors(z1, z2, gram: GramMatrix, window: int):
+def _float_survivors(fz1, fz2, gram: GramMatrix, window: int):
     """Window shifts (s1, s2) that can hold the exact minimum, in window order.
 
-    z = (z1, z2) is the exact reduced difference, |z_i| <= 1/2.  A float
-    pass evaluates F(s) = fl(Q^(x)) for every shift, with x_i = fl(f_i + s_i),
-    f_i = float(z_i), and Q^ the reduced form with float entries.  With
-    S = window, u = 2^-53, e_i >= |f_i - z_i| from `float_with_error` and
-    G >= |g11| + 2|g12| + |g22| (the reduced Gram's entries):
+    fz_i = (f_i, e_i) is a float f_i of the exact reduced difference z_i,
+    |z_i| <= 1/2, with a proven bound e_i >= |f_i - z_i| (`float_with_error`).
+    A float pass evaluates F(s) = fl(Q^(x)) for every shift, with
+    x_i = fl(f_i + s_i) and Q^ the reduced form with float entries.  With
+    S = window, u = 2^-53 and G >= |g11| + 2|g12| + |g22| (the reduced Gram's
+    entries):
 
         eps = max e_i + u * (S + max |f_i|)      bounds |x_i - (z_i + s_i)|
         X   = S + max |f_i| + eps                bounds |x_i| and |z_i + s_i|
@@ -190,9 +205,8 @@ def _window_survivors(z1, z2, gram: GramMatrix, window: int):
     fl(F(s) - F_min) > 2 * err, then F(s) - F_min > 2E, so
     Q(z + s) >= F(s) - E > F_min + E >= Q at the float argmin, and s is no
     exact minimizer.  None (use the whole window) when a float is
-    non-finite or float(z_i) has no proven error.
+    non-finite or a z_i has no proven float.
     """
-    fz1, fz2 = float_with_error(z1), float_with_error(z2)
     if fz1 is None or fz2 is None:
         return None
     try:
@@ -200,13 +214,16 @@ def _window_survivors(z1, z2, gram: GramMatrix, window: int):
     except OverflowError:
         return None
     (f1, e1), (f2, e2) = fz1, fz2
-    shifts, vals = [], []
-    for s1 in range(-window, window + 1):
+    span = range(-window, window + 1)
+    vals = []
+    for s1 in span:
         x1 = f1 + s1
-        for s2 in range(-window, window + 1):
+        # g11 * x1 * x1 + 2 * g12 * x1 * x2 + g22 * x2 * x2, with the terms
+        # that only depend on x1 evaluated once
+        sq1, cross = g11 * x1 * x1, 2 * g12 * x1
+        for s2 in span:
             x2 = f2 + s2
-            shifts.append((s1, s2))
-            vals.append(g11 * x1 * x1 + 2 * g12 * x1 * x2 + g22 * x2 * x2)
+            vals.append(sq1 + cross * x2 + g22 * x2 * x2)
     reach = window + max(abs(f1), abs(f2))
     eps = max(e1, e2) + _U * reach
     x = reach + eps
@@ -215,16 +232,110 @@ def _window_survivors(z1, z2, gram: GramMatrix, window: int):
     if not (math.isfinite(err) and all(map(math.isfinite, vals))):
         return None
     best = min(vals)
-    return [s for s, v in zip(shifts, vals) if v - best <= 2 * err]
+    return [s for s, v in zip(_window(window), vals) if v - best <= 2 * err]
+
+
+@lru_cache(maxsize=None)
+def _window(window: int) -> tuple[tuple[int, int], ...]:
+    """The shifts (s1, s2) with |s_i| <= window, in window order."""
+    span = range(-window, window + 1)
+    return tuple((s1, s2) for s1 in span for s2 in span)
+
+
+def _window_survivors(z1, z2, gram: GramMatrix, window: int):
+    """`_float_survivors` for exact reduced differences z1, z2."""
+    return _float_survivors(float_with_error(z1), float_with_error(z2), gram, window)
+
+
+def _parts(x) -> tuple[int, int, int]:
+    """(A, B, D) of an exact coordinate (A + B*sqrt(d)) / D."""
+    if isinstance(x, QuadScalar):
+        return x._A, x._B, x._D
+    return x.numerator, 0, x.denominator
+
+
+def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: int):
+    """`torus_distance_sq` of exact points, on integers (see there)."""
+    coords = q.u1, p.u1, q.u2, p.u2
+    labels = {x.d for x in coords if isinstance(x, QuadScalar)}
+    fields = {x.d for x in coords if isinstance(x, QuadScalar) and x._B}
+    if len(fields) > 1:
+        raise FieldMismatchError(f"cannot mix sqrt({min(fields)}) and sqrt({max(fields)}) scalars")
+    d = next(iter(fields or labels or (DEFAULT_D,)))
+    q1, p1, q2, p2 = parts = [_parts(x) for x in coords]
+    # q - p over the common denominator L: (a_i + b_i*sqrt(d)) / L
+    L = math.lcm(q1[2], p1[2], q2[2], p2[2])
+    k = [L // x[2] for x in parts]
+    a1, b1 = q1[0] * k[0] - p1[0] * k[1], q1[1] * k[0] - p1[1] * k[1]
+    a2, b2 = q2[0] * k[2] - p2[0] * k[3], q2[1] * k[2] - p2[1] * k[3]
+    # U^-1 (q - p), moved by the nearest integers to (z_i + c_i*sqrt(d)) / L,
+    # each within 1/2 of 0
+    (u11, u12), (u21, u22) = gram.unimodular_inverse
+    w1, c1 = u11 * a1 + u12 * a2, u11 * b1 + u12 * b2
+    w2, c2 = u21 * a1 + u22 * a2, u21 * b1 + u22 * b2
+    z1 = w1 - _floor(2 * w1 + L, 2 * c1, 2 * L, d) * L
+    z2 = w2 - _floor(2 * w2 + L, 2 * c2, 2 * L, d) * L
+    shifts = _float_survivors(
+        _float_with_error(z1, c1, L, d), _float_with_error(z2, c2, L, d), gram, window
+    )
+    if shifts is None:
+        shifts = _window(window)
+    # G * L^2 * Q(shifted z) = A + B*sqrt(d), with x_i = z_i + s_i * L:
+    #   A = n11 x1^2 + 2 n12 x1 x2 + n22 x2^2 + d (n11 c1^2 + 2 n12 c1 c2 + n22 c2^2)
+    #   B = 2 x1 (n11 c1 + n12 c2) + 2 x2 (n12 c1 + n22 c2)
+    (n11, n12, n22), G = gram._int_data
+    root = d * (n11 * c1 * c1 + 2 * n12 * c1 * c2 + n22 * c2 * c2)
+    h1, h2 = 2 * (n11 * c1 + n12 * c2), 2 * (n12 * c1 + n22 * c2)
+    vals = []
+    for s1, s2 in shifts:
+        x1, x2 = z1 + s1 * L, z2 + s2 * L
+        vals.append((x1 * (n11 * x1 + 2 * n12 * x2) + n22 * x2 * x2 + root, x1 * h1 + x2 * h2))
+    best = vals[0]
+    for A, B in vals[1:]:
+        if _sign(A - best[0], B - best[1], d) < 0:
+            best = A, B
+    if len(labels) > 1:
+        # QuadScalar arithmetic gives a rational result the field index of
+        # one operand or another; take the form on q - p in that arithmetic
+        # at the first minimizing representative, in unreduced shift order
+        (v11, v12), (v21, v22) = gram.reduction[0]
+        reps = []
+        for (s1, s2), val in zip(shifts, vals):
+            if val == best:
+                x1, x2 = z1 + s1 * L, z2 + s2 * L
+                reps.append(((v11 * x1 + v12 * x2 - a1) // L, (v21 * x1 + v22 * x2 - a2) // L))
+        k1, k2 = min(reps)
+        d1, d2 = p.delta(q)
+        return gram.form(d1 + k1, d2 + k2)
+    A, B = best
+    if not labels:
+        return Fraction(A, G * L * L)
+    return _reduced(A, B, G * L * L, d)
 
 
 def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: int = 1):
     """min over lattice shifts of the Gram form on representatives of q - p.
 
-    Exact inputs are filtered first: shifts whose float value provably
-    exceeds the float minimum are skipped, and the rest are compared exactly
-    in window order, so the result is the one the full exact window gives.
+    Exact points are computed on integers.  Their four coordinates go over
+    one common denominator L as pairs (a, b), meaning (a + b*sqrt(d)) / L;
+    U^-1 and the rounding to the nearest integer act on those pairs, with
+    the closed-form floor.  A float pass with a proven error bound
+    (`_float_survivors`) drops the shifts that provably miss the minimum;
+    at each survivor the reduced form is one integer polynomial over
+    G * L^2, G the lcm of the reduced Gram's denominators, and survivors are
+    compared by exact signs in window order, so the result is the one the
+    full exact window gives.  It is a Fraction when every coordinate is an
+    int or a Fraction, else a QuadScalar over the coordinates' field; when
+    rational-valued QuadScalars of other fields take part, the form on the
+    minimizing representative of q - p is evaluated in QuadScalar
+    arithmetic, which sets the field index of a rational result as the
+    unreduced oracle `naive_torus_distance_sq` does.
+
+    Points with a float coordinate are evaluated shift by shift in their
+    own arithmetic.
     """
+    if p.is_exact() and q.is_exact():
+        return _exact_distance_sq(p, q, gram, window)
     d1, d2 = p.delta(q)
     ui = gram.unimodular_inverse
     _, gr = gram.reduction
@@ -232,17 +343,9 @@ def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: in
     w2 = ui[1][0] * d1 + ui[1][1] * d2
     m1 = -nearest_int(w1)
     m2 = -nearest_int(w2)
-    shifts = None
-    if is_exact(w1) and is_exact(w2):
-        shifts = _window_survivors(w1 + m1, w2 + m2, gram, window)
-    if shifts is None:
-        span = range(-window, window + 1)
-        shifts = [(s1, s2) for s1 in span for s2 in span]
     best = None
-    for s1, s2 in shifts:
-        v1 = w1 + (m1 + s1)
-        v2 = w2 + (m2 + s2)
-        val = gr.form(v1, v2)
+    for s1, s2 in _window(window):
+        val = gr.form(w1 + (m1 + s1), w2 + (m2 + s2))
         if best is None or scalar_lt(val, best):
             best = val
     return best
