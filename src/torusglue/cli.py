@@ -47,14 +47,13 @@ from .numerics import (
     format_scalar,
     frac,
     parse_scalar,
-    scalar_lt,
-    scalar_min,
     sign_of,
     sqrt_interval,
 )
 from .orbit import (
     CircleNonMembership,
     ValidityRadiusError,
+    _validity_radius_sq,
     circle_density_hit,
     circle_orbit_membership,
     density_report,
@@ -68,7 +67,7 @@ from .sampling import (
     random_torus_point,
     rng_for,
 )
-from .torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint, tangent_norm_sq
+from .torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint
 
 ENV_SEED = "TORUSGLUE_SEED"
 
@@ -393,10 +392,9 @@ def _cmd_nearest(cfg: RunConfig) -> dict:
         )
 
         rec_b = nearest_line_set(y, params, cfg.gram, grid_n=grid, mode=mode)
-        ok_b = rec_b.line_constant and oracle_a >= 0 and sign_of(rec_b.margin.sq) > 0
-        for s in rec_b.ts_checked:
-            _, oracle_b = grid_nearest_in_compact(GluedPoint.cylinder(y, s), params, cfg.gram, grid)
-            ok_b = ok_b and oracle_b >= rec_b.base.value - 1e-9
+        # the grid oracle at (y, s) reads only y and R, as d(y', (y, s)) does
+        # not depend on s, so for every s in ts_checked it is oracle_a
+        ok_b = rec_b.line_constant and sign_of(rec_b.margin.sq) > 0 and oracle_a >= rec_b.base.value - 1e-9
 
         rec_c = nearest_on_line(p, y2, params, cfg.gram)
         oracle_t, oracle_c = grid_nearest_on_line(p, y2, params, cfg.gram, cfg.t_grid)
@@ -542,11 +540,7 @@ def _cmd_local_isometry(cfg: RunConfig) -> dict:
             }
         return {"refused": False, "record": rec, "passed": rec.passed}
 
-    nsq = tangent_norm_sq(subgroup.tangent(), cfg.gram)
-    cap = params.M * params.M
-    sys_quarter = cfg.gram.systole_sq() / 4
-    radius_sq = scalar_min(cap, sys_quarter) / (nsq if scalar_lt(1, nsq) else 1)
-    r_lo = sqrt_interval(radius_sq, 12)[0]
+    r_lo = sqrt_interval(_validity_radius_sq(subgroup, params, cfg.gram)[0], 12)[0]
 
     records = []
     for i in range(cfg.count):

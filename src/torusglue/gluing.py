@@ -23,6 +23,7 @@ from .numerics import (
     DEFAULT_D,
     EXACT,
     CertificationError,
+    ExactnessError,
     QuadScalar,
     ScalarMode,
     as_float,
@@ -371,67 +372,40 @@ class _ViolationLog:
         self.entries.extend(AxiomViolation(*fields(i)) for i in flagged[:room])
 
 
-def _points_equal(a: GluedPoint, b: GluedPoint, mode: ScalarMode) -> bool:
-    if a.is_compact != b.is_compact:
-        return False
-    if mode.for_points(a, b).exact:
-        return a == b
-    # an exact run that meets float points holds them to the identity tolerance
-    eps = mode.identity_eps if mode.exact else mode.eps
-    ya, yb = np.array([a.y.as_floats()]), np.array([b.y.as_floats()])
-    wrapped = batch_torus_distance_sq(ya, yb, GramMatrix.identity())[0]
-    if wrapped > eps * eps:
-        return False
-    if a.is_compact:
-        return True
-    return abs(as_float(a.t) - as_float(b.t)) <= eps
+def _require_exact_points(*points) -> None:
+    """Exact mode decides nothing about a point with a float coordinate."""
+    for p in points:
+        if not p.is_exact():
+            raise ExactnessError(f"exact mode takes exact points only, got {p!r}")
 
 
-def _check_triple(a, b, c, params, gram, mode, log: _ViolationLog) -> int:
-    cmp = mode.for_points(a, b, c)
+def _check_triple(a, b, c, params, gram, log: _ViolationLog) -> int:
+    """Exact checks of one triple, every comparison decided in Q(sqrt(d))."""
+    _require_exact_points(a, b, c)
     d_ab = glued_distance(a, b, params, gram)
     d_ba = glued_distance(b, a, params, gram)
     d_ac = glued_distance(a, c, params, gram)
     d_bc = glued_distance(b, c, params, gram)
     d_aa = glued_distance(a, a, params, gram)
-    checks = 0
-
-    # symmetry
-    checks += 1
     err = abs(d_ab.value - d_ba.value)
     log.note_error(err)
-    if not cmp.equal(d_ab, d_ba, mode.eps):
+    if d_ab != d_ba:
         log.add("symmetry", a, b, None, d_ab.value, d_ba.value, err)
-
-    # d(a, a) = 0
-    checks += 1
     log.note_error(abs(d_aa.value))
-    if not cmp.equal(d_aa, _ZERO, mode.identity_eps):
+    if d_aa != _ZERO:
         log.add("identity-zero", a, a, None, d_aa.value, 0.0, abs(d_aa.value))
-
-    # d = 0 implies equal points
     for p, q, d in ((a, b, d_ab), (a, c, d_ac), (b, c, d_bc)):
-        checks += 1
-        if cmp.equal(d, _ZERO, mode.identity_eps) and not _points_equal(p, q, mode):
+        if d == _ZERO and p != q:
             log.add("identity-distinct", p, q, None, d.value, 0.0, d.value)
-
-    # triangle inequality, all three rotations
     for lhs, r1, r2, pa, pb, pc in (
         (d_ab, d_ac, d_bc, a, b, c),
         (d_ac, d_ab, d_bc, a, c, b),
         (d_bc, d_ab, d_ac, b, c, a),
     ):
-        checks += 1
-        if cmp.exact:
-            ok, slack = _triangle_exact(lhs, r1, r2)
-            if not ok:
-                log.add("triangle", pa, pb, pc, lhs.value, r1.value + r2.value, slack)
-        else:
-            slack = lhs.value - (r1.value + r2.value)
-            log.note_error(max(0.0, slack))
-            if slack > mode.eps:
-                log.add("triangle", pa, pb, pc, lhs.value, r1.value + r2.value, slack)
-    return checks
+        ok, slack = _triangle_exact(lhs, r1, r2)
+        if not ok:
+            log.add("triangle", pa, pb, pc, lhs.value, r1.value + r2.value, slack)
+    return 8
 
 
 def _batch_glued_values(ka, ya, ta, kb, yb, tb, params, gram):
@@ -446,7 +420,7 @@ def _batch_glued_values(ka, ya, ta, kb, yb, tb, params, gram):
 
 
 def _batch_points_equal(ka, ya, ta, kb, yb, tb, eps: float) -> np.ndarray:
-    """`_points_equal` of float points, row by row, in float mode."""
+    """Float points equal within eps, row by row: same component, y and t within eps."""
     wrapped = batch_torus_distance_sq(ya, yb, GramMatrix.identity())
     return (ka == kb) & ~(wrapped > eps * eps) & ((ka == 0) | (np.abs(ta - tb) <= eps))
 
@@ -456,25 +430,19 @@ def _float_point(kind: int, y: np.ndarray, t: float) -> GluedPoint:
     return GluedPoint.compact(p) if kind == 0 else GluedPoint.cylinder(p, float(t))
 
 
-def _check_batch(n, params, gram, mode, seed, log: _ViolationLog) -> int:
-    """Float checks of n sampled triples, one numpy pass per axiom.
+_PAIRS = ((0, 1), (1, 0), (0, 2), (1, 2), (0, 0))
 
+
+def _check_floats(kind, y, t, dists, mode: ScalarMode, log: _ViolationLog, point) -> int:
+    """Float-mode decisions of n triples, one numpy pass per axiom.
+
+    kind (3, n), y (3, n, 2) and t (3, n) describe the points of the
+    columns a, b, c; dists holds the arrays d_ab, d_ba, d_ac, d_bc, d_aa
+    (`_PAIRS`); point(col, i) gives the point a recorded violation shows.
     The flags, totals and maximum error come from whole arrays; point
-    objects are built only for the violations the log records.
+    objects are asked for only for the violations the log records.
     """
-    rng = np.random.default_rng(seed)
-    kind = rng.integers(0, 2, size=(3, n))
-    y = rng.random((3, n, 2))
-    span = 3.0 * max(1.0, as_float(params.M))
-    t = rng.uniform(-span, span, (3, n))
-
-    def glued(c1, c2):
-        return _batch_glued_values(kind[c1], y[c1], t[c1], kind[c2], y[c2], t[c2], params, gram)
-
-    d_ab, d_ba, d_ac, d_bc, d_aa = glued(0, 1), glued(1, 0), glued(0, 2), glued(1, 2), glued(0, 0)
-
-    def point(col, i):
-        return _float_point(int(kind[col][i]), y[col][i], float(t[col][i]))
+    d_ab, d_ba, d_ac, d_bc, d_aa = dists
 
     sym = np.abs(d_ab - d_ba)
     log.note_error(float(np.max(sym, initial=0.0)))
@@ -507,7 +475,35 @@ def _check_batch(n, params, gram, mode, seed, log: _ViolationLog) -> int:
         log.add_flagged(np.flatnonzero(slack > mode.eps), slack, lambda i: (
             "triangle", point(ca, i), point(cb, i), point(cc, i),
             float(lhs[i]), float(r1[i] + r2[i]), float(slack[i])))
-    return 8 * n
+    return 8 * len(d_ab)
+
+
+def _check_batch(n, params, gram, mode, seed, log: _ViolationLog) -> int:
+    """Float checks of n sampled triples, their distances from the batch kernel."""
+    rng = np.random.default_rng(seed)
+    kind = rng.integers(0, 2, size=(3, n))
+    y = rng.random((3, n, 2))
+    span = 3.0 * max(1.0, as_float(params.M))
+    t = rng.uniform(-span, span, (3, n))
+    dists = [
+        _batch_glued_values(kind[c1], y[c1], t[c1], kind[c2], y[c2], t[c2], params, gram)
+        for c1, c2 in _PAIRS
+    ]
+
+    def point(col, i):
+        return _float_point(int(kind[col][i]), y[col][i], float(t[col][i]))
+
+    return _check_floats(kind, y, t, dists, mode, log, point)
+
+
+def _check_float_triple(a, b, c, params, gram, mode, log: _ViolationLog) -> int:
+    """Float checks of one given triple, its distances from `glued_distance`."""
+    pts = a, b, c
+    kind = np.array([[0 if p.is_compact else 1] for p in pts])
+    y = np.array([[p.y.as_floats()] for p in pts])
+    t = np.array([[0.0 if p.is_compact else as_float(p.t)] for p in pts])
+    dists = [np.array([glued_distance(pts[c1], pts[c2], params, gram).value]) for c1, c2 in _PAIRS]
+    return _check_floats(kind, y, t, dists, mode, log, lambda col, i: pts[col])
 
 
 def check_metric_axioms(
@@ -524,18 +520,27 @@ def check_metric_axioms(
     """Sample n triples and test symmetry, identity, and the triangle inequality.
 
     Exact mode decides every comparison with exact arithmetic over
-    Q(sqrt(d)), the field its default sampler draws from.  A triangle
+    Q(sqrt(d)), the field its default sampler draws from, and raises
+    ExactnessError on a point with a float coordinate.  A triangle
     inequality holds by an exact structural tie, by a float filter with a
     proven error bound, or by sign-tracked squaring, tried in that order;
     only a violation, which the squaring decides, pays for the rational
     enclosures that price its slack (see `_triangle_exact`).
-    Float mode with the default sampler runs a vectorized batch: flags,
-    totals and the maximum error come from whole arrays, and only the
+    Float mode compares with its tolerances in one array pass per axiom
+    (`_check_floats`): the default sampler's triples take their distances
+    from the batch kernel, all at once, and `sampler` and `extra_triples`
+    triples from `glued_distance`, one triple at a time.  Only the
     violations the report records become point objects.
     """
     if n < 0:
         raise ValueError("sample count must be nonnegative")
     log = _ViolationLog(max_recorded)
+
+    def check(a, b, c) -> int:
+        if mode.exact:
+            return _check_triple(a, b, c, params, gram, log)
+        return _check_float_triple(a, b, c, params, gram, mode, log)
+
     checks = 0
     if n:
         if not mode.exact and sampler is None:
@@ -545,14 +550,14 @@ def check_metric_axioms(
             for i in range(n):
                 rng = rng_for(seed, i)
                 if sampler is None:
-                    a = random_glued_point(rng, span, exact=mode.exact, d=d)
-                    b = a if rng.random() < 0.05 else random_glued_point(rng, span, exact=mode.exact, d=d)
-                    c = a if rng.random() < 0.08 else random_glued_point(rng, span, exact=mode.exact, d=d)
+                    a = random_glued_point(rng, span, d=d)
+                    b = a if rng.random() < 0.05 else random_glued_point(rng, span, d=d)
+                    c = a if rng.random() < 0.08 else random_glued_point(rng, span, d=d)
                 else:
                     a, b, c = sampler(rng), sampler(rng), sampler(rng)
-                checks += _check_triple(a, b, c, params, gram, mode, log)
+                checks += check(a, b, c)
     for a, b, c in extra_triples:
-        checks += _check_triple(a, b, c, params, gram, mode, log)
+        checks += check(a, b, c)
     return AxiomReport(
         params=params,
         mode=mode,
@@ -635,27 +640,22 @@ def _grid_dsq(y: tuple[float, float], gram: GramMatrix, grid_n: int) -> np.ndarr
 def _grid_min_excluding(y: TorusPoint, gram: GramMatrix, grid_n: int, mode: ScalarMode):
     """Min of torus_distance_sq(y, y') over grid points y' != y.
 
-    A vectorized float pass narrows the candidates; the winner (and the
-    exclusion of y itself) is settled exactly when inputs are exact.
+    A vectorized float pass narrows the candidates; in exact mode, whose
+    callers pass an exact y, the winner (and the exclusion of y itself) is
+    settled exactly.
     """
     dsq = _grid_dsq(y.as_floats(), gram, grid_n)
-
-    exact = mode.exact and y.is_exact()
 
     def grid_point(k: int) -> TorusPoint:
         return TorusPoint(Fraction(int(k) // grid_n, grid_n), Fraction(int(k) % grid_n, grid_n))
 
     excluded = np.zeros(len(dsq), dtype=bool)
     for k in np.nonzero(dsq < 1e-18)[0]:
-        if exact:
-            if grid_point(k) == y:
-                excluded[k] = True
-        else:
-            excluded[k] = True
+        excluded[k] = not mode.exact or grid_point(k) == y
     masked = np.where(excluded, np.inf, dsq)
     best_f = float(np.min(masked))
     cand = np.nonzero(masked <= best_f * (1 + 1e-9) + 1e-12)[0]
-    if not exact:
+    if not mode.exact:
         k = int(cand[0])
         return grid_point(k), float(masked[k])
     best_pt, best_sq = None, None
@@ -692,6 +692,8 @@ def nearest_in_compact(
 ) -> NearestCompactResult:
     if p.is_compact:
         raise ValueError("nearest_in_compact expects a cylinder point")
+    if mode.exact:
+        _require_exact_points(p)
     achieved = glued_distance(p, GluedPoint.compact(p.y), params, gram)
     witness, gap_sq = _grid_min_excluding(p.y, gram, grid_n, mode)
     return NearestCompactResult(p.y, achieved, Length(gap_sq), witness, grid_n)
@@ -721,6 +723,8 @@ def nearest_line_set(
     grid_n: int = 100,
     mode: ScalarMode = EXACT,
 ) -> LineSetResult:
+    if mode.exact:
+        _require_exact_points(y)
     dists = [
         glued_distance(GluedPoint.compact(y), GluedPoint.cylinder(y, t), params, gram) for t in ts
     ]

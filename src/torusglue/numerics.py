@@ -579,7 +579,8 @@ def _float_with_error(A: int, B: int, D: int, d: int) -> tuple[float, float] | N
 
 @dataclass(frozen=True)
 class ScalarMode:
-    """Exact mode performs no rounding; float mode compares with tolerances."""
+    """Exact mode performs no rounding and raises ExactnessError on a float
+    point; float mode compares with tolerances."""
 
     exact: bool = True
     eps: float = 1e-9
@@ -601,16 +602,6 @@ class ScalarMode:
         if self.exact:
             return a == b
         return abs(float(a) - float(b)) <= tol
-
-    def for_points(self, *points) -> "ScalarMode":
-        """This mode, or float mode with its tolerances when a point is inexact.
-
-        An exact run over float points cannot decide anything exactly, so it
-        compares with the tolerances instead.
-        """
-        if self.exact and not all(p.is_exact() for p in points):
-            return ScalarMode(False, self.eps, self.identity_eps)
-        return self
 
     def describe(self) -> dict:
         if self.exact:

@@ -366,7 +366,7 @@ def density_report(
 ) -> DensityReport:
     eps_list = [_exact_eps(e) for e in epsilons]
     hits = [torus_density_hit(target, subgroup, y0, e, gram, budget) for e in eps_list]
-    return DensityReport(target, eps_list, hits, budget, "return-time scan")
+    return DensityReport(target, eps_list, hits, budget, "first-entry search")
 
 
 # -- membership: exact decision over the basis (1, sqrt(d)) -------------------------
@@ -628,6 +628,14 @@ class LocalIsometryRecord(Record):
         return {**out, "passed": self.passed}
 
 
+def _validity_radius_sq(subgroup: OneParamSubgroup, params: GluingParams, gram: GramMatrix):
+    """(min(M^2, sys^2/4) / max(1, |v|^2), |v|^2): the squared radius of the
+    local isometry window, and the squared norm of the line's tangent v."""
+    nsq = tangent_norm_sq(subgroup.tangent(), gram)
+    cap = scalar_min(params.M * params.M, gram.systole_sq() / 4)
+    return cap / (nsq if scalar_lt(1, nsq) else 1), nsq
+
+
 def local_isometry_check(
     t,
     s,
@@ -647,10 +655,7 @@ def local_isometry_check(
     if mode.exact:
         require_exact(t, "local isometry parameter")
         require_exact(s, "local isometry parameter")
-    nsq = tangent_norm_sq(subgroup.tangent(), gram)
-    cap = scalar_min(params.M * params.M, gram.systole_sq() / 4)
-    denom = nsq if scalar_lt(1, nsq) else 1
-    radius_sq = cap / denom
+    radius_sq, nsq = _validity_radius_sq(subgroup, params, gram)
     radius = math.sqrt(as_float(radius_sq))
 
     delta = t - s

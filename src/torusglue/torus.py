@@ -24,10 +24,8 @@ from .numerics import (
     _reduced,
     _sign,
     as_float,
-    float_with_error,
     floor_frac,
     is_exact,
-    nearest_int,
     require_exact,
     scalar_lt,
     sign_of,
@@ -242,11 +240,6 @@ def _window(window: int) -> tuple[tuple[int, int], ...]:
     return tuple((s1, s2) for s1 in span for s2 in span)
 
 
-def _window_survivors(z1, z2, gram: GramMatrix, window: int):
-    """`_float_survivors` for exact reduced differences z1, z2."""
-    return _float_survivors(float_with_error(z1), float_with_error(z2), gram, window)
-
-
 def _parts(x) -> tuple[int, int, int]:
     """(A, B, D) of an exact coordinate (A + B*sqrt(d)) / D."""
     if isinstance(x, QuadScalar):
@@ -331,24 +324,13 @@ def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: in
     arithmetic, which sets the field index of a rational result as the
     unreduced oracle `naive_torus_distance_sq` does.
 
-    Points with a float coordinate are evaluated shift by shift in their
-    own arithmetic.
+    A point with a float coordinate makes the result a float: the pair goes
+    through `batch_torus_distance_sq`, the one float evaluator, on its
+    {-1, 0, 1}^2 window, which the reduction makes sufficient.
     """
     if p.is_exact() and q.is_exact():
         return _exact_distance_sq(p, q, gram, window)
-    d1, d2 = p.delta(q)
-    ui = gram.unimodular_inverse
-    _, gr = gram.reduction
-    w1 = ui[0][0] * d1 + ui[0][1] * d2
-    w2 = ui[1][0] * d1 + ui[1][1] * d2
-    m1 = -nearest_int(w1)
-    m2 = -nearest_int(w2)
-    best = None
-    for s1, s2 in _window(window):
-        val = gr.form(w1 + (m1 + s1), w2 + (m2 + s2))
-        if best is None or scalar_lt(val, best):
-            best = val
-    return best
+    return float(batch_torus_distance_sq(np.array([p.as_floats()]), np.array([q.as_floats()]), gram)[0])
 
 
 def torus_distance(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: int = 1) -> Length:
@@ -372,21 +354,30 @@ _SHIFTS = (-1.0, 0.0, 1.0)
 
 
 def batch_torus_distance_sq(ya: np.ndarray, yb: np.ndarray, gram: GramMatrix) -> np.ndarray:
-    """Vectorized float path over (n, 2) coordinate arrays.
+    """Vectorized float path over (n, 2) coordinate arrays; the package's one
+    float evaluator of torus distances.
 
-    Each of the 9 window shifts evaluates, per row, the same float expression
+    Per row, (d1, d2) = yb - ya goes to reduced coordinates
+    w_i = u_i1*d1 + u_i2*d2 (U^-1 of the reduction), as two elementwise
+    products and one sum, and is moved by the nearest integer.  Each of the
+    9 window shifts evaluates the same float expression
     ((g11*v1)*v1 + ((2*g12)*v1)*v2) + (g22*v2)*v2 with v = w + s.  The terms
     that depend on one axis are computed once per shift of that axis, chunk
     by chunk, and the shifts are folded in window order, so the result is
     the one the plain 9-shift loop gives, bit for bit.
     """
     ui, (g11, g12, g22) = gram._float_data
-    w = (yb - ya) @ ui.T
-    w -= np.rint(w)
+    (u11, u12), (u21, u22) = ui
     g12x2 = 2 * g12
-    best = np.full(len(w), np.inf)
-    for lo in range(0, len(w), _BATCH_CHUNK):
-        w1, w2 = w[lo:lo + _BATCH_CHUNK].T
+    best = np.full(len(ya), np.inf)
+    for lo in range(0, len(ya), _BATCH_CHUNK):
+        d1, d2 = (yb[lo:lo + _BATCH_CHUNK] - ya[lo:lo + _BATCH_CHUNK]).T
+        # not (yb - ya) @ ui.T: a matrix product may fuse a multiply and an
+        # add, and then the last bit depends on the BLAS build
+        w1 = u11 * d1 + u12 * d2
+        w2 = u21 * d1 + u22 * d2
+        w1 -= np.rint(w1)
+        w2 -= np.rint(w2)
         v2 = [w2 + s2 for s2 in _SHIFTS]
         sq2 = [g22 * v * v for v in v2]
         out = best[lo:lo + _BATCH_CHUNK]

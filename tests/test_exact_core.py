@@ -284,7 +284,8 @@ def _survivors(p, q, gram):
     d1, d2 = p.delta(q)
     (u11, u12), (u21, u22) = gram.unimodular_inverse
     w1, w2 = u11 * d1 + u12 * d2, u21 * d1 + u22 * d2
-    return torus._window_survivors(w1 - nearest_int(w1), w2 - nearest_int(w2), gram, 1)
+    z1, z2 = w1 - nearest_int(w1), w2 - nearest_int(w2)
+    return torus._float_survivors(float_with_error(z1), float_with_error(z2), gram, 1)
 
 
 @pytest.mark.parametrize("big", [10**308, 10**400])

@@ -1,14 +1,20 @@
 """The float metric sweep and its batch kernel against their per-element forms.
 
 `oracle_kernel` is the plain 9-shift loop that `batch_torus_distance_sq`
-ran before its per-axis terms were hoisted and its rows chunked, and
+ran before its per-axis terms were hoisted and its rows chunked (its
+matrix product is exact on the Grams it is given, whose reductions have
+entries in {-1, 0, 1}), `oracle_scalar_distance_sq` is the per-shift loop
+that `torus_distance_sq` ran on float points in Python floats, and
 `oracle_check_batch` is the per-element violation loop that `_check_batch`
 ran before its flags were computed on whole arrays: it builds a point pair
-or triple for every violation and logs them one by one.  Both are kept here
-as references.  The kernel must agree bit for bit, and an AxiomReport made
-with the oracle loop must serialize to the same bytes.
+or triple for every violation and logs them one by one, and compares
+near-coincident points with `oracle_points_equal`, the float points-equal
+test that float mode ran point by point.  They are kept here as
+references.  The kernel must agree bit for bit with both loops, and an
+AxiomReport made with the oracle loop must serialize to the same bytes.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,14 +23,20 @@ import pytest
 from torusglue import gluing
 from torusglue.gluing import (
     GluingParams,
+    GluedPoint,
     _batch_points_equal,
     _float_point,
-    _points_equal,
     check_metric_axioms,
 )
-from torusglue.numerics import FLOAT, ScalarMode, as_float
+from torusglue.numerics import FLOAT, ScalarMode, as_float, nearest_int
 from torusglue.report import canonical_json
-from torusglue.torus import _BATCH_CHUNK, GramMatrix, batch_torus_distance_sq
+from torusglue.torus import (
+    _BATCH_CHUNK,
+    GramMatrix,
+    TorusPoint,
+    batch_torus_distance_sq,
+    torus_distance_sq,
+)
 
 GRAMS = {"identity": GramMatrix.identity(), "skewed": GramMatrix(2, 1, 3)}
 KERNEL_GRAMS = {**GRAMS, "reduced": GramMatrix("7/3", "-5/4", "11/5")}
@@ -44,6 +56,31 @@ def oracle_kernel(ya, yb, gram):
             val = g11 * v1 * v1 + 2 * g12 * v1 * v2 + g22 * v2 * v2
             best = val if best is None else np.minimum(best, val)
     return best
+
+
+def oracle_scalar_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix) -> float:
+    d1, d2 = p.delta(q)
+    ui = gram.unimodular_inverse
+    _, gr = gram.reduction
+    w1 = ui[0][0] * d1 + ui[0][1] * d2
+    w2 = ui[1][0] * d1 + ui[1][1] * d2
+    m1, m2 = -nearest_int(w1), -nearest_int(w2)
+    best = None
+    for s1 in (-1, 0, 1):
+        for s2 in (-1, 0, 1):
+            val = gr.form(w1 + (m1 + s1), w2 + (m2 + s2))
+            if best is None or val < best:
+                best = val
+    return best
+
+
+def oracle_points_equal(a: GluedPoint, b: GluedPoint, eps: float) -> bool:
+    if a.is_compact != b.is_compact:
+        return False
+    ya, yb = np.array([a.y.as_floats()]), np.array([b.y.as_floats()])
+    if batch_torus_distance_sq(ya, yb, GramMatrix.identity())[0] > eps * eps:
+        return False
+    return a.is_compact or abs(as_float(a.t) - as_float(b.t)) <= eps
 
 
 def _oracle_glued_values(ka, ya, ta, kb, yb, tb, params, gram):
@@ -83,7 +120,7 @@ def oracle_check_batch(n, params, gram, mode, seed, log):
     for dv, c1, c2 in ((d_ab, 0, 1), (d_ac, 0, 2), (d_bc, 1, 2)):
         for i in np.nonzero(dv <= mode.identity_eps)[0]:
             p, q = point(c1, i), point(c2, i)
-            if not _points_equal(p, q, mode):
+            if not oracle_points_equal(p, q, mode.eps):
                 log.add("identity-distinct", p, q, None, float(dv[i]), 0.0, float(dv[i]))
 
     for lhs, r1, r2, cols in (
@@ -165,9 +202,8 @@ def test_batch_points_equal_matches_points_equal():
         rows.append((ka, ya, ta, kb, yb, tb))
     ka, ya, ta, kb, yb, tb = (np.array(col) for col in zip(*rows))
     got = _batch_points_equal(ka, ya, ta, kb, yb, tb, eps)
-    mode = ScalarMode.float_mode(eps=eps)
     want = [
-        _points_equal(_float_point(int(r[0]), r[1], r[2]), _float_point(int(r[3]), r[4], r[5]), mode)
+        oracle_points_equal(_float_point(int(r[0]), r[1], r[2]), _float_point(int(r[3]), r[4], r[5]), eps)
         for r in rows
     ]
     assert got.tolist() == want
@@ -200,3 +236,46 @@ def test_kernel_bitwise_equal_near_coincident(gram):
     got = batch_torus_distance_sq(ya, yb, gram)
     assert _same_bits(got, oracle_kernel(ya, yb, gram))
     assert np.min(got) == 0.0
+
+
+def _sheared_gram(rng: random.Random) -> GramMatrix:
+    """V^T R V for a random reduced R and a unimodular V with entries up to ~3600."""
+    g11 = Fraction(rng.randint(1, 20), rng.randint(1, 9))
+    g12 = g11 * Fraction(rng.randint(-50, 50), 100)
+    g22 = g11 + Fraction(rng.randint(0, 40), rng.randint(1, 9))
+    a, b = rng.randint(-60, 60), rng.randint(-60, 60)
+    (v11, v12), (v21, v22) = (1 + a * b, a), (b, 1)
+    return GramMatrix(
+        g11 * v11 * v11 + 2 * g12 * v11 * v21 + g22 * v21 * v21,
+        g11 * v11 * v12 + g12 * (v11 * v22 + v21 * v12) + g22 * v21 * v22,
+        g11 * v12 * v12 + 2 * g12 * v12 * v22 + g22 * v22 * v22,
+    )
+
+
+def test_kernel_matches_scalar_loop_on_sheared_grams():
+    """Bit for bit against the per-shift scalar loop, where a matrix product
+    in the transform could round differently: reductions with entries
+    above 1, random points and dyadic points whose reduced differences land
+    on rounding ties."""
+    rng = random.Random(0)
+    # (1, 37, 1370) is the Gram of the `*.float-reduced` goldens
+    grams = [GramMatrix(1, 37, 1370)] + [_sheared_gram(rng) for _ in range(60)]
+    sheared = sum(max(abs(x) for row in g.unimodular_inverse for x in row) > 1 for g in grams)
+    assert sheared >= 40
+    ties = 0
+    for gram in grams:
+        pairs = [(rng.random(), rng.random(), rng.random(), rng.random()) for _ in range(100)]
+        pairs += [tuple(rng.randrange(8) / 8 for _ in range(4)) for _ in range(100)]
+        ya = np.array([(a1, a2) for a1, a2, _, _ in pairs])
+        yb = np.array([(b1, b2) for _, _, b1, b2 in pairs])
+        ps = [TorusPoint(a1, a2) for a1, a2, _, _ in pairs]
+        qs = [TorusPoint(b1, b2) for _, _, b1, b2 in pairs]
+        want = np.array([oracle_scalar_distance_sq(p, q, gram) for p, q in zip(ps, qs)])
+        assert _same_bits(batch_torus_distance_sq(ya, yb, gram), want)
+        assert [torus_distance_sq(p, q, gram) for p, q in zip(ps, qs)] == want.tolist()
+        (u11, u12), (u21, u22) = gram.unimodular_inverse
+        ties += sum(
+            (u11 * (b1 - a1) + u12 * (b2 - a2)) % 1 == 0.5 or (u21 * (b1 - a1) + u22 * (b2 - a2)) % 1 == 0.5
+            for a1, a2, b1, b2 in pairs
+        )
+    assert ties > 1000

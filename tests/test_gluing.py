@@ -24,6 +24,7 @@ from torusglue.gluing import (
 from torusglue.numerics import (
     EXACT,
     FLOAT,
+    ExactnessError,
     QuadScalar,
     as_float,
     scalar_abs,
@@ -116,17 +117,42 @@ def test_axioms_flag_degenerate_params():
     assert rep.violations[0].kind == "triangle"
 
 
-def test_exact_mode_falls_back_to_tolerances_on_float_points():
+def test_exact_mode_refuses_float_points():
     def float_point(rng):
         return random_glued_point(rng, 6, exact=False)
 
-    rep = check_metric_axioms(200, PARAMS, GRAM, mode=EXACT, seed=5, sampler=float_point)
-    assert rep.passed and rep.checks == 8 * 200
     bad = GluingParams(Fraction(2, 5), Fraction(1), strict=False)
     a, b, c = (GluedPoint(TorusPoint(0.0, 0.0), t) for t in (0.0, 1.0, None))
-    rep = check_metric_axioms(0, bad, GRAM, mode=EXACT, extra_triples=[(a, b, c)])
+    with pytest.raises(ExactnessError):
+        check_metric_axioms(200, PARAMS, GRAM, mode=EXACT, seed=5, sampler=float_point)
+    with pytest.raises(ExactnessError):
+        check_metric_axioms(0, bad, GRAM, mode=EXACT, extra_triples=[(a, b, c)])
+    # one float coordinate is enough
+    half = GluedPoint.cylinder(TorusPoint(Fraction(1, 3), 0.5), Fraction(0))
+    with pytest.raises(ExactnessError):
+        check_metric_axioms(0, PARAMS, GRAM, mode=EXACT, extra_triples=[(half, half, half)])
+
+    # float mode takes the same inputs and gives the verdicts exact mode once
+    # gave them by falling back to the tolerances
+    rep = check_metric_axioms(200, PARAMS, GRAM, mode=FLOAT, seed=5, sampler=float_point)
+    assert rep.passed and rep.checks == 8 * 200
+    rep = check_metric_axioms(0, bad, GRAM, mode=FLOAT, extra_triples=[(a, b, c)])
     assert [v.kind for v in rep.violations] == ["triangle"]
     assert rep.violations[0].slack == pytest.approx(0.2)
+    assert rep.violations[0].a is a and rep.violations[0].c is c
+
+
+def test_exact_nearest_refuses_float_points():
+    y = TorusPoint(0.25, Fraction(1, 3))
+    with pytest.raises(ExactnessError):
+        nearest_in_compact(GluedPoint.cylinder(y, Fraction(1)), PARAMS, GRAM, grid_n=10)
+    with pytest.raises(ExactnessError):
+        nearest_in_compact(GluedPoint.cylinder(TorusPoint.origin(), 0.5), PARAMS, GRAM, grid_n=10)
+    with pytest.raises(ExactnessError):
+        nearest_line_set(y, PARAMS, GRAM, grid_n=10)
+    # float mode answers for the same points
+    assert nearest_in_compact(GluedPoint.cylinder(y, 1.0), PARAMS, GRAM, grid_n=10, mode=FLOAT).y == y
+    assert nearest_line_set(y, PARAMS, GRAM, grid_n=10, mode=FLOAT).line_constant
 
 
 def test_counterexample_structure():

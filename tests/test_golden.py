@@ -53,6 +53,19 @@ RUNS = [
     ("non-closure.csv", ["non-closure", "--format", "csv"], 0),
     ("local-isometry.refused", ["local-isometry", "--t", "1/2", "--s", "0"], 1),
     ("x1-group.fine", ["x1-group", "--count", "5", "--eps", "1e-12"], 0),
+] + [
+    # float mode, whose distances all come from the numpy batch kernel
+    (f"{command}.float{suffix}", [command, *BASE[command], "--mode", "float", *extra], EXIT.get(command, 0))
+    for command in ("nearest", "isometry-check", "lift", "local-isometry", "counterexample")
+    for suffix, extra in (("", []), ("-gram", ["--gram", "2,1,3"]))
+] + [
+    # a Gram whose reduction has an entry above 1 (37)
+    (f"{command}.float-reduced", [command, *BASE[command], "--mode", "float", *extra, "--gram", "1,37,1370"], code)
+    for command, extra, code in (
+        ("nearest", [], 0),
+        ("lift", [], 0),
+        ("verify-metric", ["--R", "2/5", "--M", "1", "--allow-invalid-metric"], 1),
+    )
 ]
 
 

@@ -183,7 +183,7 @@ def test_density_report_multiple_epsilons():
     rep = density_report(target, LINE, [Fraction(1, 100), 1e-3], budget=5_000_000)
     assert rep.passed
     assert len(rep.hits) == 2
-    assert rep.method == "return-time scan"
+    assert rep.method == "first-entry search"
     ks = [h.k for h in rep.hits]
     assert ks[0] <= ks[1]  # tighter tolerance cannot need fewer returns
 
