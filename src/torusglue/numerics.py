@@ -476,14 +476,6 @@ def frac(x):
     return floor_frac(x)[1]
 
 
-def nearest_int(x) -> int:
-    if isinstance(x, float):
-        return math.floor(x + 0.5)
-    if isinstance(x, QuadScalar):
-        return (x + Fraction(1, 2)).floor()
-    return math.floor(x + Fraction(1, 2))
-
-
 def scalar_lt(x, y) -> bool:
     """Exact order when both operands are exact, float order otherwise."""
     if is_exact(x) and is_exact(y):

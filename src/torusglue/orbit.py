@@ -14,7 +14,10 @@ over the basis {1, sqrt(d)} refutes membership.
 
 from __future__ import annotations
 
+import bisect
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,50 +94,133 @@ def cf_expansion(x, n: int) -> list[int]:
     this module asks about them has a direct answer.
     """
     _require_irrational(x, "continued fraction input")
-    out = []
-    cur = x
-    for _ in range(n):
-        a = cur.floor()
-        out.append(a)
-        cur = (cur - a).reciprocal()
-    return out
-
-
-def _convergent_stream(x):
-    """Yield convergents one at a time, checking the classical invariants.
-
-    Each step checks gcd(p, q) = 1, strictly shrinking |q*x - p|, and
-    alternating defect signs; a failure means the exact arithmetic broke and
-    raises CertificationError.
-    """
-    _require_irrational(x, "continued fraction input")
-    p_prev, p_prev2 = 1, 0
-    q_prev, q_prev2 = 0, 1
-    prev_abs = None
-    prev_sign = 0
-    cur = x
-    while True:
-        a = cur.floor()
-        cur = (cur - a).reciprocal()
-        p = a * p_prev + p_prev2
-        q = a * q_prev + q_prev2
-        err = q * x - p
-        s = sign_of(err)
-        if math.gcd(p, q) != 1 or s == 0:
-            raise CertificationError(f"convergent {p}/{q} is not reduced or has zero defect")
-        if prev_abs is not None and (s != -prev_sign or not scalar_lt(scalar_abs(err), prev_abs)):
-            raise CertificationError(f"convergent {p}/{q} breaks the alternating, shrinking defect")
-        prev_sign = s
-        prev_abs = scalar_abs(err)
-        yield Convergent(p, q, err)
-        p_prev2, p_prev = p_prev, p
-        q_prev2, q_prev = q_prev, q
+    rot = _rotation(x)
+    return [rot.convergent(j)[0] for j in range(n)]
 
 
 def cf_convergents(x, n: int) -> list[Convergent]:
     """First n convergents via the standard recurrence."""
-    stream = _convergent_stream(x)
-    return [next(stream) for _ in range(n)]
+    _require_irrational(x, "continued fraction input")
+    rot = _rotation(x)
+    return [rot.convergent(j)[1] for j in range(n)]
+
+
+# -- one table per rotation ---------------------------------------------------------
+
+# rotations kept, least recently used first out
+_ROTATIONS_MAX = 64
+_ROTATIONS: OrderedDict = OrderedDict()
+# guards the dict and every table extension; entries are appended complete,
+# so a reader that finds an index already filled needs no lock
+_TABLE_LOCK = threading.Lock()
+
+
+class _Rotation:
+    """The continued fraction and first-entry levels of one quadratic irrational x.
+
+    Both lists only grow, on demand, and are shared by every caller that asks
+    about x: every target, eps and search level.
+
+    The partial quotients come from the integer recurrence for
+    x = (P + sqrt(N)) / Q with Q | N - P^2 (Perron 1913; Cohen 1993, ch. 5):
+    a = floor(x), P' = a*Q - P, Q' = (N - P'^2) / Q.  Each convergent p/q is
+    checked once as it is appended: gcd(p, q) = 1 and a defect q*x - p that
+    is nonzero, alternates in sign and strictly shrinks, or CertificationError.
+    """
+
+    __slots__ = ("x", "convergents", "levels", "_state")
+
+    def __init__(self, x: QuadScalar):
+        self.x = x
+        A, B, D, d = x._A, x._B, x._D, x.d
+        # x = (A*D + sqrt(d*B^2*D^2)) / D^2, with the sign of B moved into Q
+        s = 1 if B > 0 else -1
+        N = d * B * B * D * D
+        # (P, Q, isqrt(N), N, p_(j-1), p_(j-2), q_(j-1), q_(j-2))
+        self._state = (s * A * D, s * D * D, math.isqrt(N), N, 1, 0, 0, 1)
+        self.convergents: list[tuple[int, Convergent, object]] = []  # (a_j, p/q, err^2)
+        self.levels: list[tuple] = []  # (up, step, 1/step, next alpha)
+
+    def convergent(self, j: int) -> tuple[int, Convergent, object]:
+        """(a_j, convergent j, its squared defect), extending the table to j."""
+        table = self.convergents
+        if j >= len(table):
+            with _TABLE_LOCK:
+                while len(table) <= j:
+                    table.append(self._next_convergent())
+        return table[j]
+
+    def _next_convergent(self):
+        P, Q, r, N, p1, p2, q1, q2 = self._state
+        # floor((P + sqrt(N)) / Q) from isqrt; sqrt(N) is irrational
+        a = (P + r) // Q if Q > 0 else (P + r + 1) // Q
+        P = a * Q - P
+        Q = (N - P * P) // Q
+        p, q = a * p1 + p2, a * q1 + q2
+        err = q * self.x - p
+        s = sign_of(err)
+        if math.gcd(p, q) != 1 or s == 0:
+            raise CertificationError(f"convergent {p}/{q} is not reduced or has zero defect")
+        if self.convergents:
+            prev = self.convergents[-1][1].err
+            if s != -sign_of(prev) or not scalar_lt(scalar_abs(err), scalar_abs(prev)):
+                raise CertificationError(
+                    f"convergent {p}/{q} breaks the alternating, shrinking defect"
+                )
+        self._state = (P, Q, r, N, p, p1, q, q1)
+        return a, Convergent(p, q, err), err * err
+
+    def level(self, i: int) -> tuple:
+        """First-entry level i of the rotation by x, extending the chain to i.
+
+        Level 0 rotates by alpha = x in (0, 1).  A level with alpha < 1/2 steps
+        up by alpha and hands on frac(-1/alpha); one with alpha > 1/2 steps by
+        beta = 1 - alpha and hands on frac(1/beta).  See `_first_entry`.
+        """
+        chain = self.levels
+        if i >= len(chain):
+            with _TABLE_LOCK:
+                while len(chain) <= i:
+                    alpha = chain[-1][3] if chain else self.x
+                    up = scalar_lt(2 * alpha, 1)
+                    step = alpha if up else 1 - alpha
+                    inv = step.reciprocal()
+                    chain.append((up, step, inv, frac(-inv if up else inv)))
+        return chain[i]
+
+
+def _rotation(x: QuadScalar) -> _Rotation:
+    """The shared table of x, keyed by its normalized integer triple."""
+    key = (x._A, x._B, x._D, x.d)
+    with _TABLE_LOCK:
+        rot = _ROTATIONS.get(key)
+        if rot is None:
+            rot = _ROTATIONS[key] = _Rotation(x)
+            if len(_ROTATIONS) > _ROTATIONS_MAX:
+                _ROTATIONS.popitem(last=False)
+        else:
+            _ROTATIONS.move_to_end(key)
+    return rot
+
+
+def _sharp_index(rot: _Rotation, bound, n: int) -> int | None:
+    """Least j < n whose squared defect is below bound, or None.
+
+    The checked defects shrink strictly, so the sharp indices form a suffix:
+    when the last cached entry below n is sharp, gallop from 0 and bisect
+    over the cache; otherwise extend the table one entry at a time past it.
+    """
+
+    def sharp(j):
+        return rot.convergent(j)[2] < bound
+
+    cached = min(len(rot.convergents), n)
+    if cached and sharp(cached - 1):
+        lo, hi = -1, 0
+        while not sharp(hi):
+            lo, hi = hi, min(2 * hi + 1, cached - 1)
+        return bisect.bisect_left(range(hi), True, lo + 1, hi, key=sharp)
+    return next((j for j in range(cached, n) if sharp(j)), None)
 
 
 # -- density: approach witnesses ----------------------------------------------------
@@ -190,15 +276,13 @@ def circle_density_hit(
         return CircleHit(target, eps, 0, frac(x0), d0, sqrt_as_float(d0), None)
     if max_terms is None:
         max_terms = math.ceil(g_axis / eps_sq).bit_length() + 1
-    conv = None
-    stream = _convergent_stream(theta)
-    for _ in range(max_terms):
-        c = next(stream)
-        if scalar_lt(c.err * c.err * g_axis, eps_sq):
-            conv = c
-            break
-    if conv is None:
+    # d0 >= eps^2 > 0 here, so g_axis > 0 and delta^2 * g_axis < eps^2 reads
+    # delta^2 < eps^2 / g_axis
+    rot = _rotation(theta)
+    j = _sharp_index(rot, eps_sq / g_axis, max_terms)
+    if j is None:
         raise ValueError(f"no convergent within {max_terms} terms is sharp enough for eps={eps}")
+    conv = rot.convergent(j)[1]
     delta = conv.err
     if sign_of(delta) > 0:
         m = (w / delta).floor()
@@ -259,25 +343,27 @@ def _first_entry(alpha, c, width) -> int:
     The blocks increase with m, so the least m gives the least k.  The step
     is at most 1/2, so the window at least doubles per level and a window
     of width w needs at most log2(1/w) + 1 levels, unwound from the inside.
+    The chain of rotations depends on alpha alone and comes from its shared
+    table (`_Rotation.level`); a search only carries c and width down it.
     """
-    levels = []
+    rot = _rotation(alpha)
+    offsets = []
     k = 0
-    while not scalar_lt(c, width):
-        if scalar_lt(2 * alpha, 1):
-            inv = alpha.reciprocal()
-            levels.append((alpha, 1 - c, True))
-            c, alpha = frac((c - 1) * inv), frac(-inv)
+    while not c < width:
+        up, step, inv, _ = rot.level(len(offsets))
+        if up:
+            offsets.append(1 - c)
+            c = frac((c - 1) * inv)
         else:
-            step = 1 - alpha
-            if not scalar_lt(width, step):
-                k = ((c - width) / step).floor() + 1
+            if not width < step:
+                k = ((c - width) * inv).floor() + 1
                 break
-            inv = step.reciprocal()
-            levels.append((step, c, False))
-            c, alpha = frac(c * inv), frac(inv)
+            offsets.append(c)
+            c = frac(c * inv)
         width = width * inv
-    for step, offset, up in reversed(levels):
-        y = (k + offset) / step
+    for i in reversed(range(len(offsets))):
+        up, _, inv, _ = rot.levels[i]
+        y = (k + offsets[i]) * inv
         k = -(-y).floor() if up else y.floor()
     return k
 

@@ -30,6 +30,8 @@ from torusglue.orbit import (
 from torusglue.report import canonical_json, density_csv
 from torusglue.torus import GramMatrix, OneParamSubgroup, TorusPoint, torus_distance_sq
 
+from oracles import BRUTE_K, brute_first
+
 LINE = OneParamSubgroup.canonical(QuadScalar(0, 1, 2))
 
 
@@ -123,21 +125,6 @@ def test_search_matches_scan_on_the_canonical_line(gram, eps_exp):
 
 # -- the first-entry step against brute force ------------------------------------------
 
-BRUTE_K = 10**4
-
-
-def _brute_first(alpha, x, inside):
-    """Least k < BRUTE_K with inside(frac(x + k*alpha)), by exact stepping, or None."""
-    v = frac(x)
-    for k in range(BRUTE_K):
-        if inside(v):
-            return k
-        v = v + alpha
-        if v >= 1:
-            v = v - 1
-    return None
-
-
 slopes = st.builds(
     lambda a, b, sign, d: frac(QuadScalar(Fraction(a, 7), Fraction(sign * b, 5), d)),
     st.integers(-20, 20), st.integers(1, 12), st.sampled_from((-1, 1)), st.sampled_from((2, 3, 5)),
@@ -146,7 +133,7 @@ rationals = st.builds(Fraction, st.integers(0, 2000), st.integers(1, 2000))
 
 
 def _check_first_entry(alpha, c, width):
-    want = _brute_first(alpha, c, lambda v: v < width)
+    want = brute_first(alpha, c, lambda v: v < width)
     got = _first_entry(alpha, c, width)
     if want is None:
         assert got >= BRUTE_K
@@ -191,7 +178,7 @@ def test_window_search_matches_brute_force(alpha, x, window):
     """The reduction torus_density_hit makes: [lo, hi) mod 1 becomes frac(x - lo) < width."""
     lo, width = window
     x = frac(x)
-    want = _brute_first(alpha, x, _inside(lo, lo + width))
+    want = brute_first(alpha, x, _inside(lo, lo + width))
     got = _first_entry(alpha, frac(x - lo), width)
     if want is None:
         assert got >= BRUTE_K

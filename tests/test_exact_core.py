@@ -25,12 +25,13 @@ from torusglue.numerics import (
     float_with_error,
     format_scalar,
     frac,
-    nearest_int,
     parse_scalar,
     sqrt_as_float,
 )
 from torusglue.orbit import circle_density_hit
 from torusglue.torus import GramMatrix, TorusPoint, naive_torus_distance_sq, torus_distance_sq
+
+from oracles import nearest_int
 
 BIG = 10**40
 FIELDS = (2, 3, 5, 6, 7, 10, 11)

@@ -28,7 +28,7 @@ from torusglue.gluing import (
     _float_point,
     check_metric_axioms,
 )
-from torusglue.numerics import FLOAT, ScalarMode, as_float, nearest_int
+from torusglue.numerics import FLOAT, ScalarMode, as_float
 from torusglue.report import canonical_json
 from torusglue.torus import (
     _BATCH_CHUNK,
@@ -37,6 +37,8 @@ from torusglue.torus import (
     batch_torus_distance_sq,
     torus_distance_sq,
 )
+
+from oracles import nearest_int
 
 GRAMS = {"identity": GramMatrix.identity(), "skewed": GramMatrix(2, 1, 3)}
 KERNEL_GRAMS = {**GRAMS, "reduced": GramMatrix("7/3", "-5/4", "11/5")}

@@ -24,7 +24,6 @@ from torusglue.numerics import (
     frac,
     is_exact,
     is_square_free,
-    nearest_int,
     parse_scalar,
     rational_interval,
     require_exact,
@@ -36,6 +35,8 @@ from torusglue.numerics import (
     sqrt_interval,
 )
 from torusglue.sampling import rng_for
+
+from oracles import nearest_int
 
 SQRT2 = QuadScalar(0, 1, 2)
 
