@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .gluing import Distance, GluedPoint, GluingParams, WindingPoint, glued_distance, winding_distance
-from .numerics import DEFAULT_D, EXACT, CertificationError, ScalarMode, as_float, require_exact
+from .numerics import DEFAULT_D, EXACT, CertificationError, ScalarMode, _check_d, as_float, require_exact
 from .report import Record
 from .sampling import random_glued_point, random_torus_point, random_winding_point, rng_for
 from .torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint
@@ -92,8 +93,7 @@ class TorusIsometry(Record):
         return cls(TorusPoint.origin(), True)
 
     def apply(self, y: TorusPoint) -> TorusPoint:
-        base = y.invert() if self.inverts else y
-        return base.translate(self.x)
+        return y.inverted_translate(self.x) if self.inverts else y.translate(self.x)
 
     def compose(self, other: "TorusIsometry") -> "TorusIsometry":
         # x_s + e_s (x_o + e_o y) = (x_s + e_s x_o) + e_s e_o y
@@ -160,9 +160,6 @@ class LiftedIsometry(Record):
         if p.is_compact:
             return WindingPoint.torus(self.torus_part.apply(p.y))
         return WindingPoint.line(self.line_part.apply(p.t))
-
-    def as_product(self) -> ProductIsometry:
-        return ProductIsometry(self.torus_part, self.line_part)
 
     def compose(self, other: "LiftedIsometry") -> "LiftedIsometry":
         if other.subgroup != self.subgroup:
@@ -233,13 +230,15 @@ def verify_isometry(
     space: str = "glued",
     subgroup: OneParamSubgroup | None = None,
     max_recorded: int = 25,
+    d: int = DEFAULT_D,
 ) -> VerificationReport:
     """Check d(f(p), f(q)) == d(p, q) on seeded sample pairs.
 
     Exact mode demands equal distance components; float mode allows
     mode.identity_eps of drift.  `apply_map` is any callable on points of
-    the chosen space ('glued' or 'winding').  Exact winding-space samples
-    are drawn over the subgroup's slope field.
+    the chosen space ('glued' or 'winding').  Exact glued-space samples are
+    drawn over sqrt(d), exact winding-space samples over the subgroup's
+    slope field.
     """
     if space == "winding":
         if subgroup is None:
@@ -260,7 +259,9 @@ def verify_isometry(
             return glued_distance(p, q, params, gram)
 
         def sample(rng):
-            return random_glued_point(rng, 3 * max(1, int(as_float(params.M))), exact=mode.exact)
+            return random_glued_point(
+                rng, 3 * max(1, int(as_float(params.M))), exact=mode.exact, d=d
+            )
 
     else:
         raise ValueError("space must be 'glued' or 'winding'")
@@ -285,18 +286,30 @@ def verify_isometry(
 # -- decomposition -----------------------------------------------------------------
 
 
-def _fit_torus_action(images: list[tuple[TorusPoint, TorusPoint]]) -> TorusIsometry:
-    """Identify y -> x + y or y -> x - y from probe images, exactly."""
-    base_in, base_out = images[0]
-    x_translate = base_out.translate(base_in.invert())
-    if all(out == y.translate(x_translate) for y, out in images):
-        return TorusIsometry.translation(x_translate)
-    x_invert = base_out.translate(base_in)
-    if all(out == y.invert().translate(x_invert) for y, out in images):
-        return TorusIsometry(x_invert, True)
-    raise TorusActionError(
-        "torus action is neither a translation nor an inverted translation"
-    )
+def _fit_torus_action(
+    probes: list[TorusPoint], images: list[TorusPoint]
+) -> tuple[TorusIsometry, list[TorusPoint]]:
+    """Identify y -> x + y or y -> x - y from probe images, exactly; returns
+    the fitted isometry and its image of each probe."""
+    for inverts in (False, True):
+        x = images[0].translate(probes[0]) if inverts else probes[0].inverted_translate(images[0])
+        fitted, expected = TorusIsometry(x, inverts), []
+        for y, out in zip(probes, images):
+            expected.append(fitted.apply(y))
+            if expected[-1] != out:
+                break
+        else:
+            return fitted, expected
+    raise TorusActionError("torus action is neither a translation nor an inverted translation")
+
+
+_PROBES = (
+    TorusPoint.origin(),
+    TorusPoint(Fraction(1, 4), Fraction(1, 8)),
+    TorusPoint(Fraction(1, 3), Fraction(1, 5)),
+    TorusPoint(Fraction(5, 8), Fraction(2, 7)),
+)
+_HEIGHTS = (Fraction(0), Fraction(1), Fraction(1, 3))
 
 
 def decompose_isometry(
@@ -315,62 +328,66 @@ def decompose_isometry(
     ProductFormError if different lines see different height maps or the
     final cross-check fails, and TorusActionError for torus actions outside
     the recognized family.  The seeded extra probes are drawn over sqrt(d).
+
+    The map is called once per distinct point: each probe y and (y, t) at
+    three heights, 32 calls with the default 8 probes.  The cross-check
+    compares each recorded image with the fitted form in every component.
+    Seeded probes are drawn only after the 4 fixed ones pass the sheet
+    check, so a sheet swap is rejected after one call and no draw.
     """
-    probes = [
-        TorusPoint.origin(),
-        TorusPoint(Fraction(1, 4), Fraction(1, 8)),
-        TorusPoint(Fraction(1, 3), Fraction(1, 5)),
-        TorusPoint(Fraction(5, 8), Fraction(2, 7)),
-    ]
-    for i in range(extra_probes):
-        probes.append(random_torus_point(rng_for(seed, i), exact=True, d=d))
+    if extra_probes > 0:
+        _check_d(d)
+    seeded = (random_torus_point(rng_for(seed, i), exact=True, d=d) for i in range(extra_probes))
 
     # sheets must be preserved
-    torus_images = []
-    for y in probes:
+    probes, compact_images = [], []
+    for y in chain(_PROBES, seeded):
         img = apply_map(GluedPoint.compact(y))
         if not img.is_compact:
             raise ComponentSwapError("a torus point landed on the cylinder")
-        torus_images.append((y, img.y))
-    t_probes = (Fraction(0), Fraction(1), Fraction(1, 3))
+        probes.append(y)
+        compact_images.append(img)
+    line_images = []  # line_images[i][j] is the image of (probes[i], _HEIGHTS[j])
     line_maps = []
     for y in probes[:3]:
-        heights = []
-        for t in t_probes:
+        images = []
+        for t in _HEIGHTS:
             img = apply_map(GluedPoint.cylinder(y, t))
             if img.is_compact:
                 raise ComponentSwapError("a cylinder point landed on the torus")
-            heights.append(img.t)
-        c = heights[0]
-        sgn = heights[1] - c
-        if sgn == 1:
-            sign = 1
-        elif sgn == -1:
-            sign = -1
-        else:
+            images.append(img)
+        line_images.append(images)
+        c, one, third = (img.t for img in images)
+        if one - c not in (1, -1):
             raise LineActionError("height map does not move unit steps to unit steps")
-        if heights[2] != c + sign * Fraction(1, 3):
+        sign = 1 if one - c == 1 else -1
+        if third != c + sign * Fraction(1, 3):
             raise LineActionError("height map is not affine with slope +-1")
         line_maps.append(LineIsometry(sign, c))
     if any(lm != line_maps[0] for lm in line_maps):
         raise ProductFormError("different cylinder lines induce different height maps")
 
-    candidate = ProductIsometry(_fit_torus_action(torus_images), line_maps[0])
+    torus_part, expected = _fit_torus_action(probes, [img.y for img in compact_images])
+    line_part = line_maps[0]
 
-    # cross-check the candidate against the black box on mixed probes
-    check_points = [GluedPoint.compact(y) for y in probes]
-    check_points += [GluedPoint.cylinder(y, t) for y in probes for t in t_probes]
-    for p in check_points:
-        expect = candidate.apply(p)
-        got = apply_map(p)
-        pairs = [(expect.y.u1, got.y.u1), (expect.y.u2, got.y.u2)]
-        if not expect.is_compact:
-            pairs.append((expect.t, got.t))
-        if expect.is_compact != got.is_compact or not all(
-            mode.equal(x, y, mode.eps) for x, y in pairs
+    # cross-check every image against the fitted product form: the compact
+    # probes, then each probe's line; only the lines of probes[3:] are new
+    def check(expect: TorusPoint, height, got: GluedPoint) -> None:
+        if got.is_compact != (height is None) or not (
+            mode.equal(expect.u1, got.y.u1, mode.eps)
+            and mode.equal(expect.u2, got.y.u2, mode.eps)
+            and (height is None or mode.equal(height, got.t, mode.eps))
         ):
             raise ProductFormError("map disagrees with its fitted product form")
-    return candidate
+
+    for expect, got in zip(expected, compact_images):
+        check(expect, None, got)
+    heights = [line_part.apply(t) for t in _HEIGHTS]
+    for i, (y, expect) in enumerate(zip(probes, expected)):
+        for j, t in enumerate(_HEIGHTS):
+            got = line_images[i][j] if i < len(line_images) else apply_map(GluedPoint.cylinder(y, t))
+            check(expect, heights[j], got)
+    return ProductIsometry(torus_part, line_part)
 
 
 # -- the discrete family preserving a coordinate circle -----------------------------

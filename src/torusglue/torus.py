@@ -131,16 +131,56 @@ class GramMatrix(Record):
         return sqrt_as_float(self.systole_sq())
 
 
+def _unit(x):
+    """x mod 1 in x's type.  A float 1.0, which a tiny negative x gives
+    (-1e-20 - floor(-1e-20) rounds to 1), becomes 0.0: the same torus point."""
+    r = floor_frac(x)[1]
+    return 0.0 if isinstance(r, float) and r == 1.0 else r
+
+
+def _plus(u, x):
+    """u + x mod 1 for u, x in [0, 1)."""
+    s = u + x
+    if isinstance(s, float):
+        return _unit(s)
+    return s - 1 if s >= 1 else s
+
+
+def _negated(u):
+    """-u mod 1 for u in [0, 1)."""
+    if isinstance(u, float):
+        return _unit(-u)
+    return 1 - u if u else u
+
+
+def _minus(x, y):
+    """x - y mod 1 for x, y in [0, 1), as `_plus(_negated(y), x)` gives it.
+    Exact values take one sum, -y + x, whose operand order keeps the field
+    index that path gives."""
+    if isinstance(x, float) or isinstance(y, float):
+        return _plus(_negated(y), x)
+    s = -y + x
+    return s + 1 if s < 0 else s
+
+
 @dataclass(frozen=True)
 class TorusPoint(Record):
-    """Point of R^2/Z^2 with both coordinates reduced to [0, 1)."""
+    """Point of R^2/Z^2 with both coordinates reduced to [0, 1).
+
+    The constructor reduces any input with `floor_frac`.  `translate`,
+    `invert` and `inverted_translate` skip that on exact coordinates, which
+    are already reduced: u + x lies in [0, 2) and takes one exactly decided
+    conditional - 1, -u is 1 - u or 0, and x - u lies in (-1, 1) and takes
+    one conditional + 1.  The value, type and field index are those the
+    constructor gives; a float coordinate still goes through it, bit for bit.
+    """
 
     u1: object
     u2: object
 
     def __post_init__(self):
-        object.__setattr__(self, "u1", floor_frac(self.u1)[1])
-        object.__setattr__(self, "u2", floor_frac(self.u2)[1])
+        object.__setattr__(self, "u1", _unit(self.u1))
+        object.__setattr__(self, "u2", _unit(self.u2))
 
     @classmethod
     def origin(cls) -> "TorusPoint":
@@ -150,10 +190,14 @@ class TorusPoint(Record):
         return is_exact(self.u1) and is_exact(self.u2)
 
     def translate(self, other: "TorusPoint") -> "TorusPoint":
-        return TorusPoint(self.u1 + other.u1, self.u2 + other.u2)
+        return _point(_plus(self.u1, other.u1), _plus(self.u2, other.u2))
 
     def invert(self) -> "TorusPoint":
-        return TorusPoint(-self.u1, -self.u2)
+        return _point(_negated(self.u1), _negated(self.u2))
+
+    def inverted_translate(self, other: "TorusPoint") -> "TorusPoint":
+        """other - self: `self.invert().translate(other)` in one step."""
+        return _point(_minus(other.u1, self.u1), _minus(other.u2, self.u2))
 
     def delta(self, other: "TorusPoint"):
         """Raw coordinate difference other - self, one representative per axis."""
@@ -161,6 +205,13 @@ class TorusPoint(Record):
 
     def as_floats(self) -> tuple[float, float]:
         return as_float(self.u1), as_float(self.u2)
+
+
+def _point(u1, u2) -> TorusPoint:
+    """A TorusPoint of coordinates already in [0, 1), not reduced again."""
+    p = object.__new__(TorusPoint)
+    p.__dict__.update(u1=u1, u2=u2)
+    return p
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Each oracle is the plain form of something the package computes faster:
 QuadScalar continued fractions and first-entry levels recomputed on every
-call, exact stepping for first entries, and rounding to the nearest integer.
+call, exact stepping for first entries, rounding to the nearest integer, and
+torus translates and inversions built by re-reducing the raw coordinates.
 """
 
 import math
@@ -94,3 +95,42 @@ def brute_first(alpha, x, inside):
         if v >= 1:
             v = v - 1
     return None
+
+
+# -- torus points by re-reduction ---------------------------------------------------
+#
+# Before reduced points skipped it, every torus translate and inversion built
+# its result by reducing the raw coordinates with floor_frac.  These oracles
+# keep that construction; they return coordinate pairs.
+
+
+def reduced(u1, u2) -> tuple:
+    return frac(u1), frac(u2)
+
+
+def translate(p, q) -> tuple:
+    return reduced(p.u1 + q.u1, p.u2 + q.u2)
+
+
+def invert(p) -> tuple:
+    return reduced(-p.u1, -p.u2)
+
+
+def inverted_translate(y, x) -> tuple:
+    """x - y as the invert-then-translate composition: frac(frac(-y) + x)."""
+    n1, n2 = invert(y)
+    return reduced(n1 + x.u1, n2 + x.u2)
+
+
+def torus_apply(iso, y) -> tuple:
+    return inverted_translate(y, iso.x) if iso.inverts else translate(y, iso.x)
+
+
+def torus_compose(s, o) -> tuple:
+    """(x, inverts) of s after o: x_s + e_s x_o and e_s e_o."""
+    if s.inverts:
+        n1, n2 = invert(o.x)
+        x = reduced(s.x.u1 + n1, s.x.u2 + n2)
+    else:
+        x = translate(s.x, o.x)
+    return x, s.inverts != o.inverts

@@ -2,12 +2,16 @@
 
 Decomposition is exercised on genuine product isometries and on four
 impostor maps, each of which must be rejected with its own error class.
+Counting black boxes pin its evaluation contract: each distinct point is
+mapped once, the cross-check reuses the recorded images, and the seeded
+probes are drawn only after the fixed ones pass.
 """
 
 from fractions import Fraction
 
 import pytest
 
+import torusglue.isometry as isometry
 from torusglue.gluing import GluedPoint, GluingParams, WindingPoint
 from torusglue.isometry import (
     ComponentSwapError,
@@ -25,7 +29,7 @@ from torusglue.isometry import (
     verify_isometry,
 )
 from torusglue.numerics import EXACT, FLOAT, QuadScalar, frac, sign_of
-from torusglue.sampling import random_product_isometry, rng_for
+from torusglue.sampling import random_product_isometry, random_torus_point, rng_for
 from torusglue.torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint
 
 SQRT2 = QuadScalar(0, 1, 2)
@@ -234,3 +238,93 @@ def test_verify_isometry_catches_fake():
     assert not rep.passed
     assert rep.failures_total > 0
     assert rep.failures[0].d_before is not None
+
+
+def counting(apply_map):
+    """apply_map with the list of points it was called on."""
+    calls = []
+
+    def wrapped(p):
+        calls.append(p)
+        return apply_map(p)
+
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_decompose_maps_each_distinct_point_once(d):
+    for i in range(6):
+        iso = random_product_isometry(rng_for(404, i), d)
+        apply_map, calls = counting(iso.apply)
+        assert decompose_isometry(apply_map, PARAMS, GRAM, seed=i, d=d) == iso
+        assert len(calls) == 32  # 8 probes, each on the torus and at 3 heights
+        assert len(set(calls)) == 32
+
+
+def test_swap_is_rejected_before_any_seeded_draw(monkeypatch):
+    draws = []
+
+    def draw(*args, **kwargs):
+        draws.append(args)
+        return random_torus_point(*args, **kwargs)
+
+    monkeypatch.setattr(isometry, "random_torus_point", draw)
+    def swap(p):
+        return GluedPoint.cylinder(p.y, Fraction(0)) if p.is_compact else GluedPoint.compact(p.y)
+
+    swap, calls = counting(swap)
+    with pytest.raises(ComponentSwapError):
+        decompose_isometry(swap, PARAMS, GRAM, seed=5)
+    assert len(calls) == 1 and draws == []
+    iso = random_product_isometry(rng_for(405, 0))
+    assert decompose_isometry(iso.apply, PARAMS, GRAM, seed=5) == iso
+    assert len(draws) == 4
+
+
+def test_decompose_checks_d_before_mapping():
+    apply_map, calls = counting(ProductIsometry.identity().apply)
+    with pytest.raises(ValueError, match="square-free"):
+        decompose_isometry(apply_map, PARAMS, GRAM, d=4)
+    assert calls == []
+
+
+def wrong_at(iso, probe, t, part):
+    """iso.apply, except at the cylinder point (probe, t), whose torus or
+    height component is moved."""
+
+    def apply_map(p):
+        img = iso.apply(p)
+        if p.is_compact or p.y != probe or p.t != t:
+            return img
+        if part == "torus":
+            return GluedPoint.cylinder(img.y.translate(TorusPoint(Fraction(1, 2), Fraction(0))), img.t)
+        return GluedPoint.cylinder(img.y, img.t + 1)
+
+    return apply_map
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(1), Fraction(1, 3)])
+def test_decompose_checks_the_torus_part_of_reused_cylinder_images(index, t):
+    iso = random_product_isometry(rng_for(406, index))
+    probe = isometry._PROBES[index]
+    with pytest.raises(ProductFormError):
+        decompose_isometry(wrong_at(iso, probe, t, "torus"), PARAMS, GRAM, seed=3)
+
+
+@pytest.mark.parametrize("part", ["torus", "height"])
+def test_decompose_checks_seeded_probe_lines(part):
+    seed = 11
+    iso = random_product_isometry(rng_for(407, 0))
+    for i in range(4):
+        probe = random_torus_point(rng_for(seed, i), exact=True)
+        apply_map = wrong_at(iso, probe, Fraction(1, 3), part)
+        with pytest.raises(ProductFormError):
+            decompose_isometry(apply_map, PARAMS, GRAM, seed=seed)
+
+
+def test_verify_isometry_glued_samples_follow_d():
+    iso = random_product_isometry(rng_for(408, 0), 3)
+    rep = verify_isometry(iso.apply, 20, PARAMS, GRAM, mode=EXACT, seed=4, d=3)
+    assert rep.passed and rep.samples == 20
+    assert decompose_isometry(iso.apply, PARAMS, GRAM, seed=4, d=3) == iso
