@@ -406,12 +406,21 @@ class QuadScalar:
     # -- formatting ------------------------------------------------------------
 
     def __str__(self) -> str:
+        D = self._D
         if self._B == 0:
-            return str(self.a)
-        return f"{self.a} + {self.b}*sqrt({self.d})"
+            return _ratio_text(self._A, D)
+        return f"{_ratio_text(self._A, D)} + {_ratio_text(self._B, D)}*sqrt({self.d})"
 
     def __repr__(self) -> str:
         return f"QuadScalar({self.a}, {self.b}, d={self.d})"
+
+
+def _ratio_text(n: int, D: int) -> str:
+    """str(Fraction(n, D)) for D > 0: the reduced 'n/D', or 'n' over 1."""
+    g = math.gcd(n, D)
+    if g == D:
+        return str(n // D)
+    return f"{n // g}/{D // g}"
 
 
 _alloc = object.__new__
@@ -423,6 +432,11 @@ _set_d = QuadScalar.d.__set__
 
 def _quotient(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int, d: int) -> QuadScalar:
     """(A1 + B1*sqrt(d))/D1 divided by (A2 + B2*sqrt(d))/D2, via the conjugate."""
+    return _reduced(*_divided(A1, B1, D1, A2, B2, D2, d), d)
+
+
+def _divided(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int, d: int) -> tuple[int, int, int]:
+    """The quotient of `_quotient` as a triple (A, B, den) with den > 0, not reduced."""
     if B2 == 0:
         if A2 == 0:
             raise ZeroDivisionError("division by zero scalar")
@@ -433,8 +447,8 @@ def _quotient(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int, d: int) -> Q
         B = D2 * (B1 * A2 - A1 * B2)
         den = D1 * (A2 * A2 - d * B2 * B2)
     if den < 0:
-        A, B, den = -A, -B, -den
-    return _reduced(A, B, den, d)
+        return -A, -B, -den
+    return A, B, den
 
 
 # -- generic scalar helpers (QuadScalar | Fraction | int | float) --------------

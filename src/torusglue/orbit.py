@@ -28,6 +28,10 @@ from .numerics import (
     FieldMismatchError,
     QuadScalar,
     ScalarMode,
+    _divided,
+    _floor,
+    _sign,
+    _triple,
     as_float,
     frac,
     require_exact,
@@ -54,13 +58,18 @@ def _exact_eps(e) -> Fraction:
     return Fraction(e)
 
 
+def _field_triple(x, d: int) -> tuple[int, int, int]:
+    """(A, B, D) of an exact scalar x = (A + B*sqrt(d)) / D in the field of sqrt(d)."""
+    A, B, D, xd = _triple(x)
+    if B and xd != d:
+        raise FieldMismatchError(f"scalar lives in sqrt({xd}), expected sqrt({d})")
+    return A, B, D
+
+
 def _radical_parts(x, d: int) -> tuple[Fraction, Fraction]:
     """Coordinates of x in the basis (1, sqrt(d))."""
-    if isinstance(x, QuadScalar):
-        if x.b != 0 and x.d != d:
-            raise FieldMismatchError(f"scalar lives in sqrt({x.d}), expected sqrt({d})")
-        return x.a, x.b
-    return Fraction(x), Fraction(0)
+    A, B, D = _field_triple(x, d)
+    return Fraction(A, D), Fraction(B, D)
 
 
 def _require_irrational(x, what: str) -> None:
@@ -110,6 +119,8 @@ def cf_convergents(x, n: int) -> list[Convergent]:
 # rotations kept, least recently used first out
 _ROTATIONS_MAX = 64
 _ROTATIONS: OrderedDict = OrderedDict()
+# sharp indices memoized per rotation, oldest first out
+_SHARP_MAX = 64
 # guards the dict and every table extension; entries are appended complete,
 # so a reader that finds an index already filled needs no lock
 _TABLE_LOCK = threading.Lock()
@@ -121,6 +132,9 @@ class _Rotation:
     Both lists only grow, on demand, and are shared by every caller that asks
     about x: every target, eps and search level.
 
+    A third table, `sharp`, memoizes the least sharp convergent index per
+    bound (see `_sharp_index`).
+
     The partial quotients come from the integer recurrence for
     x = (P + sqrt(N)) / Q with Q | N - P^2 (Perron 1913; Cohen 1993, ch. 5):
     a = floor(x), P' = a*Q - P, Q' = (N - P'^2) / Q.  Each convergent p/q is
@@ -128,7 +142,7 @@ class _Rotation:
     is nonzero, alternates in sign and strictly shrinks, or CertificationError.
     """
 
-    __slots__ = ("x", "convergents", "levels", "_state")
+    __slots__ = ("x", "convergents", "levels", "sharp", "_state")
 
     def __init__(self, x: QuadScalar):
         self.x = x
@@ -139,7 +153,9 @@ class _Rotation:
         # (P, Q, isqrt(N), N, p_(j-1), p_(j-2), q_(j-1), q_(j-2))
         self._state = (s * A * D, s * D * D, math.isqrt(N), N, 1, 0, 0, 1)
         self.convergents: list[tuple[int, Convergent, object]] = []  # (a_j, p/q, err^2)
-        self.levels: list[tuple] = []  # (up, step, 1/step, next alpha)
+        # (up, step as (A, B, D), 1/step as (A, B, D), next alpha)
+        self.levels: list[tuple] = []
+        self.sharp: dict = {}  # bound -> least j with err_j^2 < bound
 
     def convergent(self, j: int) -> tuple[int, Convergent, object]:
         """(a_j, convergent j, its squared defect), extending the table to j."""
@@ -181,11 +197,12 @@ class _Rotation:
         if i >= len(chain):
             with _TABLE_LOCK:
                 while len(chain) <= i:
-                    alpha = chain[-1][3] if chain else self.x
+                    alpha = chain[-1][-1] if chain else self.x
                     up = scalar_lt(2 * alpha, 1)
                     step = alpha if up else 1 - alpha
                     inv = step.reciprocal()
-                    chain.append((up, step, inv, frac(-inv if up else inv)))
+                    next_alpha = frac(-inv if up else inv)
+                    chain.append((up, step._A, step._B, step._D, inv._A, inv._B, inv._D, next_alpha))
         return chain[i]
 
 
@@ -209,18 +226,31 @@ def _sharp_index(rot: _Rotation, bound, n: int) -> int | None:
     The checked defects shrink strictly, so the sharp indices form a suffix:
     when the last cached entry below n is sharp, gallop from 0 and bisect
     over the cache; otherwise extend the table one entry at a time past it.
+    A j found below some n is the least sharp index of the whole stream, so
+    it is memoized per bound and compared with each later caller's n.
     """
+    j = rot.sharp.get(bound)  # a dict read needs no lock; writes take it
+    if j is None:
 
-    def sharp(j):
-        return rot.convergent(j)[2] < bound
+        def sharp(j):
+            return rot.convergent(j)[2] < bound
 
-    cached = min(len(rot.convergents), n)
-    if cached and sharp(cached - 1):
-        lo, hi = -1, 0
-        while not sharp(hi):
-            lo, hi = hi, min(2 * hi + 1, cached - 1)
-        return bisect.bisect_left(range(hi), True, lo + 1, hi, key=sharp)
-    return next((j for j in range(cached, n) if sharp(j)), None)
+        cached = min(len(rot.convergents), n)
+        if cached and sharp(cached - 1):
+            lo, hi = -1, 0
+            while not sharp(hi):
+                lo, hi = hi, min(2 * hi + 1, cached - 1)
+            j = bisect.bisect_left(range(hi), True, lo + 1, hi, key=sharp)
+        else:
+            j = next((j for j in range(cached, n) if sharp(j)), None)
+            if j is None:
+                return None
+        with _TABLE_LOCK:
+            memo = rot.sharp
+            if len(memo) >= _SHARP_MAX:
+                del memo[next(iter(memo))]
+            memo[bound] = j
+    return j if j < n else None
 
 
 # -- density: approach witnesses ----------------------------------------------------
@@ -284,10 +314,12 @@ def circle_density_hit(
         raise ValueError(f"no convergent within {max_terms} terms is sharp enough for eps={eps}")
     conv = rot.convergent(j)[1]
     delta = conv.err
-    if sign_of(delta) > 0:
-        m = (w / delta).floor()
-    else:
-        m = ((w - 1) / delta).floor()
+    d = delta.d
+    wA, wB, wD = _field_triple(w, d)
+    if _sign(delta._A, delta._B, d) < 0:
+        wA -= wD  # w - 1
+    # m = floor(w / delta), or floor((w - 1) / delta) for delta < 0
+    m = _floor(*_divided(wA, wB, wD, delta._A, delta._B, delta._D, d), d)
     k = m * conv.q
     position = frac(x0 + k * theta)
     dist_sq = _circle_dist_sq(frac(position - target), g_axis)
@@ -344,27 +376,48 @@ def _first_entry(alpha, c, width) -> int:
     is at most 1/2, so the window at least doubles per level and a window
     of width w needs at most log2(1/w) + 1 levels, unwound from the inside.
     The chain of rotations depends on alpha alone and comes from its shared
-    table (`_Rotation.level`); a search only carries c and width down it.
+    table (`_Rotation.level`), which holds each level's step and 1/step as
+    integer triples.  A search carries c and width down it as normalized
+    triples (A, B, D) over Q(sqrt d): a level costs one product, one gcd and
+    one floor per triple, and each comparison is the sign of a
+    cross-multiplied difference.  No scalar objects are built.
     """
+    d = alpha.d
     rot = _rotation(alpha)
+    levels = rot.levels
+    cA, cB, cD = _field_triple(c, d)
+    wA, wB, wD = _field_triple(width, d)
     offsets = []
     k = 0
-    while not c < width:
-        up, step, inv, _ = rot.level(len(offsets))
+    # while not c < width
+    while _sign(cA * wD - wA * cD, cB * wD - wB * cD, d) >= 0:
+        i = len(offsets)
+        up, sA, sB, sD, iA, iB, iD, _ = levels[i] if i < len(levels) else rot.level(i)
         if up:
-            offsets.append(1 - c)
-            c = frac((c - 1) * inv)
+            offsets.append((cD - cA, -cB, cD))  # 1 - c
+            cA -= cD  # c - 1
+        elif _sign(wA * sD - sA * wD, wB * sD - sB * wD, d) >= 0:
+            # not width < step: k = floor((c - width) / step) + 1
+            A, B = cA * wD - wA * cD, cB * wD - wB * cD
+            k = _floor(A * iA + d * B * iB, A * iB + B * iA, cD * wD * iD, d) + 1
+            break
         else:
-            if not width < step:
-                k = ((c - width) * inv).floor() + 1
-                break
-            offsets.append(c)
-            c = frac(c * inv)
-        width = width * inv
+            offsets.append((cA, cB, cD))
+        # c = frac(c * inv), or frac((c - 1) * inv) going up
+        cA, cB, cD = cA * iA + d * cB * iB, cA * iB + cB * iA, cD * iD
+        g = math.gcd(cA, cB, cD)
+        cA, cB, cD = cA // g, cB // g, cD // g
+        cA -= _floor(cA, cB, cD, d) * cD
+        wA, wB, wD = wA * iA + d * wB * iB, wA * iB + wB * iA, wD * iD
+        g = math.gcd(wA, wB, wD)
+        wA, wB, wD = wA // g, wB // g, wD // g
     for i in reversed(range(len(offsets))):
-        up, _, inv, _ = rot.levels[i]
-        y = (k + offsets[i]) * inv
-        k = -(-y).floor() if up else y.floor()
+        up, _, _, _, iA, iB, iD, _ = levels[i]
+        oA, oB, oD = offsets[i]
+        # y = (k + offset) / step, and k = ceil(y) going up, floor(y) otherwise
+        oA += k * oD
+        A, B, D = oA * iA + d * oB * iB, oA * iB + oB * iA, oD * iD
+        k = -_floor(-A, -B, D, d) if up else _floor(A, B, D, d)
     return k
 
 

@@ -8,11 +8,11 @@ and every file ends with exactly one newline.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import fields
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .numerics import QuadScalar, ScalarMode, as_float, format_scalar, parse_scalar
 
@@ -49,6 +49,9 @@ def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
+_LEAVES = frozenset((type(None), bool, int, float, str))
+
+
 def plain(x):
     """JSON-ready view of a report value, the form every `describe()` returns.
 
@@ -57,6 +60,11 @@ def plain(x):
     bools, ints, floats and strings pass through.  Anything else is a
     TypeError.
     """
+    t = type(x)
+    if t in _LEAVES:
+        return x
+    if t is QuadScalar or t is Fraction:
+        return str(x)
     if isinstance(x, Record):
         return {key: plain(value) for key, value in x.report_fields().items()}
     if x is None or isinstance(x, (bool, int, float, str)):
@@ -76,46 +84,73 @@ def _float_text(x: float) -> str:
     return "%.17g" % x
 
 
+# `_quoted` is what json.dumps(str) calls with its default ensure_ascii=True.
+# The quoted text of each key is cached, up to _KEYS_MAX keys.
+_KEYS_MAX = 4096
+_KEYS: dict[str, str] = {}
+
+
+def _key_text(key) -> str:
+    if type(key) is not str:
+        if not isinstance(key, str):
+            raise TypeError("report keys must be strings")
+        return _quoted(key) + ": "
+    text = _KEYS.get(key)
+    if text is None:
+        text = _quoted(key) + ": "
+        if len(_KEYS) < _KEYS_MAX:
+            _KEYS[key] = text
+    return text
+
+
+# `_write` dispatches on type(obj); a subclass, such as a numpy float, takes
+# the branch of the first of these bases it is an instance of
+_BASES = (float, int, str, Fraction, QuadScalar, list, tuple, dict)
+_BRANCHES = frozenset((*_BASES, bool, type(None)))
+
+
 def _write(obj, parts: list[str], indent: int) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, float):
-        parts.append(_float_text(obj))
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, (Fraction, QuadScalar)):
-        parts.append(json.dumps(format_scalar(obj)))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, item in enumerate(obj):
-            parts.append(inner)
-            _write(item, parts, indent + 1)
-            parts.append(",\n" if i + 1 < len(obj) else "\n")
-        parts.append(pad + "]")
-    elif isinstance(obj, dict):
+    t = type(obj)
+    if t not in _BRANCHES:
+        t = next((base for base in _BASES if isinstance(obj, base)), None)
+    if t is str:
+        parts.append(_quoted(obj))
+    elif t is dict:
         if not obj:
             parts.append("{}")
             return
         keys = sorted(obj)
-        if any(not isinstance(k, str) for k in keys):
-            raise TypeError("report keys must be strings")
+        texts = [_key_text(key) for key in keys]
+        inner = "  " * (indent + 1)
         parts.append("{\n")
-        for i, key in enumerate(keys):
-            parts.append(inner + json.dumps(key) + ": ")
+        for key, text in zip(keys, texts):
+            parts.append(inner + text)
             _write(obj[key], parts, indent + 1)
-            parts.append(",\n" if i + 1 < len(keys) else "\n")
-        parts.append(pad + "}")
+            parts.append(",\n")
+        parts[-1] = "\n"
+        parts.append("  " * indent + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            parts.append("[]")
+            return
+        inner = "  " * (indent + 1)
+        parts.append("[\n")
+        for item in obj:
+            parts.append(inner)
+            _write(item, parts, indent + 1)
+            parts.append(",\n")
+        parts[-1] = "\n"
+        parts.append("  " * indent + "]")
+    elif t is QuadScalar or t is Fraction:
+        parts.append(_quoted(str(obj)))
+    elif t is int:
+        parts.append(str(obj))
+    elif t is float:
+        parts.append(_float_text(obj))
+    elif t is bool:
+        parts.append("true" if obj else "false")
+    elif obj is None:
+        parts.append("null")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -457,10 +457,6 @@ def tangent_norm_sq(v: TangentVector, gram: GramMatrix):
     return gram.form(v.v1, v.v2)
 
 
-def tangent_norm(v: TangentVector, gram: GramMatrix) -> float:
-    return sqrt_as_float(tangent_norm_sq(v, gram))
-
-
 @dataclass(frozen=True)
 class OneParamSubgroup(Record):
     """Dense winding line t -> (frac(t*v1), frac(t*v2)); slope must be irrational."""

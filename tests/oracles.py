@@ -2,10 +2,12 @@
 
 Each oracle is the plain form of something the package computes faster:
 QuadScalar continued fractions and first-entry levels recomputed on every
-call, exact stepping for first entries, rounding to the nearest integer, and
-torus translates and inversions built by re-reducing the raw coordinates.
+call, exact stepping for first entries, rounding to the nearest integer,
+torus translates and inversions built by re-reducing the raw coordinates,
+and report text written through `json.dumps` and Fraction views.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -134,3 +136,75 @@ def torus_compose(s, o) -> tuple:
     else:
         x = translate(s.x, o.x)
     return x, s.inverts != o.inverts
+
+
+# -- report text through json.dumps and Fraction views ------------------------------
+
+
+def quad_str(x) -> str:
+    """str of a QuadScalar through its Fraction views a and b."""
+    if x.b == 0:
+        return str(x.a)
+    return f"{x.a} + {x.b}*sqrt({x.d})"
+
+
+def _scalar_text(x) -> str:
+    return quad_str(x) if isinstance(x, QuadScalar) else str(x)
+
+
+def _float_text(x: float) -> str:
+    if x != x or x in (float("inf"), float("-inf")):
+        raise ValueError("non-finite float has no place in a report")
+    return "%.17g" % x
+
+
+def _write(obj, parts: list, indent: int) -> None:
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, float):
+        parts.append(_float_text(obj))
+    elif isinstance(obj, int):
+        parts.append(str(obj))
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, (Fraction, QuadScalar)):
+        parts.append(json.dumps(_scalar_text(obj)))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        parts.append("[\n")
+        for i, item in enumerate(obj):
+            parts.append(inner)
+            _write(item, parts, indent + 1)
+            parts.append(",\n" if i + 1 < len(obj) else "\n")
+        parts.append(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        keys = sorted(obj)
+        if any(not isinstance(k, str) for k in keys):
+            raise TypeError("report keys must be strings")
+        parts.append("{\n")
+        for i, key in enumerate(keys):
+            parts.append(inner + json.dumps(key) + ": ")
+            _write(obj[key], parts, indent + 1)
+            parts.append(",\n" if i + 1 < len(keys) else "\n")
+        parts.append(pad + "}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def canonical_json(obj) -> str:
+    """Canonical report text with one json.dumps call per key and per string."""
+    parts: list = []
+    _write(obj, parts, 0)
+    parts.append("\n")
+    return "".join(parts)

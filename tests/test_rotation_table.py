@@ -3,8 +3,9 @@
 Continued fractions from the integer (P, Q) recurrence are checked against
 the QuadScalar stream and sympy; first entries read from cached levels
 against the level loop that recomputes them and against brute force, in any
-call order and with the table cold or warm; and the table stays bounded and
-gives the same answers when four threads extend it at once.
+call order and with the table cold or warm; the sharp-convergent memo keeps
+`max_terms` exact and stays bounded; and the table stays bounded and gives
+the same answers when four threads extend it, or read its memo, at once.
 """
 
 import sys
@@ -107,6 +108,60 @@ def test_max_terms_holds_when_the_table_is_deeper():
     assert circle_density_hit(Fraction(1, 3), theta, eps=eps, max_terms=j + 1) == hit
 
 
+def test_warm_memo_keeps_max_terms_exact():
+    theta = frac(1 / QuadScalar(Fraction(1, 3), 1, 5))
+    eps = Fraction(1, 10**20)
+    _clear()
+    hit = circle_density_hit(Fraction(2, 9), theta, eps=eps)
+    j = [c.q for c in cf_convergents(theta, TERMS)].index(hit.convergent.q)
+    _clear()
+    with pytest.raises(ValueError) as cold:
+        circle_density_hit(Fraction(2, 9), theta, eps=eps, max_terms=j)
+    circle_density_hit(Fraction(2, 9), theta, eps=eps)
+    assert orbit._rotation(theta).sharp == {eps * eps: j}
+    for n in (j, j - 1, 1):
+        with pytest.raises(ValueError) as warm:
+            circle_density_hit(Fraction(2, 9), theta, eps=eps, max_terms=n)
+        assert str(warm.value) == str(cold.value).replace(f"within {j} ", f"within {n} ")
+    assert circle_density_hit(Fraction(2, 9), theta, eps=eps, max_terms=j + 1) == hit
+    assert orbit._rotation(theta).sharp == {eps * eps: j}
+
+
+def test_memo_is_keyed_by_the_bound():
+    theta = frac(1 / QuadScalar(0, 1, 3))
+    _clear()
+    rot = orbit._rotation(theta)
+    # eps^2 / g_axis is 10^-12 for both pairs
+    a = circle_density_hit(Fraction(1, 7), theta, eps=Fraction(1, 10**6), g_axis=Fraction(1))
+    b = circle_density_hit(Fraction(1, 7), theta, eps=Fraction(2, 10**6), g_axis=Fraction(4))
+    assert a.convergent == b.convergent
+    assert list(rot.sharp) == [Fraction(1, 10**12)]
+    # another bound gets its own entry, even when it picks the same convergent
+    circle_density_hit(Fraction(1, 7), theta, eps=Fraction(1, 10**6), g_axis=Fraction(5, 4))
+    assert list(rot.sharp) == [Fraction(1, 10**12), Fraction(4, 5 * 10**12)]
+
+
+def test_memo_is_bounded_and_evicted_with_its_rotation():
+    theta = frac(1 / QuadScalar(0, 1, 2))
+    _clear()
+    rot = orbit._rotation(theta)
+    epsilons = [Fraction(1, 10**e) for e in range(3, 3 + orbit._SHARP_MAX + 10)]
+    hits = [circle_density_hit(Fraction(3, 11), theta, eps=e) for e in epsilons]
+    assert len(rot.sharp) == orbit._SHARP_MAX
+    # the oldest bounds went first
+    assert list(rot.sharp) == [e * e for e in epsilons[10:]]
+    stream = [c for _, c in islice(convergent_stream(theta), 4 * len(epsilons))]
+    for e, hit in zip(epsilons, hits):
+        assert hit.convergent == next(c for c in stream if c.err * c.err < e * e)
+        assert circle_density_hit(Fraction(3, 11), theta, eps=e) == hit
+        assert len(rot.sharp) <= orbit._SHARP_MAX
+    # pushing theta out of the rotation table drops its memo with it
+    for n in range(orbit._ROTATIONS_MAX):
+        orbit._rotation(frac(QuadScalar(Fraction(n, 89), 1, 3)))
+    fresh = orbit._rotation(theta)
+    assert fresh is not rot and fresh.sharp == {}
+
+
 @pytest.mark.parametrize("exp", [3, 6, 11, 16, 40])
 def test_circle_hit_picks_the_first_sharp_convergent(exp):
     """The search returns the convergent a linear scan of the oracle stream finds."""
@@ -198,15 +253,22 @@ def test_four_threads_share_a_fresh_table():
         torus = torus_density_hit(target, line, eps=Fraction(1, 10**9), budget=10**30)
         return canonical_json(circle.describe()), canonical_json(torus.describe())
 
+    def threaded():
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                return list(pool.map(work, range(4), [threading.Barrier(4)] * 4))
+        finally:
+            sys.setswitchinterval(interval)
+
     _clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(work, range(4), [threading.Barrier(4)] * 4))
-    finally:
-        sys.setswitchinterval(interval)
+    got = threaded()
+    # and again on the warm table, whose memo already holds the sharp index
+    assert len(orbit._rotation(theta).sharp) == 1
+    warm = threaded()
     _clear()
     want = [work(i) for i in range(4)]
     assert got == want
+    assert warm == want
     assert len({t for _, t in got}) == 1
