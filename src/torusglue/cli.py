@@ -11,6 +11,7 @@ failure was found, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -172,14 +173,25 @@ def _must(ok, message: str):
 _positive = _must(lambda v: sign_of(v) > 0, "must be positive")
 _nonnegative = _must(lambda v: v >= 0, "must be nonnegative")
 
+
+def _has_float_view(v) -> bool:
+    try:
+        return math.isfinite(as_float(v))
+    except OverflowError:
+        return False
+
+
+# reports and float mode read R and M through their float views
+_length = _must(lambda v: sign_of(v) > 0 and _has_float_view(v), "must be positive and fit a float")
+
 # key -> (default text, parser, check).  Parsers run in this order, so d
 # comes before every key whose literals may carry sqrt(d).
 KEYS = {
     "d": ("2", _radicand, None),
     "alpha": ("1", _alpha, None),
     "gram": ("1,0,1", _gram, None),
-    "R": ("1", _exact, _positive),
-    "M": ("2", _exact, _positive),
+    "R": ("1", _exact, _length),
+    "M": ("2", _exact, _length),
     "mode": ("exact", _choice({"exact": EXACT, "float": FLOAT}), None),
     "seed": ("0", _int, _must(lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer")),
     "format": ("json", _choice({"json": "json", "csv": "csv"}), None),
@@ -433,6 +445,16 @@ def _scaling_impostor(p: GluedPoint) -> GluedPoint:
     return GluedPoint.cylinder(p.y, 2 * p.t)
 
 
+def _lift_check(cfg: RunConfig, params, subgroup, sign: int, shift, seed: int):
+    """(lift of the line map t -> sign*t + shift, its verification on the winding space)."""
+    iso = lift_line_isometry(LineIsometry(sign, shift), subgroup)
+    rep = verify_isometry(
+        iso.apply, cfg.samples, params, cfg.gram, mode=cfg.mode, seed=seed,
+        space="winding", subgroup=subgroup,
+    )
+    return iso, rep
+
+
 def _cmd_isometry_check(cfg: RunConfig) -> dict:
     params = cfg.params()
     subgroup = cfg.subgroup()
@@ -456,11 +478,7 @@ def _cmd_isometry_check(cfg: RunConfig) -> dict:
     for j, (sign, shift) in enumerate(
         [(1, Fraction(0)), (1, Fraction(1, 3)), (-1, Fraction(0)), (-1, Fraction(2, 7))]
     ):
-        iso = lift_line_isometry(LineIsometry(sign, shift), subgroup)
-        rep = verify_isometry(
-            iso.apply, cfg.samples, params, cfg.gram, mode=cfg.mode, seed=cfg.seed + j,
-            space="winding", subgroup=subgroup,
-        )
+        iso, rep = _lift_check(cfg, params, subgroup, sign, shift, cfg.seed + j)
         lift_rows.append(
             {"iso": iso, "verified": rep.passed, "max_error": rep.max_error}
         )
@@ -493,11 +511,7 @@ def _cmd_lift(cfg: RunConfig) -> dict:
     rows = []
     for j, shift in enumerate(cfg.shifts):
         for sign in (1, -1):
-            iso = lift_line_isometry(LineIsometry(sign, shift), subgroup)
-            rep = verify_isometry(
-                iso.apply, cfg.samples, params, cfg.gram, mode=cfg.mode, seed=cfg.seed + j,
-                space="winding", subgroup=subgroup,
-            )
+            iso, rep = _lift_check(cfg, params, subgroup, sign, shift, cfg.seed + j)
             rows.append(
                 {
                     "line": iso.line_part,

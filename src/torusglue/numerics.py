@@ -20,7 +20,6 @@ from functools import lru_cache
 DEFAULT_D = 2
 
 _RATIONAL = (int, Fraction)
-_VALIDATED_D: set[int] = set()
 
 # bits of relative precision carried before the final rounding to float
 _FLOAT_PREC = 120
@@ -52,11 +51,11 @@ def is_square_free(n: int) -> bool:
     return True
 
 
+# typed: 2.0 and numpy.int64(2) hash like 2 but are not valid field indices
+@lru_cache(maxsize=None, typed=True)
 def _check_d(d: int) -> int:
-    if d not in _VALIDATED_D:
-        if not isinstance(d, int) or not is_square_free(d):
-            raise ValueError(f"field index must be a square-free integer >= 2, got {d!r}")
-        _VALIDATED_D.add(d)
+    if not isinstance(d, int) or not is_square_free(d):
+        raise ValueError(f"field index must be a square-free integer >= 2, got {d!r}")
     return d
 
 

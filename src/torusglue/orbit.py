@@ -14,12 +14,11 @@ over the basis {1, sqrt(d)} refutes membership.
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .gluing import Distance, GluingParams, WindingPoint, winding_distance
 from .numerics import (
@@ -30,6 +29,7 @@ from .numerics import (
     ScalarMode,
     _divided,
     _floor,
+    _new,
     _sign,
     _triple,
     as_float,
@@ -116,13 +116,12 @@ def cf_convergents(x, n: int) -> list[Convergent]:
 
 # -- one table per rotation ---------------------------------------------------------
 
-# rotations kept, least recently used first out
+# rotations kept by `_table`, least recently used first out
 _ROTATIONS_MAX = 64
-_ROTATIONS: OrderedDict = OrderedDict()
 # sharp indices memoized per rotation, oldest first out
 _SHARP_MAX = 64
-# guards the dict and every table extension; entries are appended complete,
-# so a reader that finds an index already filled needs no lock
+# guards table extensions and memo writes; entries are appended complete, so
+# a reader that finds an index already filled needs no lock
 _TABLE_LOCK = threading.Lock()
 
 
@@ -133,7 +132,7 @@ class _Rotation:
     about x: every target, eps and search level.
 
     A third table, `sharp`, memoizes the least sharp convergent index per
-    bound (see `_sharp_index`).
+    bound `eps^2/g_axis` (see `_sharp_index`), up to _SHARP_MAX bounds.
 
     The partial quotients come from the integer recurrence for
     x = (P + sqrt(N)) / Q with Q | N - P^2 (Perron 1913; Cohen 1993, ch. 5):
@@ -206,45 +205,29 @@ class _Rotation:
         return chain[i]
 
 
+@lru_cache(maxsize=_ROTATIONS_MAX)
+def _table(A: int, B: int, D: int, d: int) -> _Rotation:
+    return _Rotation(_new(A, B, D, d))
+
+
 def _rotation(x: QuadScalar) -> _Rotation:
     """The shared table of x, keyed by its normalized integer triple."""
-    key = (x._A, x._B, x._D, x.d)
-    with _TABLE_LOCK:
-        rot = _ROTATIONS.get(key)
-        if rot is None:
-            rot = _ROTATIONS[key] = _Rotation(x)
-            if len(_ROTATIONS) > _ROTATIONS_MAX:
-                _ROTATIONS.popitem(last=False)
-        else:
-            _ROTATIONS.move_to_end(key)
-    return rot
+    return _table(x._A, x._B, x._D, x.d)
 
 
 def _sharp_index(rot: _Rotation, bound, n: int) -> int | None:
     """Least j < n whose squared defect is below bound, or None.
 
-    The checked defects shrink strictly, so the sharp indices form a suffix:
-    when the last cached entry below n is sharp, gallop from 0 and bisect
-    over the cache; otherwise extend the table one entry at a time past it.
-    A j found below some n is the least sharp index of the whole stream, so
-    it is memoized per bound and compared with each later caller's n.
+    The checked defects shrink strictly, so a j found below some n is the
+    least sharp index of the whole stream: it is memoized per bound and
+    compared with each later caller's n.  A bound not in the memo costs one
+    forward scan, which extends the table no further than the answer.
     """
     j = rot.sharp.get(bound)  # a dict read needs no lock; writes take it
     if j is None:
-
-        def sharp(j):
-            return rot.convergent(j)[2] < bound
-
-        cached = min(len(rot.convergents), n)
-        if cached and sharp(cached - 1):
-            lo, hi = -1, 0
-            while not sharp(hi):
-                lo, hi = hi, min(2 * hi + 1, cached - 1)
-            j = bisect.bisect_left(range(hi), True, lo + 1, hi, key=sharp)
-        else:
-            j = next((j for j in range(cached, n) if sharp(j)), None)
-            if j is None:
-                return None
+        j = next((j for j in range(n) if rot.convergent(j)[2] < bound), None)
+        if j is None:
+            return None
         with _TABLE_LOCK:
             memo = rot.sharp
             if len(memo) >= _SHARP_MAX:

@@ -85,22 +85,10 @@ def _float_text(x: float) -> str:
 
 
 # `_quoted` is what json.dumps(str) calls with its default ensure_ascii=True.
-# The quoted text of each key is cached, up to _KEYS_MAX keys.
-_KEYS_MAX = 4096
-_KEYS: dict[str, str] = {}
-
-
 def _key_text(key) -> str:
-    if type(key) is not str:
-        if not isinstance(key, str):
-            raise TypeError("report keys must be strings")
-        return _quoted(key) + ": "
-    text = _KEYS.get(key)
-    if text is None:
-        text = _quoted(key) + ": "
-        if len(_KEYS) < _KEYS_MAX:
-            _KEYS[key] = text
-    return text
+    if not isinstance(key, str):
+        raise TypeError("report keys must be strings")
+    return _quoted(key) + ": "
 
 
 # `_write` dispatches on type(obj); a subclass, such as a numpy float, takes

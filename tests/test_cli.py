@@ -310,3 +310,17 @@ def test_bad_values_exit_2_naming_the_key(capsys, argv, key):
     assert code == 2
     assert out == ""
     assert f"config key '{key}'" in err
+
+
+@pytest.mark.parametrize("key", ["R", "M"])
+@pytest.mark.parametrize(
+    "command", ["verify-metric", "counterexample", "nearest", "isometry-check", "lift"]
+)
+def test_lengths_without_a_float_view_exit_2(capsys, command, key):
+    # 2R < M, so that counterexample gets past its 2R >= M refusal
+    lengths = {"R": "1e400", "M": "1e401"} if key == "R" else {"R": "1", "M": "1e400"}
+    argv = ["--R", lengths["R"], "--M", lengths["M"], "--allow-invalid-metric"]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"config key '{key}'" in err

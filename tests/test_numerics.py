@@ -9,6 +9,7 @@ import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from torusglue.numerics import (
@@ -59,6 +60,15 @@ def test_constructor_rejects_bad_radicand():
         QuadScalar(1, 1, 1)
     with pytest.raises(ValueError):
         QuadScalar(1, 1, -2)
+
+
+def test_validated_index_does_not_admit_values_that_hash_like_it():
+    QuadScalar(0, 1, 2)
+    with pytest.raises(ValueError):
+        QuadScalar(0, 1, 2.0)
+    # d*B*B would overflow int64 and give the positive value sign -1
+    with pytest.raises(ValueError):
+        QuadScalar(-14142135623, 10**10, np.int64(2))
 
 
 def test_immutability():

@@ -1,7 +1,7 @@
 """Report text built from integers against the json.dumps and Fraction-view oracles.
 
 `canonical_json` dispatches on exact types, quotes strings with the encoder
-json.dumps uses, and caches key text; `QuadScalar.__str__` formats A/D and
+json.dumps uses; `QuadScalar.__str__` formats A/D and
 B/D with one gcd each.  Both must give the oracles' text byte for byte, and
 raise the same errors on values a report cannot hold.
 """
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from torusglue import report
 from torusglue.numerics import QuadScalar
 from torusglue.report import canonical_json
 
@@ -110,15 +109,6 @@ def test_subclasses_take_the_isinstance_chain():
         "none": None,
     }
     assert canonical_json(value) == oracles.canonical_json(value)
-
-
-def test_key_cache_gives_the_same_text_and_stays_bounded(monkeypatch):
-    monkeypatch.setattr(report, "_KEYS", {})
-    monkeypatch.setattr(report, "_KEYS_MAX", 8)
-    payloads = [{f"ké{i}": i, "shared": [i]} for i in range(20)]
-    for p in payloads + payloads:
-        assert canonical_json(p) == oracles.canonical_json(p)
-    assert len(report._KEYS) == 8
 
 
 @pytest.mark.parametrize(

@@ -39,8 +39,7 @@ SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[Healt
 
 
 def _clear():
-    with orbit._TABLE_LOCK:
-        orbit._ROTATIONS.clear()
+    orbit._table.cache_clear()
 
 
 def quadratics(top_a, top_b, top_c):
@@ -168,13 +167,19 @@ def test_circle_hit_picks_the_first_sharp_convergent(exp):
     theta = frac(1 / QuadScalar(0, 1, 2))
     eps = Fraction(1, 10**exp)
     g_axis = Fraction(3)
-    want = next(c for _, c in convergent_stream(theta) if c.err * c.err * g_axis < eps * eps)
+    j, want = next(
+        (j, c) for j, (_, c) in enumerate(convergent_stream(theta))
+        if c.err * c.err * g_axis < eps * eps
+    )
     for warm in (False, True):
         if warm:
             cf_convergents(theta, TERMS)  # a table far deeper than the answer
         else:
             _clear()
         assert circle_density_hit(Fraction(2, 7), theta, eps=eps, g_axis=g_axis).convergent == want
+        if not warm:
+            # a cold search extends the table only to the convergent it returns
+            assert len(orbit._rotation(theta).convergents) == j + 1
 
 
 # -- first entries ----------------------------------------------------------------------
@@ -230,11 +235,13 @@ def test_table_never_holds_more_than_its_bound():
         alpha = frac(QuadScalar(Fraction(n, 97), 1, 2))
         _first_entry(alpha, Fraction(1, 2), Fraction(1, 10**6))
         cf_expansion(alpha, 3)
-        assert len(orbit._ROTATIONS) <= orbit._ROTATIONS_MAX
-    assert len(orbit._ROTATIONS) == orbit._ROTATIONS_MAX
+        assert orbit._table.cache_info().currsize <= orbit._ROTATIONS_MAX
+    assert orbit._table.cache_info().currsize == orbit._ROTATIONS_MAX
     # least recently used goes first: the newest rotations are the ones kept
     newest = frac(QuadScalar(Fraction(3 * orbit._ROTATIONS_MAX - 1, 97), 1, 2))
-    assert (newest._A, newest._B, newest._D, newest.d) in orbit._ROTATIONS
+    hits = orbit._table.cache_info().hits
+    orbit._rotation(newest)
+    assert orbit._table.cache_info().hits == hits + 1
 
 
 # -- threads --------------------------------------------------------------------------------
