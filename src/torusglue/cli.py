@@ -184,6 +184,19 @@ def _has_float_view(v) -> bool:
 # reports and float mode read R and M through their float views
 _length = _must(lambda v: sign_of(v) > 0 and _has_float_view(v), "must be positive and fit a float")
 
+
+def _has_float_gram(gram: GramMatrix) -> bool:
+    try:
+        gram._float_data
+    except OverflowError:
+        return False
+    return True
+
+
+# commands that run the float batch kernel on the Gram matrix in float mode;
+# nearest runs it in every mode, for its grid oracles
+FLOAT_KERNEL_COMMANDS = ("verify-metric", "counterexample", "isometry-check", "lift", "nearest")
+
 # key -> (default text, parser, check).  Parsers run in this order, so d
 # comes before every key whose literals may carry sqrt(d).
 KEYS = {
@@ -349,6 +362,12 @@ def _typed_config(command: str, merged: dict) -> RunConfig:
         values[key] = value
     if "t" in values and (values["t"] is None) != (values["s"] is None):
         raise ConfigError("t", "give both --t and --s, or neither")
+    if (
+        command in FLOAT_KERNEL_COMMANDS
+        and (command == "nearest" or not values["mode"].exact)
+        and not _has_float_gram(values["gram"])
+    ):
+        raise ConfigError("gram", "the reduced form's entries must fit a float")
     if values["format"] == "csv" and command not in CSV_TABLES:
         raise ConfigError("format", "csv output applies only to density tables")
     return RunConfig(**values)

@@ -139,9 +139,14 @@ class Distance(Record):
     torus_sq: object
     offset: object
 
+    @cached_property
+    def _root(self) -> float:
+        """sqrt_as_float(torus_sq), which `value` and `float_view` share."""
+        return sqrt_as_float(self.torus_sq)
+
     @property
     def value(self) -> float:
-        return sqrt_as_float(self.torus_sq) + as_float(self.offset)
+        return self._root + as_float(self.offset)
 
     def __float__(self) -> float:
         return self.value
@@ -156,7 +161,7 @@ class Distance(Record):
         if off is None or not is_exact(self.torus_sq):
             return None
         try:
-            return sqrt_as_float(self.torus_sq), *off
+            return self._root, *off
         except OverflowError:
             return None
 

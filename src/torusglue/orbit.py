@@ -43,6 +43,7 @@ from .numerics import (
 )
 from .report import Record
 from .torus import (
+    _RADIUS_GRID,
     GramMatrix,
     OneParamSubgroup,
     TorusPoint,
@@ -276,7 +277,8 @@ def circle_density_hit(
     Convergent j has |delta| < 1/q_(j+1) <= phi^-j (q_j grows at least like
     the Fibonacci numbers), and phi^2 > 2, so convergent j = bit_length of
     ceil(g_axis / eps^2) is sharp enough: that index plus one is the default
-    `max_terms`, O(log 1/eps).
+    `max_terms`, O(log 1/eps), read off the bound eps^2 / g_axis that
+    `_sharp_index` takes.
     """
     require_exact(target, "circle density target")
     require_exact(x0, "circle base point")
@@ -287,12 +289,13 @@ def circle_density_hit(
     d0 = _circle_dist_sq(w, g_axis)
     if scalar_lt(d0, eps_sq):
         return CircleHit(target, eps, 0, frac(x0), d0, sqrt_as_float(d0), None)
-    if max_terms is None:
-        max_terms = math.ceil(g_axis / eps_sq).bit_length() + 1
     # d0 >= eps^2 > 0 here, so g_axis > 0 and delta^2 * g_axis < eps^2 reads
     # delta^2 < eps^2 / g_axis
+    bound = eps_sq / g_axis
+    if max_terms is None:
+        max_terms = math.ceil(1 / bound).bit_length() + 1
     rot = _rotation(theta)
-    j = _sharp_index(rot, eps_sq / g_axis, max_terms)
+    j = _sharp_index(rot, bound, max_terms)
     if j is None:
         raise ValueError(f"no convergent within {max_terms} terms is sharp enough for eps={eps}")
     conv = rot.convergent(j)[1]
@@ -325,15 +328,10 @@ class DensityHit(Record):
     scanned: int
 
 
-# Window radii are eps * sqrt(g11 / det) rounded up on a grid of eps / _RADIUS_GRID,
-# so the slack is relative to eps at every scale.
-_RADIUS_GRID = 1 << 20
-
-
 def _window_radius(eps: Fraction, gram: GramMatrix) -> Fraction:
-    """A rational r > eps * sqrt(g11 / det): isqrt(floor(x)) + 1 > sqrt(x)."""
-    n = math.isqrt(math.floor(gram.g11 / gram.det() * _RADIUS_GRID**2)) + 1
-    return eps * n / _RADIUS_GRID
+    """A rational r > eps * sqrt(g11 / det), on the Gram's cached grid step
+    count (`GramMatrix._radius_steps`)."""
+    return eps * gram._radius_steps / _RADIUS_GRID
 
 
 def _first_entry(alpha, c, width) -> int:

@@ -1,8 +1,13 @@
 """Flat two-torus R^2/Z^2 with a rational Gram tensor.
 
 Distances are computed after Lagrange (Gauss) reduction of the lattice
-basis, which makes the {-1,0,1}^2 shift window around the rounded target
-provably sufficient; the unreduced wide-window path is kept as an oracle.
+basis.  The difference of two points goes to reduced coordinates and is
+rounded to w with |w_i| <= 1/2; then the nearest lattice shift is one of the
+four corners {0, -sigma_1} x {0, -sigma_2} of the cell around w,
+sigma_i = sign(w_i), and every other shift is at least g11/2 farther
+(`_corners`, the classical Voronoi structure of a reduced 2-D lattice).
+The exact path and the float batch kernel evaluate those four shifts only;
+the unreduced wide-window path is kept as an oracle.
 """
 
 from __future__ import annotations
@@ -44,6 +49,11 @@ def _gram_entry(x) -> Fraction:
     raise TypeError(
         f"Gram entries must be exact rationals (int, Fraction, or string), got {type(x).__name__}"
     )
+
+
+# Density window radii are eps * sqrt(g11 / det) rounded up on a grid of
+# eps / _RADIUS_GRID, so the slack is relative to eps at every scale.
+_RADIUS_GRID = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -121,6 +131,14 @@ class GramMatrix(Record):
             np.array([[float(ui[0][0]), float(ui[0][1])], [float(ui[1][0]), float(ui[1][1])]]),
             (float(gr.g11), float(gr.g12), float(gr.g22)),
         )
+
+    @cached_property
+    def _radius_steps(self) -> int:
+        """n = isqrt(floor(g11/det * _RADIUS_GRID^2)) + 1, above
+        sqrt(g11/det) * _RADIUS_GRID since isqrt(floor(x)) + 1 > sqrt(x): a
+        density window of radius eps * n / _RADIUS_GRID is wider than
+        eps * sqrt(g11/det) at every eps."""
+        return math.isqrt(math.floor(self.g11 / self.det() * _RADIUS_GRID**2)) + 1
 
     def systole_sq(self) -> Fraction:
         """Squared length of the shortest nonzero lattice vector."""
@@ -231,18 +249,58 @@ class Length:
 _U = 2.0**-53  # unit roundoff of float64
 
 
-def _float_survivors(fz1, fz2, gram: GramMatrix, window: int):
-    """Window shifts (s1, s2) that can hold the exact minimum, in window order.
+@lru_cache(maxsize=None)
+def _corners(sign1: int, sign2: int) -> tuple[tuple[int, int], ...]:
+    """The shifts {0, -sigma_1} x {0, -sigma_2} in window order, sigma_i = +1
+    for sign_i >= 0 and -1 below: the corners of the reduced cell around the
+    point, one of which is nearest.
+
+    Lemma.  Let Q be a reduced form, 2|g12| <= g11 <= g22, and w a point with
+    |w_i| <= 1/2 and sigma_i w_i >= 0.  For every integer shift s outside the
+    four corners, Q(w + s) >= min over the corners c of Q(w + c) + g11 / 2.
+
+    Proof.  Reflecting an axis (w_i -> -w_i, sigma_i -> -sigma_i,
+    g12 -> -g12) keeps the form reduced and maps corners to corners, so take
+    sigma = (1, 1): 0 <= w_i <= 1/2 and the corners are {0, -1}^2.  Let m be
+    their minimum and y = w + s.  Write Q(y) = g11 (y1 + r y2)^2 + D y2^2
+    with r = g12 / g11 in [-1/2, 1/2] and D = g22 - r^2 g11 >= 3/4 g11.  For
+    y2 in {w2, w2 - 1}, |r y2| <= 1/2 lies within 1/2 of w1 or w1 - 1, so
+    (i) m <= g11 / 4 + D y2^2 on both rows of the cell.
+
+    - s2 not in {0, -1}: y2^2 >= w2^2 + 1 (s2 = 1 adds 2 w2 + 1, s2 = -2 adds
+      4 - 4 w2, further shifts more), so Q(y) >= D y2^2 >= D w2^2 + 3/4 g11
+      >= m + g11 / 2 by (i).
+    - s2 in {0, -1} and |s1| >= 2: |y1| >= 3/2, so |y1 + r y2| >= 1 and
+      Q(y) >= g11 + D y2^2 >= m + 3/4 g11 by (i).
+    - s1 = 1, against the corner 0, with 2|g12| <= g11 <= g22:
+      Q(w + (1, 0)) - Q(w) = g11 (2 w1 + 1) + 2 g12 w2 >= g11 (1 - w2)
+      >= g11 / 2, and Q(w + (1, -1)) - Q(w) = g11 (2 w1 + 1)
+      + 2 g12 (w2 - w1 - 1) + g22 (1 - 2 w2) >= g11 (1 + w1 - w2) >= g11 / 2.
+
+    The bound is tight: at 2 g12 = -g11 and w = (0, 1/2) the shift (1, 0)
+    is exactly g11 / 2 above the corner 0.  A w_i of 0 is covered by either
+    sigma_i.
+    """
+    span1 = (-1, 0) if sign1 >= 0 else (0, 1)
+    span2 = (-1, 0) if sign2 >= 0 else (0, 1)
+    return tuple((s1, s2) for s1 in span1 for s2 in span2)
+
+
+def _float_survivors(fz1, fz2, shifts, gram: GramMatrix):
+    """The corner shifts (s1, s2) that can hold the exact minimum, in order.
 
     fz_i = (f_i, e_i) is a float f_i of the exact reduced difference z_i,
-    |z_i| <= 1/2, with a proven bound e_i >= |f_i - z_i| (`float_with_error`).
-    A float pass evaluates F(s) = fl(Q^(x)) for every shift, with
-    x_i = fl(f_i + s_i) and Q^ the reduced form with float entries.  With
-    S = window, u = 2^-53 and G >= |g11| + 2|g12| + |g22| (the reduced Gram's
-    entries):
+    |z_i| <= 1/2, with a proven bound e_i >= |f_i - z_i| (`float_with_error`),
+    and `shifts` are the four corners (`_corners`) of the exact signs of z.
+    By the lemma there, every other shift is at least g11 / 2 above the
+    corners' minimum and holds no exact minimizer, so only the corners are
+    evaluated.  A float pass takes F(s) = fl(Q^(x)) at each of them, with
+    x_i = fl(f_i + s_i), |s_i| <= 1, and Q^ the reduced form with float
+    entries.  With u = 2^-53 and G >= |g11| + 2|g12| + |g22| (the reduced
+    Gram's entries):
 
-        eps = max e_i + u * (S + max |f_i|)      bounds |x_i - (z_i + s_i)|
-        X   = S + max |f_i| + eps                bounds |x_i| and |z_i + s_i|
+        eps = max e_i + u * (1 + max |f_i|)      bounds |x_i - (z_i + s_i)|
+        X   = 1 + max |f_i| + eps                bounds |x_i| and |z_i + s_i|
         |F(s) - Q(z + s)| <= E = G * (6u * X^2 + 2 * eps * X + eps^2) + 2^-1020
 
     since Q(a) - Q(b) = B(a - b, a + b) with |B(p, q)| <= G * |p| * |q|
@@ -253,7 +311,7 @@ def _float_survivors(fz1, fz2, gram: GramMatrix, window: int):
     also covers the roundings made while computing it and F(s) - F_min.  If
     fl(F(s) - F_min) > 2 * err, then F(s) - F_min > 2E, so
     Q(z + s) >= F(s) - E > F_min + E >= Q at the float argmin, and s is no
-    exact minimizer.  None (use the whole window) when a float is
+    exact minimizer.  None (keep all four corners) when a float is
     non-finite or a z_i has no proven float.
     """
     if fz1 is None or fz2 is None:
@@ -263,17 +321,11 @@ def _float_survivors(fz1, fz2, gram: GramMatrix, window: int):
     except OverflowError:
         return None
     (f1, e1), (f2, e2) = fz1, fz2
-    span = range(-window, window + 1)
     vals = []
-    for s1 in span:
-        x1 = f1 + s1
-        # g11 * x1 * x1 + 2 * g12 * x1 * x2 + g22 * x2 * x2, with the terms
-        # that only depend on x1 evaluated once
-        sq1, cross = g11 * x1 * x1, 2 * g12 * x1
-        for s2 in span:
-            x2 = f2 + s2
-            vals.append(sq1 + cross * x2 + g22 * x2 * x2)
-    reach = window + max(abs(f1), abs(f2))
+    for s1, s2 in shifts:
+        x1, x2 = f1 + s1, f2 + s2
+        vals.append(g11 * x1 * x1 + 2 * g12 * x1 * x2 + g22 * x2 * x2)
+    reach = 1 + max(abs(f1), abs(f2))
     eps = max(e1, e2) + _U * reach
     x = reach + eps
     g = (abs(g11) + 2 * abs(g12) + abs(g22)) * (1 + 2.0**-50) + 2.0**-1000
@@ -281,14 +333,7 @@ def _float_survivors(fz1, fz2, gram: GramMatrix, window: int):
     if not (math.isfinite(err) and all(map(math.isfinite, vals))):
         return None
     best = min(vals)
-    return [s for s, v in zip(_window(window), vals) if v - best <= 2 * err]
-
-
-@lru_cache(maxsize=None)
-def _window(window: int) -> tuple[tuple[int, int], ...]:
-    """The shifts (s1, s2) with |s_i| <= window, in window order."""
-    span = range(-window, window + 1)
-    return tuple((s1, s2) for s1 in span for s2 in span)
+    return [s for s, v in zip(shifts, vals) if v - best <= 2 * err]
 
 
 def _parts(x) -> tuple[int, int, int]:
@@ -298,7 +343,7 @@ def _parts(x) -> tuple[int, int, int]:
     return x.numerator, 0, x.denominator
 
 
-def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: int):
+def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix):
     """`torus_distance_sq` of exact points, on integers (see there)."""
     coords = q.u1, p.u1, q.u2, p.u2
     labels = {x.d for x in coords if isinstance(x, QuadScalar)}
@@ -319,11 +364,12 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: i
     w2, c2 = u21 * a1 + u22 * a2, u21 * b1 + u22 * b2
     z1 = w1 - _floor(2 * w1 + L, 2 * c1, 2 * L, d) * L
     z2 = w2 - _floor(2 * w2 + L, 2 * c2, 2 * L, d) * L
+    corners = _corners(_sign(z1, c1, d), _sign(z2, c2, d))
     shifts = _float_survivors(
-        _float_with_error(z1, c1, L, d), _float_with_error(z2, c2, L, d), gram, window
+        _float_with_error(z1, c1, L, d), _float_with_error(z2, c2, L, d), corners, gram
     )
     if shifts is None:
-        shifts = _window(window)
+        shifts = corners
     # G * L^2 * Q(shifted z) = A + B*sqrt(d), with x_i = z_i + s_i * L:
     #   A = n11 x1^2 + 2 n12 x1 x2 + n22 x2^2 + d (n11 c1^2 + 2 n12 c1 c2 + n22 c2^2)
     #   B = 2 x1 (n11 c1 + n12 c2) + 2 x2 (n12 c1 + n22 c2)
@@ -363,24 +409,26 @@ def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: in
     Exact points are computed on integers.  Their four coordinates go over
     one common denominator L as pairs (a, b), meaning (a + b*sqrt(d)) / L;
     U^-1 and the rounding to the nearest integer act on those pairs, with
-    the closed-form floor.  A float pass with a proven error bound
-    (`_float_survivors`) drops the shifts that provably miss the minimum;
-    at each survivor the reduced form is one integer polynomial over
-    G * L^2, G the lcm of the reduced Gram's denominators, and survivors are
-    compared by exact signs in window order, so the result is the one the
-    full exact window gives.  It is a Fraction when every coordinate is an
-    int or a Fraction, else a QuadScalar over the coordinates' field; when
+    the closed-form floor.  Only the four corners of the cell around the
+    rounded difference can hold the minimum (`_corners`), so the result is
+    the same for every `window` >= 1, which is accepted for compatibility.
+    A float pass with a proven error bound (`_float_survivors`) drops the
+    corners that provably miss the minimum; at each survivor the reduced
+    form is one integer polynomial over G * L^2, G the lcm of the reduced
+    Gram's denominators, and survivors are compared by exact signs in window
+    order, so the result is the one the full exact window gives.  It is a
+    Fraction when every coordinate is an int or a Fraction, else a
+    QuadScalar over the coordinates' field; when
     rational-valued QuadScalars of other fields take part, the form on the
     minimizing representative of q - p is evaluated in QuadScalar
     arithmetic, which sets the field index of a rational result as the
     unreduced oracle `naive_torus_distance_sq` does.
 
     A point with a float coordinate makes the result a float: the pair goes
-    through `batch_torus_distance_sq`, the one float evaluator, on its
-    {-1, 0, 1}^2 window, which the reduction makes sufficient.
+    through `batch_torus_distance_sq`, the one float evaluator.
     """
     if p.is_exact() and q.is_exact():
-        return _exact_distance_sq(p, q, gram, window)
+        return _exact_distance_sq(p, q, gram)
     return float(batch_torus_distance_sq(np.array([p.as_floats()]), np.array([q.as_floats()]), gram)[0])
 
 
@@ -401,7 +449,19 @@ def naive_torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, wind
 
 
 _BATCH_CHUNK = 8192  # rows per pass: the per-axis terms of a chunk stay in cache
-_SHIFTS = (-1.0, 0.0, 1.0)
+
+
+def _axis_shifts(w: np.ndarray, away: bool) -> tuple[np.ndarray, ...]:
+    """w + s for the shifts s one axis keeps: 0 and -sigma, sigma = copysign(1, w),
+    and the away shift +sigma too when `away`."""
+    sigma = np.copysign(1.0, w)
+    return (w, w - sigma, w + sigma) if away else (w, w - sigma)
+
+
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y, written into x."""
+    x *= y
+    return x
 
 
 def batch_torus_distance_sq(ya: np.ndarray, yb: np.ndarray, gram: GramMatrix) -> np.ndarray:
@@ -410,37 +470,67 @@ def batch_torus_distance_sq(ya: np.ndarray, yb: np.ndarray, gram: GramMatrix) ->
 
     Per row, (d1, d2) = yb - ya goes to reduced coordinates
     w_i = u_i1*d1 + u_i2*d2 (U^-1 of the reduction), as two elementwise
-    products and one sum, and is moved by the nearest integer.  Each of the
-    9 window shifts evaluates the same float expression
-    ((g11*v1)*v1 + ((2*g12)*v1)*v2) + (g22*v2)*v2 with v = w + s.  The terms
-    that depend on one axis are computed once per shift of that axis, chunk
-    by chunk, and the shifts are folded in window order, so the result is
-    the one the plain 9-shift loop gives, bit for bit.
+    products and one sum, and is moved by the nearest integer; w - rint(w)
+    is exact, so |w_i| <= 1/2, and it is +0.0 when zero.  The result is the
+    minimum, over the 9 shifts s of {-1, 0, 1}^2, of the float expression
+    F(s) = ((g11*v1)*v1 + ((2*g12)*v1)*v2) + (g22*v2)*v2 with v = w + s,
+    bit for bit, but only the four corners of `_corners` are evaluated, each
+    in that expression: v_i = w_i, which is w_i + 0.0 since w_i is no -0.0,
+    and v_i = w_i - sigma_i, which is w_i + s_i.  No F(s) is -0.0 either, so
+    the minimum does not depend on the order the values are folded in.
+
+    Why the other five cannot be smaller.  Rounding is monotone and 2*g12 is
+    exact, so the float entries form a reduced form Q^ and the lemma of
+    `_corners` holds for it: Q^(w + s) >= m + g11/2 off the corners, m the
+    corners' minimum of Q^.  With x = w + s, |x_i| <= 3/2, each of the three
+    terms of Q^(x) reaches F(s) through at most six roundings (two in the
+    v_i, two products, two sums), so with u = 2^-53
+
+        |F(s) - Q^(x)| <= E = 6u/(1 - 6u) * 9/4 * (g11 + 2|g12| + g22) + 2^-1070,
+
+    the last term for underflow in the products.  `err` below is at least E
+    (9/4 * 6u/(1 - 6u) < 16u = 2^-49, with room for its own roundings), and
+    G = g11 + 2|g12| + g22 < 2^1020 keeps every value finite.  If
+    4 * err < g11, then off the corners F(s) >= Q^(w + s) - E
+    >= m + g11/2 - E >= F(c) + g11/2 - 2E > F(c) at the corner c where Q^
+    is least, so the minimum over the corners is the minimum over all nine.
+    Otherwise (g22/g11 beyond about 2^47, or entries near the float range)
+    each axis keeps its away shift w_i + sigma_i as well, and all nine are
+    evaluated.  The terms that depend on one axis are computed once per
+    shift of that axis, chunk by chunk.
     """
     ui, (g11, g12, g22) = gram._float_data
     (u11, u12), (u21, u22) = ui
     g12x2 = 2 * g12
-    best = np.full(len(ya), np.inf)
+    g = g11 + abs(g12x2) + g22
+    err = 2.0**-49 * g + 2.0**-1070
+    away = not (g < 2.0**1020 and 4 * err < g11)
+    best = np.empty(len(ya))
     for lo in range(0, len(ya), _BATCH_CHUNK):
-        d1, d2 = (yb[lo:lo + _BATCH_CHUNK] - ya[lo:lo + _BATCH_CHUNK]).T
+        a, b = ya[lo:lo + _BATCH_CHUNK], yb[lo:lo + _BATCH_CHUNK]
+        d1, d2 = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
         # not (yb - ya) @ ui.T: a matrix product may fuse a multiply and an
         # add, and then the last bit depends on the BLAS build
-        w1 = u11 * d1 + u12 * d2
-        w2 = u21 * d1 + u22 * d2
+        w1 = u11 * d1
+        w1 += u12 * d2
+        w2 = u21 * d1
+        w2 += u22 * d2
         w1 -= np.rint(w1)
         w2 -= np.rint(w2)
-        v2 = [w2 + s2 for s2 in _SHIFTS]
-        sq2 = [g22 * v * v for v in v2]
+        v2 = _axis_shifts(w2, away)
+        sq2 = [_times(g22 * v, v) for v in v2]
         out = best[lo:lo + _BATCH_CHUNK]
-        val = np.empty_like(out)
-        for s1 in _SHIFTS:
-            v1 = w1 + s1
-            sq1, cross = g11 * v1 * v1, g12x2 * v1
+        val = out  # the first value fills out, the others fold into it
+        for v1 in _axis_shifts(w1, away):
+            sq1, cross = _times(g11 * v1, v1), g12x2 * v1
             for v, sq in zip(v2, sq2):
                 np.multiply(cross, v, out=val)
                 val += sq1
                 val += sq
-                np.minimum(out, val, out=out)
+                if val is out:
+                    val = np.empty_like(out)
+                else:
+                    np.minimum(out, val, out=out)
     return best
 
 

@@ -324,3 +324,31 @@ def test_lengths_without_a_float_view_exit_2(capsys, command, key):
     assert code == 2
     assert out == ""
     assert f"config key '{key}'" in err
+
+
+@pytest.mark.parametrize(
+    "command, mode",
+    [
+        ("verify-metric", "float"),
+        ("counterexample", "float"),
+        ("isometry-check", "float"),
+        ("lift", "float"),
+        ("nearest", "float"),
+        ("nearest", "exact"),
+    ],
+)
+def test_gram_without_a_float_view_exits_2(capsys, command, mode):
+    # the float kernel reads the reduced form as floats; 1e400 has none
+    argv = ["--gram", "1,0,1e400", "--mode", mode, "--R", "1/2", "--allow-invalid-metric"]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert "config key 'gram'" in err
+
+
+def test_exact_verify_metric_takes_a_gram_beyond_the_float_range(capsys):
+    code, payload = run_json(
+        capsys, "verify-metric", "--gram", "1,0,1e400", "--mode", "exact", "--samples", "20"
+    )
+    assert code == 0
+    assert payload["passed"] is True

@@ -26,6 +26,7 @@ from torusglue.numerics import (
     format_scalar,
     frac,
     parse_scalar,
+    sign_of,
     sqrt_as_float,
 )
 from torusglue.orbit import circle_density_hit
@@ -281,12 +282,13 @@ def test_filtered_distance_matches_naive(pair, gram):
 
 
 def _survivors(p, q, gram):
-    """The shifts the float pass keeps for (p, q)."""
+    """The corner shifts the float pass keeps for (p, q)."""
     d1, d2 = p.delta(q)
     (u11, u12), (u21, u22) = gram.unimodular_inverse
     w1, w2 = u11 * d1 + u12 * d2, u21 * d1 + u22 * d2
     z1, z2 = w1 - nearest_int(w1), w2 - nearest_int(w2)
-    return torus._float_survivors(float_with_error(z1), float_with_error(z2), gram, 1)
+    corners = torus._corners(sign_of(z1), sign_of(z2))
+    return torus._float_survivors(float_with_error(z1), float_with_error(z2), corners, gram)
 
 
 @pytest.mark.parametrize("big", [10**308, 10**400])

@@ -1,9 +1,10 @@
 """The float metric sweep and its batch kernel against their per-element forms.
 
 `oracle_kernel` is the plain 9-shift loop that `batch_torus_distance_sq`
-ran before its per-axis terms were hoisted and its rows chunked (its
-matrix product is exact on the Grams it is given, whose reductions have
-entries in {-1, 0, 1}), `oracle_scalar_distance_sq` is the per-shift loop
+ran before its per-axis terms were hoisted, its rows chunked and its
+shifts cut to the four corners of the reduced cell (its matrix product is
+exact on the Grams it is given, whose reductions have entries in
+{-1, 0, 1}), `oracle_scalar_distance_sq` is the per-shift loop
 that `torus_distance_sq` ran on float points in Python floats, and
 `oracle_check_batch` is the per-element violation loop that `_check_batch`
 ran before its flags were computed on whole arrays: it builds a point pair
@@ -19,8 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torusglue import gluing
+from torusglue import gluing, torus
 from torusglue.gluing import (
     GluingParams,
     GluedPoint,
@@ -41,7 +44,19 @@ from torusglue.torus import (
 from oracles import nearest_int
 
 GRAMS = {"identity": GramMatrix.identity(), "skewed": GramMatrix(2, 1, 3)}
-KERNEL_GRAMS = {**GRAMS, "reduced": GramMatrix("7/3", "-5/4", "11/5")}
+KERNEL_GRAMS = {
+    **GRAMS,
+    "reduced": GramMatrix("7/3", "-5/4", "11/5"),
+    # the hexagonal boundary 2|g12| = g11, with both signs of g12
+    "hexagonal": GramMatrix(1, Fraction(1, 2), 1),
+    "hexagonal-neg": GramMatrix(2, -1, 2),
+    # elongated: 1e12 inside the proven bound, 1e20 and 2^47 past it
+    "elongated-1e12": GramMatrix(1, Fraction(1, 3), 10**12),
+    "elongated-1e20": GramMatrix(1, Fraction(-1, 2), 10**20),
+    "past-bound": GramMatrix(1, Fraction(1, 2), 2**47),
+}
+# the Grams whose float error the proof does not cover: each axis keeps w + sigma
+PAST_BOUND = ("elongated-1e20", "past-bound")
 ABOVE = GluingParams(Fraction(1), Fraction(3, 2))
 BELOW = GluingParams(Fraction(2, 5), Fraction(1), strict=False)
 
@@ -281,3 +296,105 @@ def test_kernel_matches_scalar_loop_on_sheared_grams():
             for a1, a2, b1, b2 in pairs
         )
     assert ties > 1000
+
+
+def _edge_rows(rng, n=4000):
+    """Rows with yb == ya, differences of exactly +-1/2, signed zeros and
+    differences of 1e-300, mixed with random ones."""
+    ya = rng.random((n, 2))
+    ya[: n // 8] = rng.choice([0.0, -0.0, 0.5, 0.25, 1 - 2**-53], size=(n // 8, 2))
+    step = rng.choice([0.0, -0.0, 0.5, -0.5, 1e-300, -1e-300, 2**-1074], size=ya.shape)
+    yb = ya + step
+    yb[n // 4 : n // 2] = ya[n // 4 : n // 2]  # yb == ya
+    yb[n // 2 : 5 * n // 8] = rng.random((n // 8, 2))  # far pairs
+    yb[yb == 0.0] = rng.choice([0.0, -0.0], size=int(np.sum(yb == 0.0)))
+    return ya, yb
+
+
+@pytest.mark.parametrize("gram", list(KERNEL_GRAMS.values()), ids=list(KERNEL_GRAMS))
+def test_kernel_bitwise_equal_on_edge_rows(gram):
+    ya, yb = _edge_rows(np.random.default_rng(2))
+    half = (ya - yb) % 1.0 == 0.5
+    assert np.any(half[:, 0]) and np.any(half[:, 1])
+    assert np.any(np.signbit(ya) & (ya == 0.0)) and np.any(np.all(ya == yb, axis=1))
+    got = batch_torus_distance_sq(ya, yb, gram)
+    assert _same_bits(got, oracle_kernel(ya, yb, gram))
+    assert not np.any(np.signbit(got))
+
+
+def _kernel_and_away_flags(ya, yb, gram, monkeypatch):
+    """The kernel's result and the `away` flags its axes were given."""
+    flags = set()
+    real = torus._axis_shifts
+    with monkeypatch.context() as m:
+        m.setattr(torus, "_axis_shifts", lambda w, away: flags.add(away) or real(w, away))
+        return batch_torus_distance_sq(ya, yb, gram), flags
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRAMS))
+def test_away_shift_stays_only_past_the_proven_bound(name, monkeypatch):
+    """The four corners suffice when 4 * err < g11; past it (g22/g11 of about
+    2^47 and above) each axis evaluates its away shift w + sigma too."""
+    gram = KERNEL_GRAMS[name]
+    rng = np.random.default_rng(3)
+    ya, yb = rng.random((_BATCH_CHUNK + 7, 2)), rng.random((_BATCH_CHUNK + 7, 2))
+    got, flags = _kernel_and_away_flags(ya, yb, gram, monkeypatch)
+    assert _same_bits(got, oracle_kernel(ya, yb, gram))
+    assert flags == {name in PAST_BOUND}
+
+
+def test_proven_bound_lies_between_2_46_and_2_47(monkeypatch):
+    ya, yb = np.zeros((1, 2)), np.full((1, 2), 0.3)
+    for g22, away in ((2**46, False), (2**47, True)):
+        gram = GramMatrix(1, Fraction(1, 2), g22)
+        got, flags = _kernel_and_away_flags(ya, yb, gram, monkeypatch)
+        assert flags == {away}
+        assert _same_bits(got, oracle_kernel(ya, yb, gram))
+
+
+# -- the corner lemma, in exact arithmetic ----------------------------------------
+
+
+def _margin(gram, w1, w2, sign1, sign2, reach=3):
+    """Least Q(w + s) - min over the corners of Q(w + c), over the shifts s
+    outside the corners with |s_i| <= reach."""
+    corners = torus._corners(sign1, sign2)
+    best = min(gram.form(w1 + c1, w2 + c2) for c1, c2 in corners)
+    span = range(-reach, reach + 1)
+    return min(
+        gram.form(w1 + s1, w2 + s2) - best for s1 in span for s2 in span if (s1, s2) not in corners
+    )
+
+
+def _signs(w):
+    """The signs a coordinate may carry: both for a zero, as +0.0 and -0.0."""
+    return (1, -1) if w == 0 else ((w > 0) - (w < 0),)
+
+
+HALF = Fraction(1, 2)
+positive = st.fractions(min_value=Fraction(1, 1000), max_value=1000)
+unit_interval = st.fractions(min_value=0, max_value=1)
+half_interval = st.fractions(min_value=-HALF, max_value=HALF)
+coordinates = st.one_of(st.sampled_from([Fraction(0), HALF, -HALF]), half_interval)
+
+
+@st.composite
+def reduced_grams(draw) -> GramMatrix:
+    """2|g12| <= g11 <= g22, the boundaries included."""
+    g11 = draw(positive)
+    ratio = draw(st.one_of(st.sampled_from([-HALF, HALF, Fraction(0)]), half_interval))
+    stretch = draw(st.one_of(st.just(Fraction(0)), unit_interval, positive))
+    return GramMatrix(g11, ratio * g11, g11 + stretch * g11)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_grams(), coordinates, coordinates)
+def test_corner_margin_is_at_least_half_g11(gram, w1, w2):
+    for sign1 in _signs(w1):
+        for sign2 in _signs(w2):
+            assert _margin(gram, w1, w2, sign1, sign2) >= gram.g11 / 2
+
+
+def test_corner_margin_is_attained_on_the_hexagonal_boundary():
+    # 2 g12 = -g11 and w = (0, 1/2): the shift (1, 0) is g11/2 above the corner 0
+    assert _margin(GramMatrix(2, -1, 2), Fraction(0), HALF, 1, 1) == 1
