@@ -564,7 +564,13 @@ def _cmd_non_closure(cfg: RunConfig) -> dict:
 def _cmd_local_isometry(cfg: RunConfig) -> dict:
     params = cfg.params()
     subgroup = cfg.subgroup()
+    radius_sq, nsq = _validity_radius_sq(subgroup, params, cfg.gram)
+    # the report's slope 1 + |v| and separation |t - s| are floats
+    if not _has_float_view(nsq):
+        raise ConfigError("gram", "the line's squared tangent norm |v|^2 must fit a float")
     if cfg.t is not None:
+        if not _has_float_view(cfg.t - cfg.s):
+            raise ConfigError("t", "t - s must fit a float")
         try:
             rec = local_isometry_check(cfg.t, cfg.s, subgroup, params, cfg.gram, cfg.mode)
         except ValidityRadiusError as exc:
@@ -573,7 +579,7 @@ def _cmd_local_isometry(cfg: RunConfig) -> dict:
             }
         return {"refused": False, "record": rec, "passed": rec.passed}
 
-    r_lo = sqrt_interval(_validity_radius_sq(subgroup, params, cfg.gram)[0], 12)[0]
+    r_lo = sqrt_interval(radius_sq, 12)[0]
 
     records = []
     for i in range(cfg.count):

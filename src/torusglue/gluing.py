@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .numerics import (
     DEFAULT_D,
     EXACT,
@@ -364,15 +362,15 @@ class _ViolationLog:
         if len(self.entries) < self.max_recorded:
             self.entries.append(AxiomViolation(kind, a, b, c, lhs, rhs, slack))
 
-    def add_flagged(self, flagged: np.ndarray, slack: np.ndarray, fields):
-        """Count the violations at the indices `flagged`, taken in order.
+    def add_flagged(self, flagged, slack, fields):
+        """Count the violations at the index array `flagged`, taken in order.
 
         Only those that still fit in the log become records, each built from
         `fields(i)`; the largest nonnegative slack among them is noted.
         """
         self.total += len(flagged)
         if len(flagged):
-            self.note_error(max(0.0, float(np.max(slack[flagged]))))
+            self.note_error(max(0.0, float(slack[flagged].max())))
         room = max(0, self.max_recorded - len(self.entries))
         self.entries.extend(AxiomViolation(*fields(i)) for i in flagged[:room])
 
@@ -414,6 +412,8 @@ def _check_triple(a, b, c, params, gram, log: _ViolationLog) -> int:
 
 
 def _batch_glued_values(ka, ya, ta, kb, yb, tb, params, gram):
+    import numpy as np
+
     base = batch_torus_distance_sq(ya, yb, gram)
     np.sqrt(np.maximum(base, 0.0, out=base), out=base)
     gap = np.abs(ta - tb)
@@ -424,13 +424,15 @@ def _batch_glued_values(ka, ya, ta, kb, yb, tb, params, gram):
     return base
 
 
-def _batch_points_equal(ka, ya, ta, kb, yb, tb, eps: float) -> np.ndarray:
+def _batch_points_equal(ka, ya, ta, kb, yb, tb, eps: float):
     """Float points equal within eps, row by row: same component, y and t within eps."""
+    import numpy as np
+
     wrapped = batch_torus_distance_sq(ya, yb, GramMatrix.identity())
     return (ka == kb) & ~(wrapped > eps * eps) & ((ka == 0) | (np.abs(ta - tb) <= eps))
 
 
-def _float_point(kind: int, y: np.ndarray, t: float) -> GluedPoint:
+def _float_point(kind: int, y, t: float) -> GluedPoint:
     p = TorusPoint(float(y[0]), float(y[1]))
     return GluedPoint.compact(p) if kind == 0 else GluedPoint.cylinder(p, float(t))
 
@@ -447,6 +449,8 @@ def _check_floats(kind, y, t, dists, mode: ScalarMode, log: _ViolationLog, point
     The flags, totals and maximum error come from whole arrays; point
     objects are asked for only for the violations the log records.
     """
+    import numpy as np
+
     d_ab, d_ba, d_ac, d_bc, d_aa = dists
 
     sym = np.abs(d_ab - d_ba)
@@ -485,6 +489,8 @@ def _check_floats(kind, y, t, dists, mode: ScalarMode, log: _ViolationLog, point
 
 def _check_batch(n, params, gram, mode, seed, log: _ViolationLog) -> int:
     """Float checks of n sampled triples, their distances from the batch kernel."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     kind = rng.integers(0, 2, size=(3, n))
     y = rng.random((3, n, 2))
@@ -503,6 +509,8 @@ def _check_batch(n, params, gram, mode, seed, log: _ViolationLog) -> int:
 
 def _check_float_triple(a, b, c, params, gram, mode, log: _ViolationLog) -> int:
     """Float checks of one given triple, its distances from `glued_distance`."""
+    import numpy as np
+
     pts = a, b, c
     kind = np.array([[0 if p.is_compact else 1] for p in pts])
     y = np.array([[p.y.as_floats()] for p in pts])
@@ -629,12 +637,14 @@ def triangle_counterexample(params: GluingParams, gram: GramMatrix | None = None
 
 
 @lru_cache(maxsize=4)
-def _grid_dsq(y: tuple[float, float], gram: GramMatrix, grid_n: int) -> np.ndarray:
+def _grid_dsq(y: tuple[float, float], gram: GramMatrix, grid_n: int):
     """Float squared distances from y to the grid points (k // grid_n, k % grid_n) / grid_n.
 
     Cached, read-only: a nearest-point check asks for the same y and grid
     several times, once per record and once per oracle.
     """
+    import numpy as np
+
     idx = np.arange(grid_n * grid_n)
     pts = np.stack([(idx // grid_n) / grid_n, (idx % grid_n) / grid_n], axis=1)
     dsq = batch_torus_distance_sq(np.repeat(np.array([y]), len(pts), axis=0), pts, gram)
@@ -649,6 +659,8 @@ def _grid_min_excluding(y: TorusPoint, gram: GramMatrix, grid_n: int, mode: Scal
     callers pass an exact y, the winner (and the exclusion of y itself) is
     settled exactly.
     """
+    import numpy as np
+
     dsq = _grid_dsq(y.as_floats(), gram, grid_n)
 
     def grid_point(k: int) -> TorusPoint:
@@ -765,6 +777,8 @@ def grid_nearest_in_compact(
     p: GluedPoint, params: GluingParams, gram: GramMatrix, grid_n: int = 100
 ) -> tuple[TorusPoint, float]:
     """Argmin of d(p, compact(y')) over the uniform grid, by direct enumeration."""
+    import numpy as np
+
     dsq = _grid_dsq(p.y.as_floats(), gram, grid_n)
     vals = np.sqrt(np.maximum(dsq, 0.0)) + as_float(params.R)
     k = int(np.argmin(vals))

@@ -567,13 +567,8 @@ def float_with_error(x) -> tuple[float, float] | None:
     """
     if not is_exact(x):
         return None
-    return _float_with_error(*_triple(x))
-
-
-def _float_with_error(A: int, B: int, D: int, d: int) -> tuple[float, float] | None:
-    """`float_with_error` of the value (A + B*sqrt(d)) / D, D > 0."""
     try:
-        f = _to_float(A, B, D, d)
+        f = _to_float(*_triple(x))
     except OverflowError:
         return None
     return f, abs(f) * 2.0**-51 + 2.0**-1060

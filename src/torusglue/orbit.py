@@ -30,6 +30,8 @@ from .numerics import (
     _divided,
     _floor,
     _new,
+    _rat,
+    _reduced,
     _sign,
     _triple,
     as_float,
@@ -254,9 +256,21 @@ class CircleHit(Record):
 
 
 def _circle_dist_sq(w, g_axis):
-    # w is a fractional part in [0, 1); wrap to the short way around
-    wrap = scalar_min(w, 1 - w)
-    return wrap * wrap * g_axis
+    """wrap^2 * g_axis, wrap = min(w, 1 - w) the short way around from a
+    fractional part w in [0, 1), on w's triple (A, B, D): 1 - w is
+    (D - A, -B, D), and the square times g_axis = n / m is
+    ((A^2 + d B^2) n + 2 A B n sqrt(d)) / (D^2 m).  The type is the
+    scalar arithmetic's: a QuadScalar over w's field when w is one, else a
+    Fraction."""
+    A, B, D, d = _triple(w)
+    if _sign(2 * A - D, 2 * B, d) > 0:  # w > 1/2
+        A, B = D - A, -B
+    g = _rat(g_axis)
+    n, m = g.numerator, g.denominator
+    A, B, D = (A * A + d * B * B) * n, 2 * A * B * n, D * D * m
+    if isinstance(w, QuadScalar):
+        return _reduced(A, B, D, d)
+    return Fraction(A, D)
 
 
 def circle_density_hit(

@@ -6,8 +6,10 @@ rounded to w with |w_i| <= 1/2; then the nearest lattice shift is one of the
 four corners {0, -sigma_1} x {0, -sigma_2} of the cell around w,
 sigma_i = sign(w_i), and every other shift is at least g11/2 farther
 (`_corners`, the classical Voronoi structure of a reduced 2-D lattice).
-The exact path and the float batch kernel evaluate those four shifts only;
-the unreduced wide-window path is kept as an oracle.
+The exact path evaluates those four shifts on integers alone and compares
+them by exact signs, with no float; the float batch kernel evaluates the
+same four in float64 and is the only code here that loads numpy.  The
+unreduced wide-window path is kept as an oracle.
 """
 
 from __future__ import annotations
@@ -17,14 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .numerics import (
     DEFAULT_D,
     CertificationError,
     FieldMismatchError,
     QuadScalar,
-    _float_with_error,
     _floor,
     _reduced,
     _sign,
@@ -125,10 +124,13 @@ class GramMatrix(Record):
 
     @cached_property
     def _float_data(self):
+        """((u11, u12), (u21, u22)), (g11, g12, g22): U^-1 and the reduced
+        Gram as floats, for the batch kernel; OverflowError beyond the float
+        range."""
         _, gr = self.reduction
-        ui = self.unimodular_inverse
+        (u11, u12), (u21, u22) = self.unimodular_inverse
         return (
-            np.array([[float(ui[0][0]), float(ui[0][1])], [float(ui[1][0]), float(ui[1][1])]]),
+            ((float(u11), float(u12)), (float(u21), float(u22))),
             (float(gr.g11), float(gr.g12), float(gr.g22)),
         )
 
@@ -246,9 +248,6 @@ class Length:
         return self.value
 
 
-_U = 2.0**-53  # unit roundoff of float64
-
-
 @lru_cache(maxsize=None)
 def _corners(sign1: int, sign2: int) -> tuple[tuple[int, int], ...]:
     """The shifts {0, -sigma_1} x {0, -sigma_2} in window order, sigma_i = +1
@@ -286,56 +285,6 @@ def _corners(sign1: int, sign2: int) -> tuple[tuple[int, int], ...]:
     return tuple((s1, s2) for s1 in span1 for s2 in span2)
 
 
-def _float_survivors(fz1, fz2, shifts, gram: GramMatrix):
-    """The corner shifts (s1, s2) that can hold the exact minimum, in order.
-
-    fz_i = (f_i, e_i) is a float f_i of the exact reduced difference z_i,
-    |z_i| <= 1/2, with a proven bound e_i >= |f_i - z_i| (`float_with_error`),
-    and `shifts` are the four corners (`_corners`) of the exact signs of z.
-    By the lemma there, every other shift is at least g11 / 2 above the
-    corners' minimum and holds no exact minimizer, so only the corners are
-    evaluated.  A float pass takes F(s) = fl(Q^(x)) at each of them, with
-    x_i = fl(f_i + s_i), |s_i| <= 1, and Q^ the reduced form with float
-    entries.  With u = 2^-53 and G >= |g11| + 2|g12| + |g22| (the reduced
-    Gram's entries):
-
-        eps = max e_i + u * (1 + max |f_i|)      bounds |x_i - (z_i + s_i)|
-        X   = 1 + max |f_i| + eps                bounds |x_i| and |z_i + s_i|
-        |F(s) - Q(z + s)| <= E = G * (6u * X^2 + 2 * eps * X + eps^2) + 2^-1020
-
-    since Q(a) - Q(b) = B(a - b, a + b) with |B(p, q)| <= G * |p| * |q|
-    (the 2 * eps * X and eps^2 terms), the float entries are within u of the
-    exact ones (u * G * X^2), and each of the three products takes at most
-    four roundings on its way into the sum (4u / (1 - 4u) <= 5u, another
-    5u * G * X^2); the last term absorbs underflow.  `err` is 2E, which
-    also covers the roundings made while computing it and F(s) - F_min.  If
-    fl(F(s) - F_min) > 2 * err, then F(s) - F_min > 2E, so
-    Q(z + s) >= F(s) - E > F_min + E >= Q at the float argmin, and s is no
-    exact minimizer.  None (keep all four corners) when a float is
-    non-finite or a z_i has no proven float.
-    """
-    if fz1 is None or fz2 is None:
-        return None
-    try:
-        _, (g11, g12, g22) = gram._float_data
-    except OverflowError:
-        return None
-    (f1, e1), (f2, e2) = fz1, fz2
-    vals = []
-    for s1, s2 in shifts:
-        x1, x2 = f1 + s1, f2 + s2
-        vals.append(g11 * x1 * x1 + 2 * g12 * x1 * x2 + g22 * x2 * x2)
-    reach = 1 + max(abs(f1), abs(f2))
-    eps = max(e1, e2) + _U * reach
-    x = reach + eps
-    g = (abs(g11) + 2 * abs(g12) + abs(g22)) * (1 + 2.0**-50) + 2.0**-1000
-    err = 2 * (g * (6 * _U * x * x + 2 * eps * x + eps * eps) + 2.0**-1020)
-    if not (math.isfinite(err) and all(map(math.isfinite, vals))):
-        return None
-    best = min(vals)
-    return [s for s, v in zip(shifts, vals) if v - best <= 2 * err]
-
-
 def _parts(x) -> tuple[int, int, int]:
     """(A, B, D) of an exact coordinate (A + B*sqrt(d)) / D."""
     if isinstance(x, QuadScalar):
@@ -364,12 +313,7 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix):
     w2, c2 = u21 * a1 + u22 * a2, u21 * b1 + u22 * b2
     z1 = w1 - _floor(2 * w1 + L, 2 * c1, 2 * L, d) * L
     z2 = w2 - _floor(2 * w2 + L, 2 * c2, 2 * L, d) * L
-    corners = _corners(_sign(z1, c1, d), _sign(z2, c2, d))
-    shifts = _float_survivors(
-        _float_with_error(z1, c1, L, d), _float_with_error(z2, c2, L, d), corners, gram
-    )
-    if shifts is None:
-        shifts = corners
+    shifts = _corners(_sign(z1, c1, d), _sign(z2, c2, d))
     # G * L^2 * Q(shifted z) = A + B*sqrt(d), with x_i = z_i + s_i * L:
     #   A = n11 x1^2 + 2 n12 x1 x2 + n22 x2^2 + d (n11 c1^2 + 2 n12 c1 c2 + n22 c2^2)
     #   B = 2 x1 (n11 c1 + n12 c2) + 2 x2 (n12 c1 + n22 c2)
@@ -412,14 +356,12 @@ def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: in
     the closed-form floor.  Only the four corners of the cell around the
     rounded difference can hold the minimum (`_corners`), so the result is
     the same for every `window` >= 1, which is accepted for compatibility.
-    A float pass with a proven error bound (`_float_survivors`) drops the
-    corners that provably miss the minimum; at each survivor the reduced
-    form is one integer polynomial over G * L^2, G the lcm of the reduced
-    Gram's denominators, and survivors are compared by exact signs in window
-    order, so the result is the one the full exact window gives.  It is a
-    Fraction when every coordinate is an int or a Fraction, else a
-    QuadScalar over the coordinates' field; when
-    rational-valued QuadScalars of other fields take part, the form on the
+    At each corner the reduced form is one integer polynomial over G * L^2,
+    G the lcm of the reduced Gram's denominators, and the corners are
+    compared by exact signs in window order, so the result is the one the
+    full exact window gives; no float is computed.  It is a Fraction when
+    every coordinate is an int or a Fraction, else a QuadScalar over the
+    coordinates' field; when rational-valued QuadScalars of other fields take part, the form on the
     minimizing representative of q - p is evaluated in QuadScalar
     arithmetic, which sets the field index of a rational result as the
     unreduced oracle `naive_torus_distance_sq` does.
@@ -429,6 +371,8 @@ def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: in
     """
     if p.is_exact() and q.is_exact():
         return _exact_distance_sq(p, q, gram)
+    import numpy as np
+
     return float(batch_torus_distance_sq(np.array([p.as_floats()]), np.array([q.as_floats()]), gram)[0])
 
 
@@ -451,20 +395,22 @@ def naive_torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, wind
 _BATCH_CHUNK = 8192  # rows per pass: the per-axis terms of a chunk stay in cache
 
 
-def _axis_shifts(w: np.ndarray, away: bool) -> tuple[np.ndarray, ...]:
+def _axis_shifts(w, away: bool) -> tuple:
     """w + s for the shifts s one axis keeps: 0 and -sigma, sigma = copysign(1, w),
     and the away shift +sigma too when `away`."""
+    import numpy as np
+
     sigma = np.copysign(1.0, w)
     return (w, w - sigma, w + sigma) if away else (w, w - sigma)
 
 
-def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _times(x, y):
     """x * y, written into x."""
     x *= y
     return x
 
 
-def batch_torus_distance_sq(ya: np.ndarray, yb: np.ndarray, gram: GramMatrix) -> np.ndarray:
+def batch_torus_distance_sq(ya, yb, gram: GramMatrix):
     """Vectorized float path over (n, 2) coordinate arrays; the package's one
     float evaluator of torus distances.
 
@@ -499,8 +445,9 @@ def batch_torus_distance_sq(ya: np.ndarray, yb: np.ndarray, gram: GramMatrix) ->
     evaluated.  The terms that depend on one axis are computed once per
     shift of that axis, chunk by chunk.
     """
-    ui, (g11, g12, g22) = gram._float_data
-    (u11, u12), (u21, u22) = ui
+    import numpy as np
+
+    ((u11, u12), (u21, u22)), (g11, g12, g22) = gram._float_data
     g12x2 = 2 * g12
     g = g11 + abs(g12x2) + g22
     err = 2.0**-49 * g + 2.0**-1070

@@ -303,6 +303,8 @@ def test_output_write_failure_exits_2(capsys, tmp_path):
         (("nearest", "--instances", "-1"), "instances"),
         (("isometry-check", "--instances", "-1"), "instances"),
         (("local-isometry", "--count", "-3"), "count"),
+        # the report's separation |t - s| is a float
+        (("local-isometry", "--t", "1e400", "--s", "0"), "t"),
     ],
 )
 def test_bad_values_exit_2_naming_the_key(capsys, argv, key):
@@ -335,10 +337,13 @@ def test_lengths_without_a_float_view_exit_2(capsys, command, key):
         ("lift", "float"),
         ("nearest", "float"),
         ("nearest", "exact"),
+        ("local-isometry", "exact"),
+        ("local-isometry", "float"),
     ],
 )
 def test_gram_without_a_float_view_exits_2(capsys, command, mode):
-    # the float kernel reads the reduced form as floats; 1e400 has none
+    # the float kernel reads the reduced form as floats, and local-isometry
+    # reports the slope 1 + |v|; 1e400 has no float
     argv = ["--gram", "1,0,1e400", "--mode", mode, "--R", "1/2", "--allow-invalid-metric"]
     code, out, err = run(capsys, command, *argv)
     assert code == 2

@@ -3,8 +3,8 @@
 `QuadScalar` arithmetic is checked against sympy's exact algebra; signs,
 floors, enclosures and float views against mpmath at a precision large
 enough to separate every value from the comparison at hand.  Coefficients
-reach 10^40.  The float-filtered `torus_distance_sq` is checked against the
-unreduced `naive_torus_distance_sq` for equal values and equal types,
+reach 10^40.  The four-corner exact `torus_distance_sq` is checked against
+the unreduced `naive_torus_distance_sq` for equal values and equal types,
 including exact ties, near-ties below float resolution and Grams whose float
 copy overflows.
 """
@@ -18,7 +18,6 @@ import sympy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from torusglue import torus
 from torusglue.numerics import (
     FieldMismatchError,
     QuadScalar,
@@ -26,13 +25,10 @@ from torusglue.numerics import (
     format_scalar,
     frac,
     parse_scalar,
-    sign_of,
     sqrt_as_float,
 )
 from torusglue.orbit import circle_density_hit
 from torusglue.torus import GramMatrix, TorusPoint, naive_torus_distance_sq, torus_distance_sq
-
-from oracles import nearest_int
 
 BIG = 10**40
 FIELDS = (2, 3, 5, 6, 7, 10, 11)
@@ -243,7 +239,7 @@ def test_wire_round_trip_hash_and_equality(x):
     assert (x == other_field) == x.is_rational()
 
 
-# -- float-filtered torus distance -------------------------------------------------------
+# -- four-corner exact torus distance -------------------------------------------------------
 
 IDENTITY = GramMatrix.identity()
 SKEWED = GramMatrix(2, 1, 3)
@@ -281,53 +277,52 @@ def test_filtered_distance_matches_naive(pair, gram):
     assert_matches_naive(q, p, gram)
 
 
-def _survivors(p, q, gram):
-    """The corner shifts the float pass keeps for (p, q)."""
-    d1, d2 = p.delta(q)
-    (u11, u12), (u21, u22) = gram.unimodular_inverse
-    w1, w2 = u11 * d1 + u12 * d2, u21 * d1 + u22 * d2
-    z1, z2 = w1 - nearest_int(w1), w2 - nearest_int(w2)
-    corners = torus._corners(sign_of(z1), sign_of(z2))
-    return torus._float_survivors(float_with_error(z1), float_with_error(z2), corners, gram)
-
-
 @pytest.mark.parametrize("big", [10**308, 10**400])
 def test_overflowing_float_gram_falls_back(big):
+    """Grams at and beyond the float range: the exact four-corner distance
+    reads no float copy of the form, so it needs none."""
     gram = GramMatrix(big, 0, big)
+    if big > 2**1024:
+        with pytest.raises(OverflowError):
+            gram._float_data
     p = TorusPoint(Fraction(1, 3), QuadScalar(0, Fraction(1, 5), 2))
     q = TorusPoint(Fraction(5, 7), Fraction(1, 9))
-    assert _survivors(p, q, gram) is None
     assert assert_matches_naive(p, q, gram) > 0
+    assert assert_matches_naive(q, p, gram) > 0
 
 
 def test_exact_ties_keep_every_minimizer():
+    """Half points and cell corners tie two or four corners exactly; the
+    first minimizer in window order wins, as in the unreduced window."""
     origin = TorusPoint.origin()
     half = TorusPoint(Fraction(1, 2), Fraction(0))
-    assert len(_survivors(origin, half, IDENTITY)) == 2
     assert assert_matches_naive(origin, half, IDENTITY) == Fraction(1, 4)
     corner = TorusPoint(Fraction(1, 2), Fraction(1, 2))
-    assert len(_survivors(origin, corner, IDENTITY)) == 4
     assert assert_matches_naive(origin, corner, IDENTITY) == Fraction(1, 2)
     assert_matches_naive(origin, corner, SKEWED)
+    assert_matches_naive(corner, origin, SKEWED)
+    # rational-valued scalars of two fields: the field index of the result
+    # is the one QuadScalar arithmetic gives at the first minimizer
+    mixed = TorusPoint(QuadScalar(Fraction(1, 2), 0, 3), QuadScalar(Fraction(1, 2), 0, 2))
+    for gram in (IDENTITY, SKEWED):
+        got = assert_matches_naive(origin, mixed, gram)
+        assert got.d == naive_torus_distance_sq(origin, mixed, gram).d
 
 
 def test_near_ties_below_float_resolution_are_settled_exactly():
     origin = TorusPoint.origin()
-    # 2^-48 apart: a few dozen ulps, inside the float pass's error bound
+    # the two nearest shifts' squared lengths differ by 2^-50, a few ulps
     q = TorusPoint(Fraction(1, 2) + Fraction(1, 2**51), Fraction(0))
-    assert len(_survivors(origin, q, IDENTITY)) == 2
     assert assert_matches_naive(origin, q, IDENTITY) == (Fraction(1, 2) - Fraction(1, 2**51)) ** 2
     tiny = Fraction(1, 2 * 10**30)
     # rational: the shifts -1/2 + tiny and 1/2 + tiny differ by 1e-30
     for u in (Fraction(1, 2) + tiny, Fraction(1, 2) - tiny):
         q = TorusPoint(u, Fraction(0))
-        assert len(_survivors(origin, q, IDENTITY)) >= 2
         assert assert_matches_naive(origin, q, IDENTITY) == (Fraction(1, 2) - tiny) ** 2
     # irrational: 0 < sqrt(2) - r < 1e-40, so delta lies in (0, 1e-30)
     r = Fraction(math.isqrt(2 * 10**80), 10**40)
     delta = (QuadScalar(0, 1, 2) - r) * 10**10
     for u in (Fraction(1, 2) + delta, Fraction(1, 2) - delta):
         q = TorusPoint(u, Fraction(1, 3))
-        assert len(_survivors(origin, q, IDENTITY)) >= 2
         got = assert_matches_naive(origin, q, IDENTITY)
         assert got == (Fraction(1, 2) - delta) ** 2 + Fraction(1, 9)

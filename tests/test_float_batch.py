@@ -63,7 +63,7 @@ BELOW = GluingParams(Fraction(2, 5), Fraction(1), strict=False)
 
 def oracle_kernel(ya, yb, gram):
     ui, (g11, g12, g22) = gram._float_data
-    w = (yb - ya) @ ui.T
+    w = (yb - ya) @ np.array(ui).T
     w -= np.rint(w)
     best = None
     for s1 in (-1.0, 0.0, 1.0):

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from torusglue import orbit
 from torusglue.gluing import GluingParams
 from torusglue.numerics import QuadScalar, as_float, frac, scalar_abs, scalar_lt, sign_of
 from torusglue.orbit import (
@@ -206,6 +207,21 @@ def test_circle_density_hit_weighted_axis():
     heavy = circle_density_hit(Fraction(1, 3), THETA, eps=Fraction(1, 500), g_axis=Fraction(100))
     assert scalar_lt(heavy.distance_sq, Fraction(1, 500) ** 2)  # already weighted
     assert heavy.convergent.q >= light.convergent.q
+
+
+def test_circle_dist_sq_matches_scalar_arithmetic():
+    # the reference is the scalar formula _circle_dist_sq ran before it
+    # moved onto integer triples: value, type and field index must agree
+    ws = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), frac(THETA), frac(-THETA),
+          frac(QuadScalar(Fraction(1, 3), Fraction(-2, 9), 3)), QuadScalar(Fraction(3, 4), 0, 5),
+          QuadScalar(Fraction(1, 4), 0, 3), QuadScalar(Fraction(1, 2), 0, 2)]
+    for w in ws:
+        for g_axis in (Fraction(1), Fraction(7, 3), 2):
+            wrap = w if scalar_lt(w, 1 - w) else 1 - w
+            want = wrap * wrap * g_axis
+            got = orbit._circle_dist_sq(w, g_axis)
+            assert got == want and type(got) is type(want)
+            assert getattr(got, "d", None) == getattr(want, "d", None)
 
 
 def test_circle_membership():
