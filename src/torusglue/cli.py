@@ -16,6 +16,7 @@ import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .gluing import (
     Distance,
@@ -172,6 +173,8 @@ def _must(ok, message: str):
 
 _positive = _must(lambda v: sign_of(v) > 0, "must be positive")
 _nonnegative = _must(lambda v: v >= 0, "must be nonnegative")
+_all_positive = _must(lambda v: min(v) > 0, "must be positive")
+_unsigned_64 = _must(lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer")
 
 
 def _has_float_view(v) -> bool:
@@ -193,81 +196,39 @@ def _has_float_gram(gram: GramMatrix) -> bool:
     return True
 
 
-# commands that run the float batch kernel on the Gram matrix in float mode;
-# nearest runs it in every mode, for its grid oracles
-FLOAT_KERNEL_COMMANDS = ("verify-metric", "counterexample", "isometry-check", "lift", "nearest")
-
-# key -> (default text, parser, check).  Parsers run in this order, so d
-# comes before every key whose literals may carry sqrt(d).
+# key -> (default text, parser, check, flag help).  Parsers run in this order,
+# so d comes before every key whose literals may carry sqrt(d).
 KEYS = {
-    "d": ("2", _radicand, None),
-    "alpha": ("1", _alpha, None),
-    "gram": ("1,0,1", _gram, None),
-    "R": ("1", _exact, _length),
-    "M": ("2", _exact, _length),
-    "mode": ("exact", _choice({"exact": EXACT, "float": FLOAT}), None),
-    "seed": ("0", _int, _must(lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer")),
-    "format": ("json", _choice({"json": "json", "csv": "csv"}), None),
-    "output": (None, lambda text, d: text, None),
-    "allow_invalid_metric": ("false", _bool, None),
-    "samples": ("64", _int, _nonnegative),
-    "instances": ("50", _int, _nonnegative),
-    "count": ("100", _int, _positive),
-    "grid": ("100", _int, _must(lambda v: v >= 2, "needs at least 2 points")),
+    "d": ("2", _radicand, None, "square-free radicand (default 2)"),
+    "alpha": ("1", _alpha, None, "slope coefficient b in b*sqrt(d), or a full scalar literal"),
+    "gram": ("1,0,1", _gram, None, "torus metric entries g11,g12,g22"),
+    "R": ("1", _exact, _length, "cross-component offset (exact literal)"),
+    "M": ("2", _exact, _length, "line gap cap (exact literal)"),
+    "mode": ("exact", _choice({"exact": EXACT, "float": FLOAT}), None, "exact or float"),
+    "seed": ("0", _int, _unsigned_64, "64-bit unsigned run seed"),
+    "format": ("json", _choice({"json": "json", "csv": "csv"}), None, "json or csv"),
+    "output": (None, lambda text, d: text, None, "report path (default stdout)"),
+    "allow_invalid_metric": ("false", _bool, None, "permit 2R < M configurations"),
+    "samples": ("64", _int, _nonnegative, None),
+    "instances": ("50", _int, _nonnegative, None),
+    "count": ("100", _int, _positive, None),
+    "grid": ("100", _int, _must(lambda v: v >= 2, "needs at least 2 points"), None),
     # the height grid is centered at the point; only an odd size contains it
-    "t_grid": ("401", _int, _must(lambda v: v >= 3 and v % 2, "must be odd and at least 3")),
-    "shifts": ("0,1,1/2,-1/3", _list_of(_exact), None),
-    "targets": ("0,1/2", _targets, _must(bool, "no targets given")),
-    "target": ("0,1/2", _point, None),
-    "epsilons": ("1e-2,1e-3", _list_of(_rational), _must(lambda v: min(v) > 0, "must be positive")),
-    "eps": ("1e-3", _rational, _positive),
-    "budget": ("50000000", _int, _positive),
-    "t": (None, _exact, None),
-    "s": (None, _exact, None),
-    "k_range": ("-5:5", _k_range, _must(lambda v: v[0] <= v[1], "lo must not exceed hi")),
+    "t_grid": ("401", _int, _must(lambda v: v >= 3 and v % 2, "must be odd and at least 3"), None),
+    "shifts": ("0,1,1/2,-1/3", _list_of(_exact), None, None),
+    "targets": ("0,1/2", _targets, _must(bool, "no targets given"), None),
+    "target": ("0,1/2", _point, None, None),
+    "epsilons": ("1e-2,1e-3", _list_of(_rational), _all_positive, None),
+    "eps": ("1e-3", _rational, _positive, None),
+    "budget": ("50000000", _int, _positive, None),
+    "t": (None, _exact, None, None),
+    "s": (None, _exact, None, None),
+    "k_range": ("-5:5", _k_range, _must(lambda v: v[0] <= v[1], "lo must not exceed hi"), None),
 }
 
 COMMON_KEYS = (
     "d", "alpha", "gram", "R", "M", "mode", "seed", "format", "output", "allow_invalid_metric"
 )
-
-# command -> its own keys, then the defaults it sets apart from the table's
-COMMANDS: dict[str, tuple[tuple, dict]] = {
-    "verify-metric": (("samples",), {"mode": "float", "samples": "100000"}),
-    "counterexample": (("samples",), {}),
-    "nearest": (("instances", "grid", "t_grid"), {}),
-    "isometry-check": (("samples", "instances"), {"samples": "200", "instances": "100"}),
-    "lift": (("shifts", "samples"), {}),
-    "density": (("targets", "epsilons", "budget"), {}),
-    "non-closure": (("target", "epsilons", "budget"), {"epsilons": "1e-2,1e-4,1e-6"}),
-    "local-isometry": (("count", "t", "s"), {}),
-    "x1-group": (("k_range", "count", "eps"), {}),
-}
-
-HELP = {
-    "verify-metric": "sample triples and check all metric axioms",
-    "counterexample": "construct the explicit triangle violation when 2R < M",
-    "nearest": "closed-form nearest-point structure against brute-force grids",
-    "isometry-check": "lift preservation, decompose/construct round-trips, impostor rejection",
-    "lift": "tabulate lifted isometries for given line shifts",
-    "density": "certified orbit approaches to torus targets",
-    "non-closure": "exact off-orbit certificate plus density table for one target",
-    "local-isometry": "scaled-isometry identity for line parameters inside the radius",
-    "x1-group": "circle-preserving family, circle density, rational-target certificate",
-}
-
-FLAG_HELP = {
-    "d": "square-free radicand (default 2)",
-    "alpha": "slope coefficient b in b*sqrt(d), or a full scalar literal",
-    "gram": "torus metric entries g11,g12,g22",
-    "R": "cross-component offset (exact literal)",
-    "M": "line gap cap (exact literal)",
-    "mode": "exact or float",
-    "seed": "64-bit unsigned run seed",
-    "format": "json or csv",
-    "output": "report path (default stdout)",
-    "allow_invalid_metric": "permit 2R < M configurations",
-}
 
 
 # -- config assembly ---------------------------------------------------------------
@@ -296,24 +257,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification toolkit for the glued torus-and-cylinder space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (own, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=HELP[name])
+    for name, row in COMMANDS.items():
+        p = sub.add_parser(name, help=row.help)
         p.add_argument("--config", default=None, help="key=value file; flags win")
-        for key in COMMON_KEYS + own:
-            flag = "--" + key.replace("_", "-")
-            if key == "allow_invalid_metric":
-                p.add_argument(
-                    flag, dest=key, action="store_const", const="true", help=FLAG_HELP[key]
-                )
-            else:
-                p.add_argument(flag, dest=key, default=None, help=FLAG_HELP.get(key))
+        for key in COMMON_KEYS + row.own:
+            # a bare --allow-invalid-metric sets its key to "true"
+            switch = (
+                {"action": "store_const", "const": "true"} if key == "allow_invalid_metric" else {}
+            )
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=KEYS[key][3], **switch)
     return parser
 
 
 def _resolve_strings(args: argparse.Namespace) -> dict:
     """Key -> text, from defaults < config file < flags < TORUSGLUE_SEED."""
-    own, overrides = COMMANDS[args.command]
-    merged = {key: KEYS[key][0] for key in COMMON_KEYS + own} | overrides
+    row = COMMANDS[args.command]
+    merged = {key: KEYS[key][0] for key in COMMON_KEYS + row.own} | row.overrides
     if args.config is not None:
         for key, value in _load_config_file(args.config).items():
             if key not in merged:
@@ -348,7 +307,7 @@ class RunConfig(SimpleNamespace):
 
 def _typed_config(command: str, merged: dict) -> RunConfig:
     values = {"command": command}
-    for key, (_, parse, check) in KEYS.items():
+    for key, (_, parse, check, _) in KEYS.items():
         if key not in merged:
             continue
         text = merged[key]
@@ -362,13 +321,10 @@ def _typed_config(command: str, merged: dict) -> RunConfig:
         values[key] = value
     if "t" in values and (values["t"] is None) != (values["s"] is None):
         raise ConfigError("t", "give both --t and --s, or neither")
-    if (
-        command in FLOAT_KERNEL_COMMANDS
-        and (command == "nearest" or not values["mode"].exact)
-        and not _has_float_gram(values["gram"])
-    ):
+    row = COMMANDS[command]
+    if values["mode"] in row.kernel_modes and not _has_float_gram(values["gram"]):
         raise ConfigError("gram", "the reduced form's entries must fit a float")
-    if values["format"] == "csv" and command not in CSV_TABLES:
+    if values["format"] == "csv" and row.csv is None:
         raise ConfigError("format", "csv output applies only to density tables")
     return RunConfig(**values)
 
@@ -599,23 +555,17 @@ def _cmd_x1_group(cfg: RunConfig) -> dict:
     lo, hi = cfg.k_range
     elements = subtorus_isometries(subgroup, circle, lo, hi)
 
+    def acts_on_circle(elem, s) -> bool:
+        """elem moves the circle coordinate s to s + shift, or reflects it to shift - s."""
+        moved = elem.iso.torus_part.apply(circle.point(s))
+        image = s + elem.circle_shift if elem.kind == "translation" else elem.circle_shift - s
+        return circle.contains(moved) and circle.coordinate(moved) == frac(image)
+
     sample_coords = (Fraction(0), Fraction(1, 3), Fraction(5, 8))
-    rows = []
-    for elem in elements:
-        ok = True
-        for s in sample_coords:
-            moved = elem.iso.torus_part.apply(circle.point(s))
-            if not circle.contains(moved):
-                ok = False
-                continue
-            got = circle.coordinate(moved)
-            expect = (
-                frac(s + elem.circle_shift)
-                if elem.kind == "translation"
-                else frac(elem.circle_shift - s)
-            )
-            ok = ok and got == expect
-        rows.append({"element": elem, "circle_action_ok": ok})
+    rows = [
+        {"element": elem, "circle_action_ok": all(acts_on_circle(elem, s) for s in sample_coords)}
+        for elem in elements
+    ]
 
     theta = frac(1 / subgroup.alpha)
     g_axis = circle.gram_entry(cfg.gram)
@@ -657,22 +607,47 @@ def _cmd_x1_group(cfg: RunConfig) -> dict:
     }
 
 
-HANDLERS = {
-    "verify-metric": _cmd_verify_metric,
-    "counterexample": _cmd_counterexample,
-    "nearest": _cmd_nearest,
-    "isometry-check": _cmd_isometry_check,
-    "lift": _cmd_lift,
-    "density": _cmd_density,
-    "non-closure": _cmd_non_closure,
-    "local-isometry": _cmd_local_isometry,
-    "x1-group": _cmd_x1_group,
-}
+class Command(NamedTuple):
+    """One subcommand's row: everything the parser, the config and main() know of it."""
 
-# commands with a CSV form: payload -> the density report data it tabulates
-CSV_TABLES = {
-    "density": lambda payload: payload["reports"],
-    "non-closure": lambda payload: payload["report"].density,
+    own: tuple  # its keys beyond COMMON_KEYS
+    overrides: dict  # the defaults it sets apart from KEYS
+    run: Callable  # RunConfig -> payload, "passed" included
+    kernel_modes: tuple  # modes in which it runs the float batch kernel on the Gram
+    csv: Callable | None  # payload -> the density report data of its CSV form
+    help: str
+
+
+COMMANDS: dict[str, Command] = {
+    "verify-metric": Command(
+        ("samples",), {"mode": "float", "samples": "100000"}, _cmd_verify_metric, (FLOAT,), None,
+        "sample triples and check all metric axioms"),
+    "counterexample": Command(
+        ("samples",), {}, _cmd_counterexample, (FLOAT,), None,
+        "construct the explicit triangle violation when 2R < M"),
+    # the grid oracles are float in every mode
+    "nearest": Command(
+        ("instances", "grid", "t_grid"), {}, _cmd_nearest, (EXACT, FLOAT), None,
+        "closed-form nearest-point structure against brute-force grids"),
+    "isometry-check": Command(
+        ("samples", "instances"), {"samples": "200", "instances": "100"}, _cmd_isometry_check,
+        (FLOAT,), None, "lift preservation, decompose/construct round-trips, impostor rejection"),
+    "lift": Command(
+        ("shifts", "samples"), {}, _cmd_lift, (FLOAT,), None,
+        "tabulate lifted isometries for given line shifts"),
+    "density": Command(
+        ("targets", "epsilons", "budget"), {}, _cmd_density, (), lambda payload: payload["reports"],
+        "certified orbit approaches to torus targets"),
+    "non-closure": Command(
+        ("target", "epsilons", "budget"), {"epsilons": "1e-2,1e-4,1e-6"}, _cmd_non_closure, (),
+        lambda payload: payload["report"].density,
+        "exact off-orbit certificate plus density table for one target"),
+    "local-isometry": Command(
+        ("count", "t", "s"), {}, _cmd_local_isometry, (), None,
+        "scaled-isometry identity for line parameters inside the radius"),
+    "x1-group": Command(
+        ("k_range", "count", "eps"), {}, _cmd_x1_group, (), None,
+        "circle-preserving family, circle density, rational-target certificate"),
 }
 
 
@@ -686,13 +661,14 @@ def main(argv=None) -> int:
 
     try:
         cfg = _typed_config(args.command, _resolve_strings(args))
-        payload = {"config": cfg.describe(), **HANDLERS[cfg.command](cfg)}
+        row = COMMANDS[cfg.command]
+        payload = {"config": cfg.describe(), **row.run(cfg)}
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if cfg.format == "csv":
-        text = density_csv(CSV_TABLES[cfg.command](payload))
+        text = density_csv(row.csv(payload))
     else:
         text = canonical_json(plain(payload))
     try:

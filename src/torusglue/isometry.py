@@ -330,8 +330,9 @@ def decompose_isometry(
     the recognized family.  The seeded extra probes are drawn over sqrt(d).
 
     The map is called once per distinct point: each probe y and (y, t) at
-    three heights, 32 calls with the default 8 probes.  The cross-check
-    compares each recorded image with the fitted form in every component.
+    three heights, 32 calls with the default 8 probes.  The torus fit
+    matches every compact image exactly, and the cross-check compares each
+    line image with the fitted form in every component.
     Seeded probes are drawn only after the 4 fixed ones pass the sheet
     check, so a sheet swap is rejected after one call and no draw.
     """
@@ -340,13 +341,13 @@ def decompose_isometry(
     seeded = (random_torus_point(rng_for(seed, i), exact=True, d=d) for i in range(extra_probes))
 
     # sheets must be preserved
-    probes, compact_images = [], []
+    probes, torus_images = [], []
     for y in chain(_PROBES, seeded):
         img = apply_map(GluedPoint.compact(y))
         if not img.is_compact:
             raise ComponentSwapError("a torus point landed on the cylinder")
         probes.append(y)
-        compact_images.append(img)
+        torus_images.append(img.y)
     line_images = []  # line_images[i][j] is the image of (probes[i], _HEIGHTS[j])
     line_maps = []
     for y in probes[:3]:
@@ -367,26 +368,22 @@ def decompose_isometry(
     if any(lm != line_maps[0] for lm in line_maps):
         raise ProductFormError("different cylinder lines induce different height maps")
 
-    torus_part, expected = _fit_torus_action(probes, [img.y for img in compact_images])
+    torus_part, expected = _fit_torus_action(probes, torus_images)
     line_part = line_maps[0]
 
-    # cross-check every image against the fitted product form: the compact
-    # probes, then each probe's line; only the lines of probes[3:] are new
-    def check(expect: TorusPoint, height, got: GluedPoint) -> None:
-        if got.is_compact != (height is None) or not (
-            mode.equal(expect.u1, got.y.u1, mode.eps)
-            and mode.equal(expect.u2, got.y.u2, mode.eps)
-            and (height is None or mode.equal(height, got.t, mode.eps))
-        ):
-            raise ProductFormError("map disagrees with its fitted product form")
-
-    for expect, got in zip(expected, compact_images):
-        check(expect, None, got)
+    # _fit_torus_action matched every compact image exactly; cross-check each
+    # probe's line against the fitted product form, where only the lines of
+    # probes[3:] are new
     heights = [line_part.apply(t) for t in _HEIGHTS]
     for i, (y, expect) in enumerate(zip(probes, expected)):
         for j, t in enumerate(_HEIGHTS):
             got = line_images[i][j] if i < len(line_images) else apply_map(GluedPoint.cylinder(y, t))
-            check(expect, heights[j], got)
+            if got.is_compact or not (
+                mode.equal(expect.u1, got.y.u1, mode.eps)
+                and mode.equal(expect.u2, got.y.u2, mode.eps)
+                and mode.equal(heights[j], got.t, mode.eps)
+            ):
+                raise ProductFormError("map disagrees with its fitted product form")
     return ProductIsometry(torus_part, line_part)
 
 

@@ -512,18 +512,6 @@ def rational_interval(x, digits: int = 30) -> tuple[Fraction, Fraction]:
     return r, r
 
 
-def _sqrt_lower(f: Fraction, digits: int) -> Fraction:
-    scale = 10 ** digits
-    n = (f.numerator * scale * scale) // f.denominator
-    return Fraction(math.isqrt(n), scale)
-
-
-def _sqrt_upper(f: Fraction, digits: int) -> Fraction:
-    scale = 10 ** digits
-    n = (f.numerator * scale * scale) // f.denominator
-    return Fraction(math.isqrt(n) + 1, scale)
-
-
 def sqrt_interval(x, digits: int = 30) -> tuple[Fraction, Fraction]:
     """Rational enclosure of sqrt(x) for an exact scalar x >= 0."""
     lo, hi = rational_interval(x, digits)
@@ -531,7 +519,12 @@ def sqrt_interval(x, digits: int = 30) -> tuple[Fraction, Fraction]:
         if sign_of(x) < 0:
             raise ValueError("sqrt of a negative scalar")
         lo = Fraction(0)
-    return _sqrt_lower(lo, digits), _sqrt_upper(hi, digits)
+    scale = 10 ** digits
+    # for f >= 0 and n = floor(f * scale^2): isqrt(n) / scale <= sqrt(f) < (isqrt(n) + 1) / scale
+    return (
+        Fraction(math.isqrt(lo.numerator * scale * scale // lo.denominator), scale),
+        Fraction(math.isqrt(hi.numerator * scale * scale // hi.denominator) + 1, scale),
+    )
 
 
 def _triple(x) -> tuple[int, int, int, int]:

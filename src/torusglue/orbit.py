@@ -54,25 +54,12 @@ from .torus import (
 )
 
 
-def _exact_eps(e) -> Fraction:
-    """Tolerances enter exact comparisons, so they must be exact rationals."""
-    if isinstance(e, float):
-        return Fraction(*e.as_integer_ratio())
-    return Fraction(e)
-
-
 def _field_triple(x, d: int) -> tuple[int, int, int]:
     """(A, B, D) of an exact scalar x = (A + B*sqrt(d)) / D in the field of sqrt(d)."""
     A, B, D, xd = _triple(x)
     if B and xd != d:
         raise FieldMismatchError(f"scalar lives in sqrt({xd}), expected sqrt({d})")
     return A, B, D
-
-
-def _radical_parts(x, d: int) -> tuple[Fraction, Fraction]:
-    """Coordinates of x in the basis (1, sqrt(d))."""
-    A, B, D = _field_triple(x, d)
-    return Fraction(A, D), Fraction(B, D)
 
 
 def _require_irrational(x, what: str) -> None:
@@ -297,7 +284,7 @@ def circle_density_hit(
     require_exact(target, "circle density target")
     require_exact(x0, "circle base point")
     _require_irrational(theta, "rotation step")
-    eps = _exact_eps(eps)
+    eps = Fraction(eps)  # exact comparisons need an exact tolerance
     eps_sq = eps * eps
     w = frac(target - x0)
     d0 = _circle_dist_sq(w, g_axis)
@@ -447,7 +434,7 @@ def torus_density_hit(
     require_exact(target.u2, "density target")
     require_exact(y0.u1, "orbit base point")
     require_exact(y0.u2, "orbit base point")
-    eps = _exact_eps(eps)
+    eps = Fraction(eps)  # exact comparisons need an exact tolerance
     eps_sq = eps * eps
     alpha = subgroup.alpha
     w1 = frac(target.u1 - y0.u1)
@@ -498,7 +485,7 @@ def density_report(
     gram: GramMatrix | None = None,
     budget: int = 50_000_000,
 ) -> DensityReport:
-    eps_list = [_exact_eps(e) for e in epsilons]
+    eps_list = [Fraction(e) for e in epsilons]
     hits = [torus_density_hit(target, subgroup, y0, e, gram, budget) for e in eps_list]
     return DensityReport(target, eps_list, hits, budget, "first-entry search")
 
@@ -515,11 +502,11 @@ def _solve_rotation(w, theta) -> tuple:
     theta.b != 0, so it pins k to the single rational k_star; membership then
     needs k_star integral and the rational residue k_star*theta.a - w.a integral.
     """
-    wa, wb = _radical_parts(w, theta.d)
-    k_star = wb / theta.b
+    wA, wB, wD = _field_triple(w, theta.d)  # w = (wA + wB*sqrt(d)) / wD
+    k_star = Fraction(wB, wD) / theta.b
     if k_star.denominator != 1:
         return k_star, False, None, False
-    residue = k_star * theta.a - wa
+    residue = k_star * theta.a - Fraction(wA, wD)
     return k_star, True, residue, residue.denominator == 1
 
 

@@ -24,6 +24,16 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+# small runs for the commands whose defaults take long
+SMALL = {
+    "verify-metric": ["--samples", "20"],
+    "counterexample": ["--samples", "20"],
+    "nearest": ["--instances", "1"],
+    "isometry-check": ["--samples", "5", "--instances", "2"],
+    "lift": ["--samples", "5"],
+}
+
+
 def test_verify_metric_passes(capsys):
     code, payload = run_json(capsys, "verify-metric", "--samples", "2000")
     assert code == 0
@@ -221,12 +231,6 @@ def test_config_validation_names_the_key(capsys):
         assert f"config key {key}" in err, (argv, err)
 
 
-def test_csv_only_for_density_tables(capsys):
-    code, out, err = run(capsys, "verify-metric", "--samples", "10", "--format", "csv")
-    assert code == 2
-    assert "config key 'format'" in err
-
-
 def test_reports_are_byte_identical(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify-metric", "--samples", "300", "--seed", "17"]
@@ -328,27 +332,48 @@ def test_lengths_without_a_float_view_exit_2(capsys, command, key):
     assert f"config key '{key}'" in err
 
 
-@pytest.mark.parametrize(
-    "command, mode",
-    [
-        ("verify-metric", "float"),
-        ("counterexample", "float"),
-        ("isometry-check", "float"),
-        ("lift", "float"),
-        ("nearest", "float"),
-        ("nearest", "exact"),
-        ("local-isometry", "exact"),
-        ("local-isometry", "float"),
-    ],
-)
+# (command, mode) -> exit code with --gram 1,0,1e400: 2 naming 'gram' where the
+# float kernel reads the reduced form as floats (float mode, and nearest's grid
+# oracles in every mode) and where local-isometry reports the slope 1 + |v|;
+# 1e400 has no float.  Elsewhere the exact path takes it.
+GRAM_BEYOND_FLOAT = {
+    ("verify-metric", "exact"): 0,
+    ("verify-metric", "float"): 2,
+    ("counterexample", "exact"): 1,
+    ("counterexample", "float"): 2,
+    ("nearest", "exact"): 2,
+    ("nearest", "float"): 2,
+    ("isometry-check", "exact"): 0,
+    ("isometry-check", "float"): 2,
+    ("lift", "exact"): 0,
+    ("lift", "float"): 2,
+    ("density", "exact"): 1,
+    ("density", "float"): 1,
+    ("non-closure", "exact"): 1,
+    ("non-closure", "float"): 1,
+    ("local-isometry", "exact"): 2,
+    ("local-isometry", "float"): 2,
+    ("x1-group", "exact"): 0,
+    ("x1-group", "float"): 0,
+}
+
+GRAM_BEYOND_FLOAT_ARGV = ["--gram", "1,0,1e400", "--R", "1/2", "--allow-invalid-metric"]
+
+
+@pytest.mark.parametrize("command, mode", [c for c, code in GRAM_BEYOND_FLOAT.items() if code == 2])
 def test_gram_without_a_float_view_exits_2(capsys, command, mode):
-    # the float kernel reads the reduced form as floats, and local-isometry
-    # reports the slope 1 + |v|; 1e400 has no float
-    argv = ["--gram", "1,0,1e400", "--mode", mode, "--R", "1/2", "--allow-invalid-metric"]
-    code, out, err = run(capsys, command, *argv)
+    code, out, err = run(capsys, command, *GRAM_BEYOND_FLOAT_ARGV, "--mode", mode)
     assert code == 2
     assert out == ""
     assert "config key 'gram'" in err
+
+
+@pytest.mark.parametrize("command, mode", [c for c, code in GRAM_BEYOND_FLOAT.items() if code != 2])
+def test_gram_without_a_float_view_runs_where_no_float_reads_it(capsys, command, mode):
+    argv = [*GRAM_BEYOND_FLOAT_ARGV, "--mode", mode, *SMALL.get(command, [])]
+    code, out, err = run(capsys, command, *argv)
+    assert code == GRAM_BEYOND_FLOAT[command, mode]
+    assert err == ""
 
 
 def test_exact_verify_metric_takes_a_gram_beyond_the_float_range(capsys):
@@ -357,3 +382,43 @@ def test_exact_verify_metric_takes_a_gram_beyond_the_float_range(capsys):
     )
     assert code == 0
     assert payload["passed"] is True
+
+
+# -- one row per subcommand: each cell of the command table, pinned ----------------
+
+COMMON_FLAGS = {
+    "--d", "--alpha", "--gram", "--R", "--M", "--mode", "--seed", "--format", "--output",
+    "--allow-invalid-metric",
+}
+
+OWN_FLAGS = {
+    "verify-metric": {"--samples"},
+    "counterexample": {"--samples"},
+    "nearest": {"--instances", "--grid", "--t-grid"},
+    "isometry-check": {"--samples", "--instances"},
+    "lift": {"--shifts", "--samples"},
+    "density": {"--targets", "--epsilons", "--budget"},
+    "non-closure": {"--target", "--epsilons", "--budget"},
+    "local-isometry": {"--count", "--t", "--s"},
+    "x1-group": {"--k-range", "--count", "--eps"},
+}
+
+
+@pytest.mark.parametrize("command", OWN_FLAGS)
+def test_help_names_the_common_flags_and_the_commands_own(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert code == 0
+    flags = set(re.findall(r"--[a-zA-Z][\w-]*", out))
+    assert flags == {"--help", "--config"} | COMMON_FLAGS | OWN_FLAGS[command]
+
+
+@pytest.mark.parametrize("command", OWN_FLAGS)
+def test_csv_only_for_density_tables(capsys, command):
+    code, out, err = run(capsys, command, "--format", "csv")
+    if command in ("density", "non-closure"):
+        assert code == 0
+        assert out.startswith("target_u1,target_u2,t,distance\n")
+    else:
+        assert code == 2
+        assert out == ""
+        assert "config key 'format'" in err
