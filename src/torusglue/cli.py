@@ -209,21 +209,29 @@ KEYS = {
     "format": ("json", _choice({"json": "json", "csv": "csv"}), None, "json or csv"),
     "output": (None, lambda text, d: text, None, "report path (default stdout)"),
     "allow_invalid_metric": ("false", _bool, None, "permit 2R < M configurations"),
-    "samples": ("64", _int, _nonnegative, None),
-    "instances": ("50", _int, _nonnegative, None),
-    "count": ("100", _int, _positive, None),
-    "grid": ("100", _int, _must(lambda v: v >= 2, "needs at least 2 points"), None),
+    "samples": ("64", _int, _nonnegative, "random samples per check, at least 0"),
+    "instances": ("50", _int, _nonnegative, "random instances or round trips, at least 0"),
+    "count": ("100", _int, _positive, "sampled parameters or circle targets, at least 1"),
+    "grid": (
+        "100", _int, _must(lambda v: v >= 2, "needs at least 2 points"),
+        "points per axis of the brute-force torus grid, at least 2"),
     # the height grid is centered at the point; only an odd size contains it
-    "t_grid": ("401", _int, _must(lambda v: v >= 3 and v % 2, "must be odd and at least 3"), None),
-    "shifts": ("0,1,1/2,-1/3", _list_of(_exact), None, None),
-    "targets": ("0,1/2", _targets, _must(bool, "no targets given"), None),
-    "target": ("0,1/2", _point, None, None),
-    "epsilons": ("1e-2,1e-3", _list_of(_rational), _all_positive, None),
-    "eps": ("1e-3", _rational, _positive, None),
-    "budget": ("50000000", _int, _positive, None),
-    "t": (None, _exact, None, None),
-    "s": (None, _exact, None, None),
-    "k_range": ("-5:5", _k_range, _must(lambda v: v[0] <= v[1], "lo must not exceed hi"), None),
+    "t_grid": (
+        "401", _int, _must(lambda v: v >= 3 and v % 2, "must be odd and at least 3"),
+        "points of the height grid around the point, odd, at least 3"),
+    "shifts": ("0,1,1/2,-1/3", _list_of(_exact), None, "line shifts c of t -> +-t + c, comma-separated"),
+    "targets": (
+        "0,1/2", _targets, _must(bool, "no targets given"),
+        "torus points u1,u2, separated by ';', at least one"),
+    "target": ("0,1/2", _point, None, "torus point u1,u2"),
+    "epsilons": ("1e-2,1e-3", _list_of(_rational), _all_positive, "positive rationals, comma-separated"),
+    "eps": ("1e-3", _rational, _positive, "circle density tolerance, a positive rational"),
+    "budget": ("50000000", _int, _positive, "largest orbit index k searched, at least 1"),
+    "t": (None, _exact, None, "line parameter t; give s too, or neither to sample pairs"),
+    "s": (None, _exact, None, "line parameter s; give t too, or neither to sample pairs"),
+    "k_range": (
+        "-5:5", _k_range, _must(lambda v: v[0] <= v[1], "lo must not exceed hi"),
+        "integers lo:hi, lo <= hi: the shifts k/alpha of the family"),
 }
 
 COMMON_KEYS = (
@@ -324,6 +332,10 @@ def _typed_config(command: str, merged: dict) -> RunConfig:
     row = COMMANDS[command]
     if values["mode"] in row.kernel_modes and not _has_float_gram(values["gram"]):
         raise ConfigError("gram", "the reduced form's entries must fit a float")
+    # the samplers draw heights from [-span, span], span = 3 * max(1, M) in float
+    height_range = 6.0 * max(1.0, as_float(values["M"]))
+    if values["mode"] in row.height_modes and not math.isfinite(height_range):
+        raise ConfigError("M", "the sampled height range 6*max(1, M) must fit a float")
     if values["format"] == "csv" and row.csv is None:
         raise ConfigError("format", "csv output applies only to density tables")
     return RunConfig(**values)
@@ -614,39 +626,41 @@ class Command(NamedTuple):
     overrides: dict  # the defaults it sets apart from KEYS
     run: Callable  # RunConfig -> payload, "passed" included
     kernel_modes: tuple  # modes in which it runs the float batch kernel on the Gram
+    height_modes: tuple  # modes in which it samples float heights over 6*max(1, M)
     csv: Callable | None  # payload -> the density report data of its CSV form
     help: str
 
 
 COMMANDS: dict[str, Command] = {
     "verify-metric": Command(
-        ("samples",), {"mode": "float", "samples": "100000"}, _cmd_verify_metric, (FLOAT,), None,
-        "sample triples and check all metric axioms"),
+        ("samples",), {"mode": "float", "samples": "100000"}, _cmd_verify_metric,
+        (FLOAT,), (FLOAT,), None, "sample triples and check all metric axioms"),
     "counterexample": Command(
-        ("samples",), {}, _cmd_counterexample, (FLOAT,), None,
+        ("samples",), {}, _cmd_counterexample, (FLOAT,), (FLOAT,), None,
         "construct the explicit triangle violation when 2R < M"),
     # the grid oracles are float in every mode
     "nearest": Command(
-        ("instances", "grid", "t_grid"), {}, _cmd_nearest, (EXACT, FLOAT), None,
+        ("instances", "grid", "t_grid"), {}, _cmd_nearest, (EXACT, FLOAT), (), None,
         "closed-form nearest-point structure against brute-force grids"),
     "isometry-check": Command(
         ("samples", "instances"), {"samples": "200", "instances": "100"}, _cmd_isometry_check,
-        (FLOAT,), None, "lift preservation, decompose/construct round-trips, impostor rejection"),
+        (FLOAT,), (FLOAT,), None,
+        "lift preservation, decompose/construct round-trips, impostor rejection"),
     "lift": Command(
-        ("shifts", "samples"), {}, _cmd_lift, (FLOAT,), None,
+        ("shifts", "samples"), {}, _cmd_lift, (FLOAT,), (FLOAT,), None,
         "tabulate lifted isometries for given line shifts"),
     "density": Command(
-        ("targets", "epsilons", "budget"), {}, _cmd_density, (), lambda payload: payload["reports"],
+        ("targets", "epsilons", "budget"), {}, _cmd_density, (), (), lambda payload: payload["reports"],
         "certified orbit approaches to torus targets"),
     "non-closure": Command(
-        ("target", "epsilons", "budget"), {"epsilons": "1e-2,1e-4,1e-6"}, _cmd_non_closure, (),
+        ("target", "epsilons", "budget"), {"epsilons": "1e-2,1e-4,1e-6"}, _cmd_non_closure, (), (),
         lambda payload: payload["report"].density,
         "exact off-orbit certificate plus density table for one target"),
     "local-isometry": Command(
-        ("count", "t", "s"), {}, _cmd_local_isometry, (), None,
+        ("count", "t", "s"), {}, _cmd_local_isometry, (), (), None,
         "scaled-isometry identity for line parameters inside the radius"),
     "x1-group": Command(
-        ("k_range", "count", "eps"), {}, _cmd_x1_group, (), None,
+        ("k_range", "count", "eps"), {}, _cmd_x1_group, (), (), None,
         "circle-preserving family, circle density, rational-target certificate"),
 }
 

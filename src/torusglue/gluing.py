@@ -412,15 +412,27 @@ def _check_triple(a, b, c, params, gram, log: _ViolationLog) -> int:
 
 
 def _batch_glued_values(ka, ya, ta, kb, yb, tb, params, gram):
+    """Glued distances of rows of points, kinds 0 (torus) and 1 (cylinder):
+    sqrt(torus distance) + off, off = min(|ta - tb|, M) between two
+    cylinder points, R across components and 0 on the torus.
+
+    off comes from arithmetic, not masked selects, bit for bit: the capped
+    gap is finite and >= +0 (M has a finite float view), so multiplying it
+    by the 0/1 kinds gives it or +0.0, and R * (ka != kb) is R or +0.0; at
+    most one of the two terms is not +0.0, and adding +0.0 to a value
+    >= +0.0 returns that value, so base + gap + R-term is base + off.
+    """
     import numpy as np
 
     base = batch_torus_distance_sq(ya, yb, gram)
     np.sqrt(np.maximum(base, 0.0, out=base), out=base)
-    gap = np.abs(ta - tb)
+    gap = np.subtract(ta, tb)
+    np.abs(gap, out=gap)
     np.minimum(gap, float(as_float(params.M)), out=gap)
-    off = np.where(ka != kb, float(as_float(params.R)), 0.0)
-    np.copyto(off, gap, where=(ka == 1) & (kb == 1))
-    base += off
+    gap *= ka
+    gap *= kb
+    base += gap
+    base += np.multiply(ka != kb, float(as_float(params.R)), out=gap)
     return base
 
 
@@ -541,9 +553,13 @@ def check_metric_axioms(
     enclosures that price its slack (see `_triangle_exact`).
     Float mode compares with its tolerances in one array pass per axiom
     (`_check_floats`): the default sampler's triples take their distances
-    from the batch kernel, all at once, and `sampler` and `extra_triples`
-    triples from `glued_distance`, one triple at a time.  Only the
-    violations the report records become point objects.
+    from the batch kernel, all at once (`_batch_glued_values`, whose
+    off-torus term is arithmetic on the 0/1 kinds, bit for bit the
+    per-element selects), and `sampler` and `extra_triples` triples from
+    `glued_distance`, one triple at a time.  Only the violations the report
+    records become point objects.  The default sampler draws float heights
+    from [-3*max(1, M), 3*max(1, M)]; numpy raises OverflowError when that
+    range, 6*max(1, M), has no finite float (the CLI exits 2 naming M).
     """
     if n < 0:
         raise ValueError("sample count must be nonnegative")

@@ -8,8 +8,9 @@ sigma_i = sign(w_i), and every other shift is at least g11/2 farther
 (`_corners`, the classical Voronoi structure of a reduced 2-D lattice).
 The exact path evaluates those four shifts on integers alone and compares
 them by exact signs, with no float; the float batch kernel evaluates the
-same four in float64 and is the only code here that loads numpy.  The
-unreduced wide-window path is kept as an oracle.
+same four in float64 (only the zero shift, for a diagonal reduced form) and
+is the only code here that loads numpy.  The unreduced wide-window path is
+kept as an oracle.
 """
 
 from __future__ import annotations
@@ -444,6 +445,19 @@ def batch_torus_distance_sq(ya, yb, gram: GramMatrix):
     each axis keeps its away shift w_i + sigma_i as well, and all nine are
     evaluated.  The terms that depend on one axis are computed once per
     shift of that axis, chunk by chunk.
+
+    Diagonal forms: one shift.  When the float 2*g12 is 0.0 (g12 = 0, or a
+    g12 that underflows), the cross term ((2*g12)*v1)*v2 is +-0, and adding
+    it to (g11*v1)*v1 >= +0 returns that term unchanged, so
+    F(s) = fl(t1(v1) + t2(v2)) with t_i(v) = (g_ii*v)*v.  Rounding is
+    symmetric and monotone, so t_i(v) = (g_ii*|v|)*|v| does not decrease
+    with |v|, and neither does a rounded sum in either operand.  Every
+    shift of an axis, the corners and the away shifts alike, gives
+    |w_i + s_i| >= 1/2 >= |w_i| for s_i != 0 (the exact value is at least
+    1/2, and 1/2 is a float), so each axis is least at s_i = 0 and the
+    minimum over all nine shifts, with or without the away shifts, is
+    F(0) = fl(t1(w1) + t2(w2)): two products per axis and one sum, with
+    no shift and no minimum.
     """
     import numpy as np
 
@@ -452,6 +466,7 @@ def batch_torus_distance_sq(ya, yb, gram: GramMatrix):
     g = g11 + abs(g12x2) + g22
     err = 2.0**-49 * g + 2.0**-1070
     away = not (g < 2.0**1020 and 4 * err < g11)
+    diagonal = g12x2 == 0.0
     best = np.empty(len(ya))
     for lo in range(0, len(ya), _BATCH_CHUNK):
         a, b = ya[lo:lo + _BATCH_CHUNK], yb[lo:lo + _BATCH_CHUNK]
@@ -464,9 +479,12 @@ def batch_torus_distance_sq(ya, yb, gram: GramMatrix):
         w2 += u22 * d2
         w1 -= np.rint(w1)
         w2 -= np.rint(w2)
+        out = best[lo:lo + _BATCH_CHUNK]
+        if diagonal:
+            np.add(_times(g11 * w1, w1), _times(g22 * w2, w2), out=out)
+            continue
         v2 = _axis_shifts(w2, away)
         sq2 = [_times(g22 * v, v) for v in v2]
-        out = best[lo:lo + _BATCH_CHUNK]
         val = out  # the first value fills out, the others fold into it
         for v1 in _axis_shifts(w1, away):
             sq1, cross = _times(g11 * v1, v1), g12x2 * v1

@@ -384,6 +384,68 @@ def test_exact_verify_metric_takes_a_gram_beyond_the_float_range(capsys):
     assert payload["passed"] is True
 
 
+# exit codes for `--R 1e308 --M 1e308`: the float samplers draw heights over
+# 6 * max(1, M), beyond the float range.  The four float cells at 2 ended in an
+# OverflowError traceback (exit 1) before their check; exact counterexample
+# exits 2 naming R (2R >= M), as before.  Every other cell is the code these
+# commands gave before the check.
+HEIGHTS_BEYOND_FLOAT = {
+    ("verify-metric", "exact"): 0,
+    ("verify-metric", "float"): 2,
+    ("counterexample", "exact"): 2,
+    ("counterexample", "float"): 2,
+    ("nearest", "exact"): 0,
+    ("nearest", "float"): 1,
+    ("isometry-check", "exact"): 0,
+    ("isometry-check", "float"): 2,
+    ("lift", "exact"): 0,
+    ("lift", "float"): 2,
+    ("density", "exact"): 0,
+    ("density", "float"): 0,
+    ("non-closure", "exact"): 0,
+    ("non-closure", "float"): 0,
+    ("local-isometry", "exact"): 0,
+    ("local-isometry", "float"): 0,
+    ("x1-group", "exact"): 0,
+    ("x1-group", "float"): 0,
+}
+
+HEIGHTS_BEYOND_FLOAT_ARGV = ["--R", "1e308", "--M", "1e308"]
+
+
+@pytest.mark.parametrize("command, mode", [c for c, code in HEIGHTS_BEYOND_FLOAT.items() if code == 2])
+def test_heights_without_a_float_range_exit_2(capsys, command, mode):
+    code, out, err = run(capsys, command, *HEIGHTS_BEYOND_FLOAT_ARGV, "--mode", mode)
+    assert code == 2
+    assert out == ""
+    assert f"config key '{'R' if mode == 'exact' else 'M'}'" in err
+
+
+def _heights_cell(cell):
+    if cell == ("nearest", "float"):
+        # the float grid oracle spans t +- 2M and overflows converting 2M
+        return pytest.param(*cell, marks=pytest.mark.xfail(raises=OverflowError, strict=True))
+    return cell
+
+
+@pytest.mark.parametrize(
+    "command, mode", [_heights_cell(c) for c, code in HEIGHTS_BEYOND_FLOAT.items() if code != 2]
+)
+def test_heights_without_a_float_range_run_where_no_sampler_reads_them(capsys, command, mode):
+    argv = [*HEIGHTS_BEYOND_FLOAT_ARGV, "--mode", mode, *SMALL.get(command, [])]
+    code, out, err = run(capsys, command, *argv)
+    assert code == HEIGHTS_BEYOND_FLOAT[command, mode]
+    assert err == ""
+
+
+def test_height_range_check_is_exact_at_the_float_boundary(capsys):
+    # 6.0 * M is finite at the first M and overflows at the next float
+    for m, want in (("2.996155224770526e+307", 0), ("2.9961552247705263e+307", 2)):
+        code, out, err = run(capsys, "verify-metric", "--R", m, "--M", m, "--samples", "20")
+        assert code == want
+        assert ("config key 'M'" in err) == (want == 2)
+
+
 # -- one row per subcommand: each cell of the command table, pinned ----------------
 
 COMMON_FLAGS = {

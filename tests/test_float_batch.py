@@ -54,9 +54,17 @@ KERNEL_GRAMS = {
     "elongated-1e12": GramMatrix(1, Fraction(1, 3), 10**12),
     "elongated-1e20": GramMatrix(1, Fraction(-1, 2), 10**20),
     "past-bound": GramMatrix(1, Fraction(1, 2), 2**47),
+    # diagonal reduced forms: one separable shift, past the bound too, and
+    # with a g12 whose float underflows to +0.0 or -0.0
+    "diagonal": GramMatrix(3, 0, 5),
+    "diagonal-past-bound": GramMatrix(1, 0, 2**47),
+    "diagonal-underflow": GramMatrix(1, Fraction(1, 10**400), 1),
+    "diagonal-underflow-neg": GramMatrix(1, Fraction(-1, 10**400), 1),
 }
 # the Grams whose float error the proof does not cover: each axis keeps w + sigma
 PAST_BOUND = ("elongated-1e20", "past-bound")
+# the Grams whose float 2*g12 is 0.0: the kernel evaluates the zero shift alone
+DIAGONAL = ("identity", "diagonal", "diagonal-past-bound", "diagonal-underflow", "diagonal-underflow-neg")
 ABOVE = GluingParams(Fraction(1), Fraction(3, 2))
 BELOW = GluingParams(Fraction(2, 5), Fraction(1), strict=False)
 
@@ -227,6 +235,28 @@ def test_batch_points_equal_matches_points_equal():
     assert 0 < sum(want) < len(want)
 
 
+AT = GluingParams(Fraction(1), Fraction(2))
+
+
+@pytest.mark.parametrize("gram", list(KERNEL_GRAMS.values()), ids=list(KERNEL_GRAMS))
+@pytest.mark.parametrize("params", [ABOVE, AT, BELOW], ids=["above", "at", "below"])
+def test_glued_values_bitwise_equal(gram, params):
+    """The arithmetic off-torus term against the oracle's selects, on random
+    kinds, coincident and far heights, and rows that cross chunk borders."""
+    rng = np.random.default_rng(4)
+    n = 2 * _BATCH_CHUNK + 3
+    ka, kb = rng.integers(0, 2, size=(2, n))
+    ya, yb = rng.random((n, 2)), rng.random((n, 2))
+    ta = rng.uniform(-6.0, 6.0, n)
+    tb = ta + rng.choice([0.0, -0.0, 1e-300, 0.5, 2.0, 1e3], size=n) * rng.choice([1.0, -1.0], size=n)
+    yb[: n // 4] = ya[: n // 4]
+    assert {(a, b) for a, b in zip(ka.tolist(), kb.tolist())} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    got = gluing._batch_glued_values(ka, ya, ta, kb, yb, tb, params, gram)
+    want = _oracle_glued_values(ka, ya, ta, kb, yb, tb, params, gram)
+    assert _same_bits(got, want)
+    assert not np.any(np.signbit(got))
+
+
 # -- the kernel --------------------------------------------------------------------
 
 
@@ -334,13 +364,20 @@ def _kernel_and_away_flags(ya, yb, gram, monkeypatch):
 @pytest.mark.parametrize("name", sorted(KERNEL_GRAMS))
 def test_away_shift_stays_only_past_the_proven_bound(name, monkeypatch):
     """The four corners suffice when 4 * err < g11; past it (g22/g11 of about
-    2^47 and above) each axis evaluates its away shift w + sigma too."""
+    2^47 and above) each axis evaluates its away shift w + sigma too.  A
+    diagonal form asks for no shift at all, past the bound or not."""
     gram = KERNEL_GRAMS[name]
     rng = np.random.default_rng(3)
     ya, yb = rng.random((_BATCH_CHUNK + 7, 2)), rng.random((_BATCH_CHUNK + 7, 2))
     got, flags = _kernel_and_away_flags(ya, yb, gram, monkeypatch)
     assert _same_bits(got, oracle_kernel(ya, yb, gram))
-    assert flags == {name in PAST_BOUND}
+    assert flags == (set() if name in DIAGONAL else {name in PAST_BOUND})
+
+
+def test_diagonal_grams_are_the_ones_with_a_zero_float_cross_term():
+    for name, gram in KERNEL_GRAMS.items():
+        assert (2 * gram._float_data[1][1] == 0.0) == (name in DIAGONAL)
+    assert np.signbit(KERNEL_GRAMS["diagonal-underflow-neg"]._float_data[1][1])
 
 
 def test_proven_bound_lies_between_2_46_and_2_47(monkeypatch):
