@@ -332,9 +332,10 @@ def _typed_config(command: str, merged: dict) -> RunConfig:
     row = COMMANDS[command]
     if values["mode"] in row.kernel_modes and not _has_float_gram(values["gram"]):
         raise ConfigError("gram", "the reduced form's entries must fit a float")
-    # the samplers draw heights from [-span, span], span = 3 * max(1, M) in float
+    # float samplers draw heights from [-3 max(1, M), 3 max(1, M)] and the grid
+    # oracle of `nearest` spans t +- 2M: both need 6 * max(1, M) as a float
     height_range = 6.0 * max(1.0, as_float(values["M"]))
-    if values["mode"] in row.height_modes and not math.isfinite(height_range):
+    if values["mode"] is FLOAT and FLOAT in row.kernel_modes and not math.isfinite(height_range):
         raise ConfigError("M", "the sampled height range 6*max(1, M) must fit a float")
     if values["format"] == "csv" and row.csv is None:
         raise ConfigError("format", "csv output applies only to density tables")
@@ -626,7 +627,6 @@ class Command(NamedTuple):
     overrides: dict  # the defaults it sets apart from KEYS
     run: Callable  # RunConfig -> payload, "passed" included
     kernel_modes: tuple  # modes in which it runs the float batch kernel on the Gram
-    height_modes: tuple  # modes in which it samples float heights over 6*max(1, M)
     csv: Callable | None  # payload -> the density report data of its CSV form
     help: str
 
@@ -634,33 +634,33 @@ class Command(NamedTuple):
 COMMANDS: dict[str, Command] = {
     "verify-metric": Command(
         ("samples",), {"mode": "float", "samples": "100000"}, _cmd_verify_metric,
-        (FLOAT,), (FLOAT,), None, "sample triples and check all metric axioms"),
+        (FLOAT,), None, "sample triples and check all metric axioms"),
     "counterexample": Command(
-        ("samples",), {}, _cmd_counterexample, (FLOAT,), (FLOAT,), None,
+        ("samples",), {}, _cmd_counterexample, (FLOAT,), None,
         "construct the explicit triangle violation when 2R < M"),
     # the grid oracles are float in every mode
     "nearest": Command(
-        ("instances", "grid", "t_grid"), {}, _cmd_nearest, (EXACT, FLOAT), (), None,
+        ("instances", "grid", "t_grid"), {}, _cmd_nearest, (EXACT, FLOAT), None,
         "closed-form nearest-point structure against brute-force grids"),
     "isometry-check": Command(
         ("samples", "instances"), {"samples": "200", "instances": "100"}, _cmd_isometry_check,
-        (FLOAT,), (FLOAT,), None,
+        (FLOAT,), None,
         "lift preservation, decompose/construct round-trips, impostor rejection"),
     "lift": Command(
-        ("shifts", "samples"), {}, _cmd_lift, (FLOAT,), (FLOAT,), None,
+        ("shifts", "samples"), {}, _cmd_lift, (FLOAT,), None,
         "tabulate lifted isometries for given line shifts"),
     "density": Command(
-        ("targets", "epsilons", "budget"), {}, _cmd_density, (), (), lambda payload: payload["reports"],
+        ("targets", "epsilons", "budget"), {}, _cmd_density, (), lambda payload: payload["reports"],
         "certified orbit approaches to torus targets"),
     "non-closure": Command(
-        ("target", "epsilons", "budget"), {"epsilons": "1e-2,1e-4,1e-6"}, _cmd_non_closure, (), (),
+        ("target", "epsilons", "budget"), {"epsilons": "1e-2,1e-4,1e-6"}, _cmd_non_closure, (),
         lambda payload: payload["report"].density,
         "exact off-orbit certificate plus density table for one target"),
     "local-isometry": Command(
-        ("count", "t", "s"), {}, _cmd_local_isometry, (), (), None,
+        ("count", "t", "s"), {}, _cmd_local_isometry, (), None,
         "scaled-isometry identity for line parameters inside the radius"),
     "x1-group": Command(
-        ("k_range", "count", "eps"), {}, _cmd_x1_group, (), (), None,
+        ("k_range", "count", "eps"), {}, _cmd_x1_group, (), None,
         "circle-preserving family, circle density, rational-target certificate"),
 }
 

@@ -384,18 +384,18 @@ def test_exact_verify_metric_takes_a_gram_beyond_the_float_range(capsys):
     assert payload["passed"] is True
 
 
-# exit codes for `--R 1e308 --M 1e308`: the float samplers draw heights over
-# 6 * max(1, M), beyond the float range.  The four float cells at 2 ended in an
-# OverflowError traceback (exit 1) before their check; exact counterexample
-# exits 2 naming R (2R >= M), as before.  Every other cell is the code these
-# commands gave before the check.
+# exit codes for `--R 1e308 --M 1e308`: the float samplers and grid oracles
+# span heights over 6 * max(1, M), beyond the float range.  The five float
+# cells at 2 ended in an OverflowError traceback (exit 1) before their check;
+# exact counterexample exits 2 naming R (2R >= M), as before.  Every other cell
+# is the code these commands gave before the check.
 HEIGHTS_BEYOND_FLOAT = {
     ("verify-metric", "exact"): 0,
     ("verify-metric", "float"): 2,
     ("counterexample", "exact"): 2,
     ("counterexample", "float"): 2,
     ("nearest", "exact"): 0,
-    ("nearest", "float"): 1,
+    ("nearest", "float"): 2,
     ("isometry-check", "exact"): 0,
     ("isometry-check", "float"): 2,
     ("lift", "exact"): 0,
@@ -421,16 +421,7 @@ def test_heights_without_a_float_range_exit_2(capsys, command, mode):
     assert f"config key '{'R' if mode == 'exact' else 'M'}'" in err
 
 
-def _heights_cell(cell):
-    if cell == ("nearest", "float"):
-        # the float grid oracle spans t +- 2M and overflows converting 2M
-        return pytest.param(*cell, marks=pytest.mark.xfail(raises=OverflowError, strict=True))
-    return cell
-
-
-@pytest.mark.parametrize(
-    "command, mode", [_heights_cell(c) for c, code in HEIGHTS_BEYOND_FLOAT.items() if code != 2]
-)
+@pytest.mark.parametrize("command, mode", [c for c, code in HEIGHTS_BEYOND_FLOAT.items() if code != 2])
 def test_heights_without_a_float_range_run_where_no_sampler_reads_them(capsys, command, mode):
     argv = [*HEIGHTS_BEYOND_FLOAT_ARGV, "--mode", mode, *SMALL.get(command, [])]
     code, out, err = run(capsys, command, *argv)

@@ -1,27 +1,31 @@
-"""Paired benchmark runs of a parent checkout and a change, summarized as JSON.
+"""Paired benchmark runs of a parent revision and this checkout, summarized as JSON.
 
-    python3 tools/bench_pair.py --parent HEAD~1 --pairs 10 --seconds 8 --seed 11 \
-        --out BENCH_NEXT.json
+    python3 tools/bench_pair.py --parent HEAD~1 --seed 11 --out BENCH_NEXT.json
 
-`--parent` is a directory holding a checkout, or a git revision of this
-repository, which is exported (`git archive`) to a temporary directory for
-the duration of the run.  `--change` is the checkout under test, by default
-the one this file sits in.  Each pair runs `bench/run.py --trace 0` once in
-each checkout, one after the other; the order alternates from pair to pair,
-so a drift of the machine's speed falls on both sides alike.  Runs are
-sequential, one process at a time.
+`--parent` is a git revision of this repository; its files are exported
+(`git archive`) to a temporary directory for the duration of the run.  The
+change is the checkout this file sits in, uncommitted edits included.  Each
+pair runs `bench/run.py --trace 0` once on each side, one after the other,
+for the `run_seconds` that BENCHMARK.json sets; the order alternates from
+pair to pair, so a drift of the machine's speed falls on both sides alike.
+Every workload of BENCHMARK.json gets PAIRS pairs, the number a claimed gain
+is judged on.  Runs are sequential, one process at a time.
 
 The output records, per workload and per side, each end-to-end metric that
 BENCHMARK.json lists, run by run, with its median and interquartile range,
 the ratio of the medians, and the number of pairs in which the change did
-better; also each run's `correct`/`failed` fields and machine probes, and
-the seed, the pair count and the run length.
+better; also each run's `correct`/`failed` fields and machine probes, the
+seed, the pair count and the run length, and what was measured: the parent's
+commit and tree, and this checkout's HEAD commit and the tree of its tracked
+files as they were, with `clean` telling whether that tree is HEAD's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -31,6 +35,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBE_PREFIX = "machine probe (not a metric): start "
+PAIRS = 10
+
+
+def git(*args: str, env=None) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def working_tree() -> str:
+    """The git tree hash of this checkout's tracked files as they are now,
+    built in a copy of the index so that neither the index nor any ref changes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        index = Path(tmp) / "index"
+        shutil.copyfile(ROOT / git("rev-parse", "--git-path", "index"), index)
+        env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+        git("add", "--update", env=env)
+        return git("write-tree", env=env)
 
 
 def export_revision(rev: str, dest: Path) -> Path:
@@ -89,38 +111,39 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="checkout directory or git revision")
-    parser.add_argument("--change", default=str(ROOT), help="checkout directory (default: this one)")
-    parser.add_argument("--pairs", type=int, default=5, help="pairs of runs per workload, at least 1")
-    parser.add_argument("--seconds", type=float, default=8.0, help="--seconds of each bench run")
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--seed", type=int, default=11, help="--seed of every bench run")
-    parser.add_argument("--workloads", default=None, help="comma-separated (default: all in BENCHMARK.json)")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    tree = working_tree()
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(args.parent)
-        if not parent.is_dir():
-            parent = export_revision(args.parent, Path(tmp))
-        checkouts = {"parent": parent.resolve(), "change": Path(args.change).resolve()}
+        checkouts = {"parent": export_revision(args.parent, Path(tmp)), "change": ROOT}
         report = {
             "command": spec["command"],
             "seed": args.seed,
-            "pairs": args.pairs,
-            "seconds": args.seconds,
-            "parent": args.parent,
+            "pairs": PAIRS,
+            "run_seconds": seconds,
+            "parent": {
+                "revision": args.parent,
+                "commit": git("rev-parse", "--verify", f"{args.parent}^{{commit}}"),
+                "tree": git("rev-parse", "--verify", f"{args.parent}^{{tree}}"),
+            },
+            "change": {
+                "commit": git("rev-parse", "--verify", "HEAD"),
+                "tree": tree,
+                "clean": tree == git("rev-parse", "--verify", "HEAD^{tree}"),
+            },
             "workloads": {},
         }
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run_bench(checkouts[side], workload, args.seed, args.seconds)
+                    result = run_bench(checkouts[side], workload, args.seed, seconds)
                     runs[side].append(result)
                     value = result["metrics"]["verdicts_per_s"]["value"]
                     print(f"{workload} pair {i} {side}: {value:.4g} verdicts/s", file=sys.stderr)
