@@ -332,8 +332,9 @@ def _typed_config(command: str, merged: dict) -> RunConfig:
     row = COMMANDS[command]
     if values["mode"] in row.kernel_modes and not _has_float_gram(values["gram"]):
         raise ConfigError("gram", "the reduced form's entries must fit a float")
-    # float samplers draw heights from [-3 max(1, M), 3 max(1, M)] and the grid
-    # oracle of `nearest` spans t +- 2M: both need 6 * max(1, M) as a float
+    # float samplers draw heights from [-3 max(1, M), 3 max(1, M)], so the
+    # range 6 * max(1, M) must be a float; `nearest`'s grid oracle takes its
+    # offsets from t exactly and needs only M as a float, but shares the gate
     height_range = 6.0 * max(1.0, as_float(values["M"]))
     if values["mode"] is FLOAT and FLOAT in row.kernel_modes and not math.isfinite(height_range):
         raise ConfigError("M", "the sampled height range 6*max(1, M) must fit a float")

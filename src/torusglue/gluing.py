@@ -814,18 +814,19 @@ def grid_nearest_on_line(
 ) -> tuple[object, float]:
     """Argmin of d(p, (y2, s)) over a uniform s-grid centered at p.t.
 
-    The first minimum wins.  For an exact p.t the gap |p.t - s| at
-    s = p.t - span + j*step is |span - j*step| = |span|*|n - 2j|/n with
-    n = t_n - 1, so p.t enters only the s of the argmin; with a rational
-    span and cap the gaps are integer ratios, whose true division rounds
-    as float() of the Fraction does.
+    The first minimum wins.  The grid heights are s = p.t + (j*step - span)
+    with the offset taken exactly, so the gap |p.t - s| is the offset's
+    absolute value |span|*|n - 2j|/n with n = t_n - 1, and p.t, float or
+    exact, enters only the s of the argmin; with a rational span and cap the
+    gaps are integer ratios, whose true division rounds as float() of the
+    Fraction does.
     """
     if span is None:
         span = 2 * params.M
     base = sqrt_as_float(torus_distance_sq(p.y, y2, gram))
     n = t_n - 1
     step = 2 * span / n
-    if is_exact(p.t) and not isinstance(span, QuadScalar) and not isinstance(params.M, QuadScalar):
+    if not isinstance(span, QuadScalar) and not isinstance(params.M, QuadScalar):
         (a, b), (ma, mb) = abs(span).as_integer_ratio(), params.M.as_integer_ratio()
         cap = as_float(params.M)
         vals = [
@@ -833,7 +834,7 @@ def grid_nearest_on_line(
             for c in map(abs, range(n, -n - 1, -2))
         ]
     else:
-        gaps = [scalar_abs(p.t - (p.t - span + j * step)) for j in range(t_n)]
+        gaps = [scalar_abs(j * step - span) for j in range(t_n)]
         vals = [base + as_float(scalar_min(gap, params.M)) for gap in gaps]
     j = vals.index(min(vals))
-    return p.t - span + j * step, float(vals[j])
+    return p.t + (j * step - span), float(vals[j])

@@ -64,7 +64,7 @@ class LineIsometry(Record):
         return cls(-1, 2 * center)
 
     def apply(self, t):
-        return self.sign * t + self.shift if self.sign > 0 else self.shift - t
+        return t + self.shift if self.sign > 0 else self.shift - t
 
     def compose(self, other: "LineIsometry") -> "LineIsometry":
         return LineIsometry(self.sign * other.sign, self.shift + self.sign * other.shift)
@@ -249,9 +249,7 @@ def verify_isometry(
             return winding_distance(p, q, params, gram, subgroup)
 
         def sample(rng):
-            return random_winding_point(
-                rng, 3 * max(1, int(as_float(params.M))), exact=mode.exact, d=line_d
-            )
+            return random_winding_point(rng, span, exact=mode.exact, d=line_d)
 
     elif space == "glued":
 
@@ -259,12 +257,11 @@ def verify_isometry(
             return glued_distance(p, q, params, gram)
 
         def sample(rng):
-            return random_glued_point(
-                rng, 3 * max(1, int(as_float(params.M))), exact=mode.exact, d=d
-            )
+            return random_glued_point(rng, span, exact=mode.exact, d=d)
 
     else:
         raise ValueError("space must be 'glued' or 'winding'")
+    span = 3 * max(1, int(as_float(params.M)))
 
     failures: list[PairFailure] = []
     max_err = 0.0

@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 DEFAULT_D = 2
 
@@ -149,6 +149,7 @@ def _reduced(A: int, B: int, D: int, d: int) -> "QuadScalar":
     return _new(A, B, D, d)
 
 
+@total_ordering
 class QuadScalar:
     """Exact field element (A + B*sqrt(d)) / D, stored as a normalized triple.
 
@@ -221,31 +222,14 @@ class QuadScalar:
         """Exact sign in {-1, 0, +1}, decided by comparing A^2 against d*B^2."""
         return _sign(self._A, self._B, self.d)
 
-    def _cmp(self, other) -> int:
+    # total_ordering derives <=, > and >= from < and ==
+    def __lt__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         A, B, D, d = o
         sD = self._D
-        if sD == D:
-            return _sign(self._A - A, self._B - B, d)
-        return _sign(self._A * D - A * sD, self._B * D - B * sD, d)
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
+        return _sign(self._A * D - A * sD, self._B * D - B * sD, d) < 0
 
     def __eq__(self, other):
         if isinstance(other, QuadScalar):
@@ -288,8 +272,6 @@ class QuadScalar:
             return NotImplemented
         A, B, D, d = o
         sD = self._D
-        if sD == D:
-            return _reduced(self._A + A, self._B + B, D, d)
         return _reduced(self._A * D + A * sD, self._B * D + B * sD, sD * D, d)
 
     __radd__ = __add__
@@ -302,8 +284,6 @@ class QuadScalar:
             return NotImplemented
         A, B, D, d = o
         sD = self._D
-        if sD == D:
-            return _reduced(self._A - A, self._B - B, D, d)
         return _reduced(self._A * D - A * sD, self._B * D - B * sD, sD * D, d)
 
     def __rsub__(self, other):
@@ -314,8 +294,6 @@ class QuadScalar:
             return NotImplemented
         A, B, D, d = o
         sD = self._D
-        if sD == D:
-            return _reduced(A - self._A, B - self._B, D, d)
         return _reduced(A * sD - self._A * D, B * sD - self._B * D, sD * D, d)
 
     def __mul__(self, other):

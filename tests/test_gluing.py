@@ -222,15 +222,17 @@ def test_nearest_on_line_matches_grid():
 
 
 def _loop_grid_nearest_on_line(p, y2, params, gram, t_n, span=None):
-    # the per-step scan grid_nearest_on_line ran before its gaps left out p.t
+    # a per-step scan; the offset s - p.t is taken exactly, so a float p.t
+    # does not cancel against a span that dwarfs it
     if span is None:
         span = 2 * params.M
     base = sqrt_as_float(torus_distance_sq(p.y, y2, gram))
     step = 2 * span / (t_n - 1)
     best_t, best_v = None, None
     for j in range(t_n):
-        s = p.t - span + j * step
-        v = base + as_float(scalar_min(scalar_abs(p.t - s), params.M))
+        offset = j * step - span
+        s = p.t + offset
+        v = base + as_float(scalar_min(scalar_abs(offset), params.M))
         if best_v is None or v < best_v:
             best_t, best_v = s, v
     return best_t, float(best_v)
