@@ -85,6 +85,17 @@ def test_nearest_small_run(capsys):
     assert len(payload["instances"]) == 3
 
 
+@pytest.mark.parametrize("m", ["1e300", "2e307"])
+def test_float_nearest_passes_where_2M_dwarfs_the_height(capsys, m):
+    # the grid oracle's heights are exact offsets from t, so t survives a span of 4M
+    code, payload = run_json(
+        capsys, "nearest", "--mode", "float", "--R", m, "--M", m, "--instances", "2"
+    )
+    assert code == 0
+    oks = [inst[key]["ok"] for inst in payload["instances"] for key in inst if key != "instance"]
+    assert oks == [True] * 6
+
+
 def test_isometry_check(capsys):
     code, payload = run_json(capsys, "isometry-check", "--samples", "30", "--instances", "6")
     assert code == 0

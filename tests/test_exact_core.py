@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from torusglue.numerics import (
@@ -49,6 +49,24 @@ def quads(draw, d=None):
 def quad_pairs(draw):
     d = draw(st.sampled_from(FIELDS))
     return draw(quads(d)), draw(quads(d))
+
+
+@st.composite
+def same_denominator_pairs(draw):
+    """Two scalars whose normalized triples share D.  Either or both may be
+    rational-valued, and then they may come from different fields."""
+    d = draw(st.sampled_from(FIELDS))
+    D = draw(st.one_of(st.integers(1, 12), st.integers(1, BIG)))
+    ints = st.one_of(st.integers(-50, 50), st.integers(-BIG, BIG))
+    (A1, B1, d1), (A2, B2, d2) = [(draw(ints), draw(ints), d) for _ in range(2)]
+    rational = draw(st.sampled_from(("neither", "second", "both")))
+    if rational != "neither":
+        B2, d2 = 0, draw(st.sampled_from(FIELDS))
+    if rational == "both":
+        B1, d1 = 0, draw(st.sampled_from(FIELDS))
+    assume(math.gcd(A1, B1, D) == 1 and math.gcd(A2, B2, D) == 1)
+    x = QuadScalar(Fraction(A1, D), Fraction(B1, D), d1)
+    return x, QuadScalar(Fraction(A2, D), Fraction(B2, D), d2)
 
 
 def sym(x):
@@ -109,6 +127,27 @@ def test_arithmetic_matches_sympy(pair, r):
 
 
 @SETTINGS
+@given(same_denominator_pairs())
+@example((QuadScalar(Fraction(1, 3), 0, 2), QuadScalar(Fraction(1, 3), 0, 3)))
+@example((QuadScalar(Fraction(1, 6), Fraction(5, 6), 7), QuadScalar(Fraction(-5, 6), Fraction(1, 6), 7)))
+def test_same_denominator_operands_match_sympy_and_mpmath(pair):
+    x, y = pair
+    assert x._D == y._D
+    r = y.a  # shares x's denominator whenever y is rational-valued
+    sx, sy, sr = sym(x), sym(y), sym(r)
+    assert_same(x + y, sx + sy)
+    assert_same(x - y, sx - sy)
+    assert_same(y - x, sy - sx)
+    assert_same(x + r, sx + sr)
+    assert_same(x - r, sx - sr)
+    assert_same(r - x, sr - sx)
+    with mpmath.workdps(digits_needed(x, y)):
+        vx, vy, vr = mp_value(x), mp_value(y), mp_value(r)
+        assert (x < y, x <= y, x > y, x >= y) == (vx < vy, vx <= vy, vx > vy, vx >= vy)
+        assert (r < x, r <= x, r > x, r >= x) == (vr < vx, vr <= vx, vr > vx, vr >= vx)
+
+
+@SETTINGS
 @given(quads())
 def test_triple_is_normalized(x):
     A, B, D = x._A, x._B, x._D
@@ -135,16 +174,21 @@ def test_division_by_zero_and_field_mismatch():
 
 
 @SETTINGS
-@given(quad_pairs())
-@example((QuadScalar(Fraction(-14142135623730950, 10**16), 1, 2), QuadScalar(0, 0, 2)))
-def test_sign_and_order_match_mpmath(pair):
+@given(quad_pairs(), st.one_of(st.integers(-BIG, BIG), rationals))
+@example((QuadScalar(Fraction(-14142135623730950, 10**16), 1, 2), QuadScalar(0, 0, 2)), 0)
+@example((QuadScalar(3, 0, 2), QuadScalar(3, 0, 2)), 3)
+@example((QuadScalar(Fraction(7, 3), 0, 5), QuadScalar(0, 1, 5)), Fraction(7, 3))
+def test_sign_and_order_match_mpmath(pair, r):
     x, y = pair
-    with mpmath.workdps(digits_needed(x, y)):
-        vx, vy = mp_value(x), mp_value(y)
+    with mpmath.workdps(digits_needed(x, y, r)):
+        vx, vy, vr = mp_value(x), mp_value(y), mp_value(r)
         assert x.sign() == (vx > 0) - (vx < 0)
         assert (x < y) == (vx < vy)
         assert (x <= y) == (vx <= vy)
         assert (x > y) == (vx > vy)
+        assert (x >= y) == (vx >= vy)
+        # an int or Fraction on the left reaches the reflected QuadScalar method
+        assert (r < x, r <= x, r > x, r >= x) == (vr < vx, vr <= vx, vr > vx, vr >= vx)
         assert abs(x) == (x if vx >= 0 else -x)
 
 

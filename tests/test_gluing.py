@@ -255,6 +255,16 @@ def test_grid_nearest_on_line_matches_loop(t_n, d):
                 assert got == _loop_grid_nearest_on_line(p, y2, params, GRAM, t_n, span)
 
 
+@pytest.mark.parametrize("m", [Fraction(2), Fraction(10**300)])
+def test_grid_nearest_on_line_returns_a_float_height_at_the_center(m):
+    # the center offset j*step - span is exactly 0, so p.t comes back as itself
+    p = GluedPoint.cylinder(TorusPoint(0.25, 0.5), 0.7)
+    y2 = TorusPoint(0.375, 0.125)
+    t, v = grid_nearest_on_line(p, y2, GluingParams(m, m), GRAM, 401)
+    assert type(t) is float and t == 0.7
+    assert v == sqrt_as_float(torus_distance_sq(p.y, y2, GRAM))
+
+
 def test_grid_nearest_on_line_keeps_first_float_minimum():
     # far from y2 the gaps near the middle vanish in the float sum, so several
     # heights tie and the first of them is the answer

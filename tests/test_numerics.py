@@ -6,6 +6,7 @@ the wire format.
 """
 
 import math
+import operator
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -227,6 +228,18 @@ def test_field_mismatch_rejected():
     z = QuadScalar(5, 0, 3)
     assert x + z == QuadScalar(5, 1, 2)
     assert x != y
+
+
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_comparisons_reject_floats_and_other_radicals(op):
+    one = QuadScalar(1, 0, 2)
+    for left, right in ((SQRT2, 1.5), (1.5, SQRT2), (one, 1.0), (1.0, one)):
+        with pytest.raises(TypeError):
+            op(left, right)
+    sqrt3 = QuadScalar(0, 1, 3)
+    for left, right in ((SQRT2, sqrt3), (sqrt3, SQRT2)):
+        with pytest.raises(FieldMismatchError):
+            op(left, right)
 
 
 def test_exactness_guards():
