@@ -22,6 +22,7 @@ from .gluing import (
     Distance,
     GluedPoint,
     GluingParams,
+    _float_height_span,
     check_metric_axioms,
     grid_nearest_in_compact,
     grid_nearest_on_line,
@@ -29,17 +30,6 @@ from .gluing import (
     nearest_line_set,
     nearest_on_line,
     triangle_counterexample,
-)
-from .isometry import (
-    ComponentSwapError,
-    DecompositionError,
-    LineActionError,
-    LineIsometry,
-    decompose_isometry,
-    lift_line_isometry,
-    line_transitivity_witness,
-    subtorus_isometries,
-    verify_isometry,
 )
 from .numerics import (
     EXACT,
@@ -51,16 +41,6 @@ from .numerics import (
     parse_scalar,
     sign_of,
     sqrt_interval,
-)
-from .orbit import (
-    CircleNonMembership,
-    ValidityRadiusError,
-    _validity_radius_sq,
-    circle_density_hit,
-    circle_orbit_membership,
-    density_report,
-    local_isometry_check,
-    non_closure_report,
 )
 from .report import canonical_json, density_csv, plain, write_report
 from .sampling import (
@@ -335,15 +315,19 @@ def _typed_config(command: str, merged: dict) -> RunConfig:
     # float samplers draw heights from [-3 max(1, M), 3 max(1, M)], so the
     # range 6 * max(1, M) must be a float; `nearest`'s grid oracle takes its
     # offsets from t exactly and needs only M as a float, but shares the gate
-    height_range = 6.0 * max(1.0, as_float(values["M"]))
-    if values["mode"] is FLOAT and FLOAT in row.kernel_modes and not math.isfinite(height_range):
-        raise ConfigError("M", "the sampled height range 6*max(1, M) must fit a float")
+    if values["mode"] is FLOAT and FLOAT in row.kernel_modes:
+        try:
+            _float_height_span(values["M"])
+        except OverflowError:
+            raise ConfigError("M", "the sampled height range 6*max(1, M) must fit a float") from None
     if values["format"] == "csv" and row.csv is None:
         raise ConfigError("format", "csv output applies only to density tables")
     return RunConfig(**values)
 
 
 # -- subcommand implementations: each returns its payload, "passed" included ------
+# The orbit and isometry layers are imported by the handlers that call them, so
+# verify-metric, counterexample and nearest load neither.
 
 
 def _cmd_verify_metric(cfg: RunConfig) -> dict:
@@ -436,6 +420,8 @@ def _scaling_impostor(p: GluedPoint) -> GluedPoint:
 
 def _lift_check(cfg: RunConfig, params, subgroup, sign: int, shift, seed: int):
     """(lift of the line map t -> sign*t + shift, its verification on the winding space)."""
+    from .isometry import LineIsometry, lift_line_isometry, verify_isometry
+
     iso = lift_line_isometry(LineIsometry(sign, shift), subgroup)
     rep = verify_isometry(
         iso.apply, cfg.samples, params, cfg.gram, mode=cfg.mode, seed=seed,
@@ -445,6 +431,8 @@ def _lift_check(cfg: RunConfig, params, subgroup, sign: int, shift, seed: int):
 
 
 def _cmd_isometry_check(cfg: RunConfig) -> dict:
+    from .isometry import ComponentSwapError, DecompositionError, LineActionError, decompose_isometry
+
     params = cfg.params()
     subgroup = cfg.subgroup()
 
@@ -513,6 +501,8 @@ def _cmd_lift(cfg: RunConfig) -> dict:
 
 
 def _cmd_density(cfg: RunConfig) -> dict:
+    from .orbit import density_report
+
     subgroup = cfg.subgroup()
     reports = [
         density_report(target, subgroup, cfg.epsilons, gram=cfg.gram, budget=cfg.budget)
@@ -522,6 +512,8 @@ def _cmd_density(cfg: RunConfig) -> dict:
 
 
 def _cmd_non_closure(cfg: RunConfig) -> dict:
+    from .orbit import non_closure_report
+
     try:
         rep = non_closure_report(
             cfg.target, cfg.subgroup(), cfg.epsilons, gram=cfg.gram, budget=cfg.budget
@@ -532,6 +524,8 @@ def _cmd_non_closure(cfg: RunConfig) -> dict:
 
 
 def _cmd_local_isometry(cfg: RunConfig) -> dict:
+    from .orbit import ValidityRadiusError, _validity_radius_sq, local_isometry_check
+
     params = cfg.params()
     subgroup = cfg.subgroup()
     radius_sq, nsq = _validity_radius_sq(subgroup, params, cfg.gram)
@@ -563,6 +557,9 @@ def _cmd_local_isometry(cfg: RunConfig) -> dict:
 
 
 def _cmd_x1_group(cfg: RunConfig) -> dict:
+    from .isometry import line_transitivity_witness, subtorus_isometries
+    from .orbit import CircleNonMembership, circle_density_hit, circle_orbit_membership
+
     cfg.params()  # validates R and M, though the family does not use them
     subgroup = cfg.subgroup()
     circle = Subtorus(0)

@@ -465,12 +465,15 @@ def _check_floats(kind, y, t, dists, mode: ScalarMode, log: _ViolationLog, point
 
     d_ab, d_ba, d_ac, d_bc, d_aa = dists
 
-    sym = np.abs(d_ab - d_ba)
+    # one scratch array holds each error array in turn, in place: add_flagged
+    # reads it, through the record lambdas too, before the next pass
+    err = np.subtract(d_ab, d_ba)
+    sym = np.abs(err, out=err)
     log.note_error(float(np.max(sym, initial=0.0)))
     log.add_flagged(np.flatnonzero(sym > mode.eps), sym, lambda i: (
         "symmetry", point(0, i), point(1, i), None, float(d_ab[i]), float(d_ba[i]), float(sym[i])))
 
-    zero = np.abs(d_aa)
+    zero = np.abs(d_aa, out=err)
     log.note_error(float(np.max(zero, initial=0.0)))
     log.add_flagged(np.flatnonzero(zero > mode.identity_eps), zero, lambda i: (
         "identity-zero", point(0, i), point(0, i), None, float(d_aa[i]), 0.0, float(zero[i])))
@@ -491,7 +494,7 @@ def _check_floats(kind, y, t, dists, mode: ScalarMode, log: _ViolationLog, point
         (d_ac, d_ab, d_bc, (0, 2, 1)),
         (d_bc, d_ab, d_ac, (1, 2, 0)),
     ):
-        slack = lhs - (r1 + r2)
+        slack = np.subtract(lhs, np.add(r1, r2, out=err), out=err)
         log.note_error(float(np.max(slack, initial=0.0)))
         log.add_flagged(np.flatnonzero(slack > mode.eps), slack, lambda i: (
             "triangle", point(ca, i), point(cb, i), point(cc, i),
@@ -499,14 +502,29 @@ def _check_floats(kind, y, t, dists, mode: ScalarMode, log: _ViolationLog, point
     return 8 * len(d_ab)
 
 
+def _float_height_span(M) -> float:
+    """3*max(1, M) as a float: float samplers draw heights from [-span, span].
+
+    Raises OverflowError naming M when the range 6*max(1, M) of those
+    heights has no finite float (from about M = 3e307).
+    """
+    try:
+        m = max(1.0, as_float(M))
+    except OverflowError:
+        m = math.inf
+    if not math.isfinite(6.0 * m):
+        raise OverflowError("M: the sampled height range 6*max(1, M) has no finite float")
+    return 3.0 * m
+
+
 def _check_batch(n, params, gram, mode, seed, log: _ViolationLog) -> int:
     """Float checks of n sampled triples, their distances from the batch kernel."""
     import numpy as np
 
+    span = _float_height_span(params.M)
     rng = np.random.default_rng(seed)
     kind = rng.integers(0, 2, size=(3, n))
     y = rng.random((3, n, 2))
-    span = 3.0 * max(1.0, as_float(params.M))
     t = rng.uniform(-span, span, (3, n))
     dists = [
         _batch_glued_values(kind[c1], y[c1], t[c1], kind[c2], y[c2], t[c2], params, gram)
@@ -558,8 +576,9 @@ def check_metric_axioms(
     per-element selects), and `sampler` and `extra_triples` triples from
     `glued_distance`, one triple at a time.  Only the violations the report
     records become point objects.  The default sampler draws float heights
-    from [-3*max(1, M), 3*max(1, M)]; numpy raises OverflowError when that
-    range, 6*max(1, M), has no finite float (the CLI exits 2 naming M).
+    from [-3*max(1, M), 3*max(1, M)], so float mode raises OverflowError,
+    naming M and before drawing anything, when that range, 6*max(1, M), has
+    no finite float (`_float_height_span`; the CLI exits 2 naming M).
     """
     if n < 0:
         raise ValueError("sample count must be nonnegative")

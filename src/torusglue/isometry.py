@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .gluing import Distance, GluedPoint, GluingParams, WindingPoint, glued_distance, winding_distance
+from .gluing import (
+    Distance,
+    GluedPoint,
+    GluingParams,
+    WindingPoint,
+    _float_height_span,
+    glued_distance,
+    winding_distance,
+)
 from .numerics import DEFAULT_D, EXACT, CertificationError, ScalarMode, _check_d, as_float, require_exact
 from .report import Record
 from .sampling import random_glued_point, random_torus_point, random_winding_point, rng_for
@@ -238,7 +246,9 @@ def verify_isometry(
     mode.identity_eps of drift.  `apply_map` is any callable on points of
     the chosen space ('glued' or 'winding').  Exact glued-space samples are
     drawn over sqrt(d), exact winding-space samples over the subgroup's
-    slope field.
+    slope field.  Float samples take heights from [-3*max(1, M), 3*max(1, M)],
+    so float mode raises OverflowError, naming M and before drawing anything,
+    when that range, 6*max(1, M), has no finite float.
     """
     if space == "winding":
         if subgroup is None:
@@ -261,6 +271,8 @@ def verify_isometry(
 
     else:
         raise ValueError("space must be 'glued' or 'winding'")
+    if not mode.exact:
+        _float_height_span(params.M)
     span = 3 * max(1, int(as_float(params.M)))
 
     failures: list[PairFailure] = []

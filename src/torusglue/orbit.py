@@ -19,8 +19,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .gluing import Distance, GluingParams, WindingPoint, winding_distance
 from .numerics import (
     EXACT,
     CertificationError,
@@ -52,6 +52,9 @@ from .torus import (
     tangent_norm_sq,
     torus_distance_sq,
 )
+
+if TYPE_CHECKING:  # density and membership load no gluing; local_isometry_check imports it
+    from .gluing import Distance, GluingParams
 
 
 def _field_triple(x, d: int) -> tuple[int, int, int]:
@@ -772,6 +775,8 @@ def local_isometry_check(
     glued distance splits exactly into (|t-s|^2 |v|^2, |t-s|).  Outside that
     radius the comparison is meaningless and ValidityRadiusError is raised.
     """
+    from .gluing import Distance, WindingPoint, winding_distance
+
     gram = gram or GramMatrix.identity()
     if mode.exact:
         require_exact(t, "local isometry parameter")

@@ -435,3 +435,21 @@ def test_corner_margin_is_at_least_half_g11(gram, w1, w2):
 def test_corner_margin_is_attained_on_the_hexagonal_boundary():
     # 2 g12 = -g11 and w = (0, 1/2): the shift (1, 0) is g11/2 above the corner 0
     assert _margin(GramMatrix(2, -1, 2), Fraction(0), HALF, 1, 1) == 1
+
+
+# M from which 6*max(1, M), the range of the sampled float heights, has no float
+HEIGHTS_BEYOND_FLOAT = [3e307, 1e308]
+
+
+@pytest.mark.parametrize("m", HEIGHTS_BEYOND_FLOAT)
+def test_float_sweep_refuses_heights_beyond_float_naming_m(m):
+    params = GluingParams(Fraction(m), Fraction(m))
+    with pytest.raises(OverflowError, match=r"^M: the sampled height range 6\*max\(1, M\)"):
+        check_metric_axioms(10, params, GramMatrix.identity(), FLOAT)
+    # exact mode samples exact heights and does not change
+    assert check_metric_axioms(3, params, GramMatrix.identity()).passed
+
+
+def test_float_sweep_runs_just_below_the_height_bound():
+    m = Fraction(2.9e307)
+    assert check_metric_axioms(200, GluingParams(m, m), GramMatrix(2, 1, 3), FLOAT, seed=2).passed

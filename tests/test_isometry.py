@@ -328,3 +328,25 @@ def test_verify_isometry_glued_samples_follow_d():
     rep = verify_isometry(iso.apply, 20, PARAMS, GRAM, mode=EXACT, seed=4, d=3)
     assert rep.passed and rep.samples == 20
     assert decompose_isometry(iso.apply, PARAMS, GRAM, seed=4, d=3) == iso
+
+
+@pytest.mark.parametrize("m", [3e307, 1e308])
+@pytest.mark.parametrize("space", ["glued", "winding"])
+def test_float_verify_isometry_refuses_heights_beyond_float_naming_m(m, space):
+    # 6*max(1, M), the range of the sampled float heights, has no float
+    params = GluingParams(Fraction(m), Fraction(m))
+    if space == "glued":
+        apply_map = random_product_isometry(rng_for(409, 0)).apply
+    else:
+        apply_map = lift_line_isometry(LineIsometry(1, Fraction(1, 3)), LINE).apply
+    with pytest.raises(OverflowError, match=r"^M: the sampled height range 6\*max\(1, M\)"):
+        verify_isometry(apply_map, 5, params, GRAM, mode=FLOAT, space=space, subgroup=LINE)
+    # exact mode samples exact heights and does not change
+    assert verify_isometry(apply_map, 3, params, GRAM, space=space, subgroup=LINE).passed
+
+
+def test_float_verify_isometry_runs_just_below_the_height_bound():
+    m = Fraction(2.9e307)
+    lift = lift_line_isometry(LineIsometry(-1, Fraction(2, 7)), LINE)
+    rep = verify_isometry(lift.apply, 20, GluingParams(m, m), GRAM, mode=FLOAT, space="winding", subgroup=LINE)
+    assert rep.passed
