@@ -16,21 +16,8 @@ import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .gluing import (
-    Distance,
-    GluedPoint,
-    GluingParams,
-    _float_height_span,
-    check_metric_axioms,
-    grid_nearest_in_compact,
-    grid_nearest_on_line,
-    nearest_in_compact,
-    nearest_line_set,
-    nearest_on_line,
-    triangle_counterexample,
-)
 from .numerics import (
     EXACT,
     FLOAT,
@@ -43,13 +30,10 @@ from .numerics import (
     sqrt_interval,
 )
 from .report import canonical_json, density_csv, plain, write_report
-from .sampling import (
-    random_product_isometry,
-    random_span_scalar,
-    random_torus_point,
-    rng_for,
-)
 from .torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint
+
+if TYPE_CHECKING:  # density and non-closure load no gluing; the handlers import it
+    from .gluing import GluedPoint, GluingParams
 
 ENV_SEED = "TORUSGLUE_SEED"
 
@@ -282,6 +266,8 @@ class RunConfig(SimpleNamespace):
         return OneParamSubgroup.canonical(self.alpha)
 
     def params(self) -> GluingParams:
+        from .gluing import GluingParams
+
         try:
             return GluingParams(self.R, self.M, strict=not self.allow_invalid_metric)
         except ValueError as exc:
@@ -316,6 +302,8 @@ def _typed_config(command: str, merged: dict) -> RunConfig:
     # range 6 * max(1, M) must be a float; `nearest`'s grid oracle takes its
     # offsets from t exactly and needs only M as a float, but shares the gate
     if values["mode"] is FLOAT and FLOAT in row.kernel_modes:
+        from .gluing import _float_height_span
+
         try:
             _float_height_span(values["M"])
         except OverflowError:
@@ -326,11 +314,14 @@ def _typed_config(command: str, merged: dict) -> RunConfig:
 
 
 # -- subcommand implementations: each returns its payload, "passed" included ------
-# The orbit and isometry layers are imported by the handlers that call them, so
-# verify-metric, counterexample and nearest load neither.
+# Each handler imports the layers it calls, so verify-metric, counterexample and
+# nearest load neither orbit nor isometry, and density and non-closure load
+# neither gluing nor sampling.
 
 
 def _cmd_verify_metric(cfg: RunConfig) -> dict:
+    from .gluing import check_metric_axioms
+
     rep = check_metric_axioms(
         cfg.samples, cfg.params(), cfg.gram, mode=cfg.mode, seed=cfg.seed, d=cfg.d
     )
@@ -338,6 +329,8 @@ def _cmd_verify_metric(cfg: RunConfig) -> dict:
 
 
 def _cmd_counterexample(cfg: RunConfig) -> dict:
+    from .gluing import check_metric_axioms, triangle_counterexample
+
     params = cfg.params()
     try:
         witness = triangle_counterexample(params, cfg.gram)
@@ -356,6 +349,17 @@ def _cmd_counterexample(cfg: RunConfig) -> dict:
 
 
 def _cmd_nearest(cfg: RunConfig) -> dict:
+    from .gluing import (
+        Distance,
+        GluedPoint,
+        grid_nearest_in_compact,
+        grid_nearest_on_line,
+        nearest_in_compact,
+        nearest_line_set,
+        nearest_on_line,
+    )
+    from .sampling import random_span_scalar, random_torus_point, rng_for
+
     params, mode, grid = cfg.params(), cfg.mode, cfg.grid
     exact = mode.exact
     on_torus = Distance(0, params.R)  # from (y, t) to y, and from y to any (y, t)
@@ -407,12 +411,16 @@ def _cmd_nearest(cfg: RunConfig) -> dict:
 
 
 def _swap_impostor(p: GluedPoint) -> GluedPoint:
+    from .gluing import GluedPoint
+
     if p.is_compact:
         return GluedPoint.cylinder(p.y, Fraction(0))
     return GluedPoint.compact(p.y)
 
 
 def _scaling_impostor(p: GluedPoint) -> GluedPoint:
+    from .gluing import GluedPoint
+
     if p.is_compact:
         return p
     return GluedPoint.cylinder(p.y, 2 * p.t)
@@ -432,6 +440,7 @@ def _lift_check(cfg: RunConfig, params, subgroup, sign: int, shift, seed: int):
 
 def _cmd_isometry_check(cfg: RunConfig) -> dict:
     from .isometry import ComponentSwapError, DecompositionError, LineActionError, decompose_isometry
+    from .sampling import random_product_isometry, rng_for
 
     params = cfg.params()
     subgroup = cfg.subgroup()
@@ -525,6 +534,7 @@ def _cmd_non_closure(cfg: RunConfig) -> dict:
 
 def _cmd_local_isometry(cfg: RunConfig) -> dict:
     from .orbit import ValidityRadiusError, _validity_radius_sq, local_isometry_check
+    from .sampling import random_span_scalar, rng_for
 
     params = cfg.params()
     subgroup = cfg.subgroup()

@@ -24,6 +24,7 @@ from .numerics import (
     ExactnessError,
     QuadScalar,
     ScalarMode,
+    _triple,
     as_float,
     float_with_error,
     is_exact,
@@ -163,6 +164,42 @@ class Distance(Record):
         except OverflowError:
             return None
 
+    @cached_property
+    def _filter_view(self) -> tuple[float, float, float] | None:
+        """(s, f, e) for the triangle filter: float views s of sqrt(torus_sq)
+        and f of offset, with a proven |s - sqrt(torus_sq)| + |f - offset| <= e.
+
+        Both come from `_scalar_view`, with no 120-bit root.  With (fx, ex)
+        the view of X = torus_sq >= 0 and y = max(fx, 0), |y - X| <= ex too,
+        and s = fl(sqrt(y)).  If y > ex, then sqrt(X) >= sqrt(y - ex) > 0 and
+        |sqrt(y) - sqrt(X)| = |y - X| / (sqrt(y) + sqrt(X))
+                            <= ex / (sqrt(y) + sqrt(y - ex));
+        otherwise |sqrt(y) - sqrt(X)| <= sqrt(|y - X|) <= sqrt(ex).  The
+        rounded root adds at most u*sqrt(y) <= 2^-53 * s / (1 - u), u = 2^-53.
+        Neither root underflows (y = 0 or y >= 2^-1074), nor does the
+        quotient, as ex >= 2^-52 * y.  e adds these to f's error with at most
+        seven roundings, each a factor >= 1 - u on a nonnegative value, and
+        the factor 1 + 2^-46 covers them.
+
+        Where `_scalar_view` has no view of a component (a coefficient beyond
+        the float range), s and f come from `float_view`, whose root is
+        within 2^-51 * s + 2^-1070.  None when that has none either.
+        """
+        xv, ov = _scalar_view(self.torus_sq), _scalar_view(self.offset)
+        if xv is None or ov is None:
+            view = self.float_view
+            if view is None:
+                return None
+            s, f, e = view
+            e += 2.0**-51 * s + 2.0**-1070
+        else:
+            (fx, ex), (f, e) = xv, ov
+            y = max(fx, 0.0)
+            s = math.sqrt(y)
+            e += ex / (s + math.sqrt(y - ex)) if y > ex else math.sqrt(ex)
+            e += 2.0**-53 * s
+        return s, f, e * (1 + 2.0**-46)
+
     def same_components(self, other: "Distance") -> bool:
         return self.torus_sq == other.torus_sq and self.offset == other.offset
 
@@ -179,6 +216,57 @@ class Distance(Record):
 
 
 _ZERO = Distance(0, 0)
+
+
+def _scalar_view(x) -> tuple[float, float] | None:
+    """(f, e): the exact scalar x = (A + B*sqrt(d))/D evaluated in floats,
+    with a proven |f - x| <= e.  None for a float x or where a step
+    overflows, as for coefficients beyond the float range.
+
+    f = fl(fl(a + fl(b*r)) / den), with a, b, den = float(A), float(B),
+    float(D) and r = fl(sqrt(d)).  With u = 2^-53 every operation, and the
+    conversion of an integer of 2^53 or more, is a factor 1 + delta,
+    |delta| <= u, and gamma_n = n*u / (1 - n*u) (Higham, ch. 3).  Integers
+    below 2^53 convert exactly.  The error scales with S/D, where
+    S = |A| + |B|*sqrt(d): the cancellation factor S / |A + B*sqrt(d)| can
+    be large, and a bound relative to |x| would then be false.
+
+    - |A|, |B|, D all below 2^53: b*r = B*sqrt(d)*(1 + theta), |theta| <=
+      gamma_2, and |B|*sqrt(d) <= |b|*r / (1 - u).  The sum and the quotient
+      add at most u*(1 + u)*|f| and u*|f|, so
+          |f - x| <= 2u(1 + 4u) * (|f| + |b|*r/den).
+    - Otherwise the conversions add u*|A|/D, a third rounding on
+      B*sqrt(d), and u*|x| <= u*S/D from den, so
+          |f - x| <= 2u(1 + u)*|f| + (2u*|a| + 4u*|b|*r) * (1 + 8u) / den.
+    - B = 0: f = A/D is one correctly rounded quotient of integers, and
+      |f - x| <= u*|x| <= u*|f| / (1 - u).
+
+    e evaluates these with the factors 2u*(1 + 2^-46), 8u and 2u, which
+    cover the at most five roundings of e, each a factor >= 1 - u on a
+    nonnegative value.  Only quotients and their products can underflow,
+    and only when D >= 2^53; 2^-1070 covers the at most 2^-1075 each loses.
+    """
+    if isinstance(x, QuadScalar):
+        A, B, D, d = _triple(x)
+    elif isinstance(x, (int, Fraction)):
+        A, B, D, d = x.numerator, 0, x.denominator, DEFAULT_D
+    else:
+        return None
+    try:
+        if B == 0:
+            f = A / D
+            return f, 2.0**-52 * abs(f) + 2.0**-1070
+        a, b, den = float(A), float(B), float(D)
+    except OverflowError:
+        return None
+    r = math.sqrt(d)
+    f = (a + b * r) / den
+    if (abs(A) | abs(B) | D) >> 53:
+        e = 2.0**-50 * (abs(f) + (abs(a) + abs(b) * r) / den) + 2.0**-1070
+    else:
+        e = (2.0**-52 + 2.0**-98) * (abs(f) + abs(b) * r / den) + 2.0**-1070
+    # e is finite only when every step before it was
+    return (f, e) if e < math.inf else None
 
 
 def glued_distance(a: GluedPoint, b: GluedPoint, params: GluingParams, gram: GramMatrix) -> Distance:
@@ -266,29 +354,32 @@ def _structural_tie(lhs: Distance, r1: Distance, r2: Distance) -> bool:
 def _float_gap(lhs: Distance, r1: Distance, r2: Distance) -> tuple[float, float] | None:
     """(gap, err): gap = fl(r1 + r2 - lhs) and a proven |gap - (r1 + r2 - lhs)| <= err.
 
-    Each distance sqrt(X) + o enters through its `float_view` (s, f, e).
-    With u = 2^-53, |s - sqrt(X)| <= 2^-52 * sqrt(X) + 2^-1075, which is at
-    most 2^-51 * s + 2^-1070, and |f - o| <= e.  The float expression
+    Each distance sqrt(X) + o enters through its filter view (s, f, e),
+    with |s - sqrt(X)| + |f - o| <= e (`Distance._filter_view`: floats
+    evaluated from the integer triples, with bounds that scale with their
+    cancellation).  With u = 2^-53, the float expression
     gap = fl(fl(fl(s1 + f1) + fl(s2 + f2)) - fl(s0 + f0)) passes every term
-    through at most three roundings, so it is within gamma_3 * m <= 2^-51 * m
-    of the exact sum of its float terms, with m = s0 + |f0| + s1 + |f1| +
-    s2 + |f2| (sums of floats do not underflow); index 0 is lhs.  Together
+    through at most three roundings, so it is within gamma_3 * m of the
+    exact sum of its float terms, with m = s0 + |f0| + s1 + |f1| + s2 +
+    |f2| (sums of floats do not underflow); index 0 is lhs.  Together
 
-        |gap - (r1 + r2 - lhs)| <= 2^-50 * m + (e0 + e1 + e2) + 2^-1068,
+        |gap - (r1 + r2 - lhs)| <= gamma_3 * m + (e0 + e1 + e2),
 
-    and err = 2^-48 * m + 2 * (e0 + e1 + e2) + 2^-1000 exceeds that bound
-    even after the roundings that compute it (at most seven on the way of
-    any nonnegative term, each a factor of at least 1 - u).  So gap > err
-    proves lhs < r1 + r2.  None when a distance has no float view; a
-    non-finite gap or err never passes gap > err.
+    and err = 2^-48 * m + (e0 + e1 + e2) * (1 + 2^-46) + 2^-1000 exceeds
+    that even after the roundings that compute it: at most seven on the way
+    of any nonnegative term, each a factor of at least 1 - u, while 2^-48
+    is above 8 * gamma_3 and (1 + 2^-46) * (1 - u)^7 > 1; the 2^-1000
+    covers an underflow of 2^-48 * m.  So gap > err proves lhs < r1 + r2.
+    None when a distance has no filter view; a non-finite gap or err never
+    passes gap > err.
     """
-    views = lhs.float_view, r1.float_view, r2.float_view
+    views = lhs._filter_view, r1._filter_view, r2._filter_view
     if None in views:
         return None
     (s0, f0, e0), (s1, f1, e1), (s2, f2, e2) = views
     gap = (s1 + f1) + (s2 + f2) - (s0 + f0)
     m = s0 + abs(f0) + s1 + abs(f1) + s2 + abs(f2)
-    return gap, 2.0**-48 * m + 2 * (e0 + e1 + e2) + 2.0**-1000
+    return gap, 2.0**-48 * m + (e0 + e1 + e2) * (1 + 2.0**-46) + 2.0**-1000
 
 
 def _exceeds(lhs: Distance, r1: Distance, r2: Distance) -> bool:
@@ -383,18 +474,21 @@ def _require_exact_points(*points) -> None:
 
 
 def _check_triple(a, b, c, params, gram, log: _ViolationLog) -> int:
-    """Exact checks of one triple, every comparison decided in Q(sqrt(d))."""
+    """Exact checks of one triple, every comparison decided in Q(sqrt(d)).
+
+    Float values are computed only for what the log records.  A symmetry
+    or identity error the exact test finds absent is 0.0 without one:
+    equal components have equal float values, as `value` reads only the
+    normalized triples (and ignores d when B = 0).
+    """
     _require_exact_points(a, b, c)
     d_ab = glued_distance(a, b, params, gram)
     d_ba = glued_distance(b, a, params, gram)
     d_ac = glued_distance(a, c, params, gram)
     d_bc = glued_distance(b, c, params, gram)
     d_aa = glued_distance(a, a, params, gram)
-    err = abs(d_ab.value - d_ba.value)
-    log.note_error(err)
     if d_ab != d_ba:
-        log.add("symmetry", a, b, None, d_ab.value, d_ba.value, err)
-    log.note_error(abs(d_aa.value))
+        log.add("symmetry", a, b, None, d_ab.value, d_ba.value, abs(d_ab.value - d_ba.value))
     if d_aa != _ZERO:
         log.add("identity-zero", a, a, None, d_aa.value, 0.0, abs(d_aa.value))
     for p, q, d in ((a, b, d_ab), (a, c, d_ac), (b, c, d_bc)):
@@ -568,7 +662,12 @@ def check_metric_axioms(
     inequality holds by an exact structural tie, by a float filter with a
     proven error bound, or by sign-tracked squaring, tried in that order;
     only a violation, which the squaring decides, pays for the rational
-    enclosures that price its slack (see `_triangle_exact`).
+    enclosures that price its slack (see `_triangle_exact`).  The filter
+    reads float views evaluated from the integer triples, with error
+    bounds that scale with their cancellation (`_scalar_view`); the
+    correctly rounded distance values (`Distance.value`, a 120-bit root)
+    are computed only for the violations the log records, and an axiom the
+    exact test finds to hold adds 0.0 to max_abs_error without one.
     Float mode compares with its tolerances in one array pass per axiom
     (`_check_floats`): the default sampler's triples take their distances
     from the batch kernel, all at once (`_batch_glued_values`, whose

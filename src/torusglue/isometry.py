@@ -243,12 +243,17 @@ def verify_isometry(
     """Check d(f(p), f(q)) == d(p, q) on seeded sample pairs.
 
     Exact mode demands equal distance components; float mode allows
-    mode.identity_eps of drift.  `apply_map` is any callable on points of
-    the chosen space ('glued' or 'winding').  Exact glued-space samples are
-    drawn over sqrt(d), exact winding-space samples over the subgroup's
-    slope field.  Float samples take heights from [-3*max(1, M), 3*max(1, M)],
-    so float mode raises OverflowError, naming M and before drawing anything,
-    when that range, 6*max(1, M), has no finite float.
+    mode.identity_eps of drift.  max_error is the largest
+    |d(f(p), f(q)) - d(p, q)| between float values; exact mode computes
+    those values (a 120-bit root each) only for the pairs whose components
+    differ, as equal components have equal values and an error of 0.0.
+
+    `apply_map` is any callable on points of the chosen space ('glued' or
+    'winding').  Exact glued-space samples are drawn over sqrt(d), exact
+    winding-space samples over the subgroup's slope field.  Float samples
+    take heights from [-3*max(1, M), 3*max(1, M)], so float mode raises
+    OverflowError, naming M and before drawing anything, when that range,
+    6*max(1, M), has no finite float.
     """
     if space == "winding":
         if subgroup is None:
@@ -283,9 +288,11 @@ def verify_isometry(
         p, q = sample(rng), sample(rng)
         d0 = dist(p, q)
         d1 = dist(apply_map(p), apply_map(q))
-        err = abs(d0.value - d1.value)
-        max_err = max(max_err, err)
-        if not mode.equal(d0, d1, mode.identity_eps):
+        same = mode.equal(d0, d1, mode.identity_eps)
+        # exactly equal components have equal float values: their error is 0.0
+        if not (same and mode.exact):
+            max_err = max(max_err, abs(d0.value - d1.value))
+        if not same:
             total_failures += 1
             if len(failures) < max_recorded:
                 failures.append(PairFailure(p, q, d0, d1))

@@ -4,22 +4,26 @@ Each oracle is the plain form of something the package computes faster:
 QuadScalar continued fractions and first-entry levels recomputed on every
 call, exact stepping for first entries, rounding to the nearest integer,
 torus translates and inversions built by re-reducing the raw coordinates,
-and report text written through `json.dumps` and Fraction views.
+report text written through `json.dumps` and Fraction views, and exact
+axiom and isometry checks that compute the float value of every distance.
 """
 
 import json
 import math
 from fractions import Fraction
 
+from torusglue.gluing import AxiomViolation, Distance, _triangle_exact, glued_distance
 from torusglue.numerics import (
     CertificationError,
     QuadScalar,
+    as_float,
     frac,
     scalar_abs,
     scalar_lt,
     sign_of,
 )
 from torusglue.orbit import Convergent
+from torusglue.sampling import random_glued_point, random_winding_point, rng_for
 
 
 def nearest_int(x) -> int:
@@ -208,3 +212,70 @@ def canonical_json(obj) -> str:
     _write(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
+
+
+# -- exact checks that compute every float value ------------------------------------
+#
+# Before they skipped it, the exact checks computed each distance's float value
+# (`Distance.value`, a 120-bit root) for every sampled triple and pair: the
+# symmetry error |d_ab - d_ba| and the identity error |d_aa| went into the
+# maximum error whatever the exact tests found, and so did the error of every
+# verified pair.  These oracles keep that.
+
+
+def exact_axiom_log(triples, params, gram, max_recorded: int = 100):
+    """(violations, violations_total, max_abs_error) of exact
+    `check_metric_axioms` over the given triples, every float value computed."""
+    entries, total, max_err = [], 0, 0.0
+    zero = Distance(0, 0)
+
+    def add(kind, a, b, c, lhs, rhs, slack):
+        nonlocal total, max_err
+        total += 1
+        max_err = max(max_err, slack)
+        if len(entries) < max_recorded:
+            entries.append(AxiomViolation(kind, a, b, c, lhs, rhs, slack))
+
+    for a, b, c in triples:
+        d_ab, d_ba, d_ac, d_bc, d_aa = (
+            glued_distance(p, q, params, gram) for p, q in ((a, b), (b, a), (a, c), (b, c), (a, a))
+        )
+        err = abs(d_ab.value - d_ba.value)
+        max_err = max(max_err, err, abs(d_aa.value))
+        if d_ab != d_ba:
+            add("symmetry", a, b, None, d_ab.value, d_ba.value, err)
+        if d_aa != zero:
+            add("identity-zero", a, a, None, d_aa.value, 0.0, abs(d_aa.value))
+        for p, q, d in ((a, b, d_ab), (a, c, d_ac), (b, c, d_bc)):
+            if d == zero and p != q:
+                add("identity-distinct", p, q, None, d.value, 0.0, d.value)
+        for lhs, r1, r2, pa, pb, pc in (
+            (d_ab, d_ac, d_bc, a, b, c),
+            (d_ac, d_ab, d_bc, a, c, b),
+            (d_bc, d_ab, d_ac, b, c, a),
+        ):
+            ok, slack = _triangle_exact(lhs, r1, r2)
+            if not ok:
+                add("triangle", pa, pb, pc, lhs.value, r1.value + r2.value, slack)
+    return entries, total, max_err
+
+
+def exact_isometry_max_error(apply_map, n, params, gram, seed=0, space="glued", subgroup=None, d=2):
+    """max_error of exact `verify_isometry`: the same seeded pairs, the float
+    error of every pair computed."""
+    span = 3 * max(1, int(as_float(params.M)))
+    max_err = 0.0
+    for i in range(n):
+        rng = rng_for(seed, i)
+        if space == "winding":
+            p, q = (random_winding_point(rng, span, d=subgroup.alpha.d) for _ in range(2))
+
+            def dist(u, v):
+                return glued_distance(u.embed(subgroup), v.embed(subgroup), params, gram)
+        else:
+            p, q = (random_glued_point(rng, span, d=d) for _ in range(2))
+
+            def dist(u, v):
+                return glued_distance(u, v, params, gram)
+        max_err = max(max_err, abs(dist(p, q).value - dist(apply_map(p), apply_map(q)).value))
+    return max_err

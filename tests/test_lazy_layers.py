@@ -165,3 +165,18 @@ assert code in (0, 1), code
     loaded = _loaded_after(code)
     assert "gluing" in loaded
     assert not loaded & {"orbit", "isometry"}
+
+
+@pytest.mark.parametrize("command", ["density", "non-closure"])
+def test_density_commands_load_no_gluing_or_sampling(command):
+    code = f"""
+import io
+from contextlib import redirect_stdout
+from torusglue.cli import main
+with redirect_stdout(io.StringIO()):
+    code = main([{command!r}])
+assert code == 0, code
+"""
+    loaded = _loaded_after(code)
+    assert "orbit" in loaded
+    assert not loaded & {"gluing", "sampling", "isometry"}

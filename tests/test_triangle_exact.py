@@ -10,7 +10,14 @@ only be an exact tie here, which satisfies the inequality.
 The decision that settled clear cases with 30/60-digit enclosures before
 the squaring chain is kept here as a second oracle: the filtered decision
 must give the same (ok, slack) on every case.  Planted faults in the
-filter, the structural tie and the chain must each be caught.
+filter, its float views, the structural tie and the chain must each be
+caught.
+
+The filter's float views are evaluated from the integer triples, and their
+proven bounds (`gluing._scalar_view`, `Distance._filter_view`) are checked
+against mpmath with 60 digits beyond the coefficients' own: on Pell-type
+cancellation, coefficients near and beyond 2^53, and subnormal and
+near-overflow magnitudes.
 """
 
 import math
@@ -185,11 +192,26 @@ def test_clear_cases_skip_the_enclosures(monkeypatch):
 # -- planted faults ------------------------------------------------------------------
 
 
+# 19601^2 - 2*13860^2 = 1351^2 - 3*780^2 = 1: with a cancellation factor
+# near 10^9 and 10^7, the float evaluation of each misses it by 0.64 of its
+# proven bound, from below for sqrt(2) and from above for sqrt(3)
+PELL_2 = QuadScalar(19601, -13860, 2)  # 2.5508902623608594e-05
+PELL_3 = QuadScalar(1351, -780, 3)  # 3.7009627571104859e-04
+
+
 def fault_cases():
     """(lhs, r1, r2, ok) whose verdicts catch every planted fault below."""
     lhs, r1, r2 = circle_hit_example()
     w = QuadScalar(Fraction(1, 3), Fraction(1, 7), 2)
+    zero = Distance(0, 0)
     return [
+        # near-ties a tenth of a view bound away from a Pell-type scalar, on the
+        # side its float view errs to: a filter that trusts the view by more
+        # than half its bound accepts these violations
+        (Distance(0, PELL_2), Distance(0, Fraction("2.55089022e-5")), zero, False),
+        (Distance(PELL_2, 0), Distance(0, Fraction("0.00505063384")), zero, False),
+        (Distance(0, Fraction("3.7009627572e-4")), Distance(0, PELL_3), zero, False),
+        (Distance(0, Fraction("0.019237886467")), Distance(PELL_3, 0), zero, False),
         # a violation of 6e-17 that 60-digit enclosures cannot see
         (lhs, r1, r2, False),
         # fl(0.1) + fl(0.2) rounds above fl(0.3 + 1e-30): a float gap > 0 on a violation
@@ -214,8 +236,36 @@ def _zero_error_bound(mp):
     mp.setattr(gluing, "_float_gap", mutant)
 
 
+def _scalar_bound(change):
+    """A mutant whose `_scalar_view` keeps f and replaces e by change(f, e)."""
+
+    def plant(mp):
+        view = gluing._scalar_view
+
+        def mutant(x):
+            fe = view(x)
+            return None if fe is None else (fe[0], change(*fe))
+
+        mp.setattr(gluing, "_scalar_view", mutant)
+
+    return plant
+
+
+def _root_rounding_only(mp):
+    def view(self):
+        (fx, _), (f, e) = gluing._scalar_view(self.torus_sq), gluing._scalar_view(self.offset)
+        s = math.sqrt(max(fx, 0.0))
+        return s, f, (e + 2.0**-53 * s) * (1 + 2.0**-46)
+
+    mp.setattr(Distance, "_filter_view", property(view))
+
+
 MUTANTS = {
     "filter error bound 0": _zero_error_bound,
+    # the bound of a correctly rounded view, blind to cancellation
+    "cancellation factor ignored": _scalar_bound(lambda f, e: 2.0**-51 * abs(f) + 2.0**-1070),
+    "view bound halved": _scalar_bound(lambda f, e: e / 2),
+    "root bound without the view's error": _root_rounding_only,
     "any zero side is a tie": lambda mp: mp.setattr(
         gluing, "_structural_tie", lambda lhs, r1, r2: r1.is_zero() or r2.is_zero()
     ),
@@ -249,3 +299,117 @@ def test_float_components_have_no_float_view():
     s, f, e = Distance(QuadScalar(3, 1, 2), Fraction(1, 3)).float_view
     assert math.isclose(s, math.sqrt(3 + math.sqrt(2)), rel_tol=1e-15)
     assert f == 1 / 3 and 0 < e <= 2.0**-51
+
+
+# -- the filter's float views against mpmath -----------------------------------------
+
+
+def _pell(d, p1, q1, count=60):
+    """(p, q) with p^2 - d*q^2 = +-1: the first count powers of p1 + q1*sqrt(d)."""
+    out, p, q = [], p1, q1
+    for _ in range(count):
+        out.append((p, q))
+        p, q = p * p1 + d * q * q1, p * q1 + q * p1
+    return out
+
+
+PELL = {2: _pell(2, 1, 1), 3: _pell(3, 2, 1)}  # up to about 2^76 and 2^114
+TWO53 = 2**53
+
+
+@st.composite
+def view_scalars(draw):
+    """(A + B*sqrt(d))/D over sqrt(2) or sqrt(3), in the regimes the views must bound."""
+    d = draw(st.sampled_from((2, 3)))
+    sign = draw(st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(("pell", "near 2^53", "wide", "subnormal", "near overflow", "rational")))
+    if kind in ("pell", "subnormal"):
+        p, q = draw(st.sampled_from(PELL[d]))
+        A, B = sign * p, -sign * q
+        if kind == "pell":
+            D = draw(st.sampled_from((1, 3, 10**6 + 1, TWO53 - 1, TWO53 + 1, 10**30)))
+        else:
+            D = 2 ** draw(st.integers(960, 1023)) - draw(st.integers(0, 1))
+    elif kind == "near 2^53":
+        near = st.integers(TWO53 - 4, TWO53 + 4)
+        A, B = sign * draw(near), draw(signs) * draw(near)
+        D = draw(st.sampled_from((1, 7))) * draw(st.sampled_from((1, TWO53 - 1, TWO53, TWO53 + 1)))
+    elif kind == "wide":
+        A, B = draw(st.integers(-(2**200), 2**200)), draw(st.integers(-(2**200), 2**200))
+        D = draw(st.integers(1, 2**200))
+    elif kind == "near overflow":
+        A = sign * 2 ** draw(st.integers(1015, 1025)) + draw(st.integers(-5, 5))
+        B = draw(signs) * 2 ** draw(st.integers(1010, 1025))
+        D = draw(st.integers(1, 8))
+    else:
+        A, B = sign * draw(st.integers(0, 2**70)), 0
+        D = draw(st.sampled_from((1, 3, TWO53 + 1, 2**1070 + 1, 2**1100)))
+    return QuadScalar(Fraction(A, D), Fraction(B, D), d)
+
+
+def _coefficients(x):
+    """(A, B, D) with x = (A + B*sqrt(d))/D in lowest terms, D > 0."""
+    D = math.lcm(x.a.denominator, x.b.denominator)
+    return x.a.numerator * (D // x.a.denominator), x.b.numerator * (D // x.b.denominator), D
+
+
+def _digits(*xs):
+    """60 digits beyond the coefficients' own, as a cancellation may use them all."""
+    return 60 + max(len(str(abs(n))) for x in xs for n in _coefficients(x))
+
+
+def _scale(x):
+    """S/D = (|A| + |B|*sqrt(d))/D, which the view's bound must scale with."""
+    return abs(mp_value(QuadScalar(x.a, 0, x.d))) + abs(mp_value(QuadScalar(0, x.b, x.d)))
+
+
+@SETTINGS
+@given(view_scalars())
+@example(PELL_2)
+@example(PELL_3)
+@example(QuadScalar(TWO53 + 1, -(TWO53 - 1), 2))
+# coefficients past 2^53 round on conversion: here the bound of exact
+# conversions would fall short by a factor 1.4
+@example(QuadScalar(Fraction(837639905254075202903, 621583708876057673),
+                    Fraction(-592300857197613754521, 621583708876057673), 2))
+@example(QuadScalar(Fraction(1, 2**1100), 0, 2))
+@example(QuadScalar(1, Fraction(1, 2**1030), 2))
+def test_scalar_view_bound_holds(x):
+    fe = gluing._scalar_view(x)
+    if fe is None:  # only past the float range
+        assert max(abs(n) for n in _coefficients(x)).bit_length() > 1000
+        return
+    f, e = fe
+    with mpmath.workdps(_digits(x)):
+        assert abs(mpmath.mpf(f) - mp_value(x)) <= e
+        # proven, and no looser than its scale
+        assert e <= 2.0**-48 * _scale(x) + 2.0**-1069
+
+
+@SETTINGS
+@given(view_scalars(), view_scalars())
+@example(PELL_2, QuadScalar(0, 0, 2))
+@example(QuadScalar(0, 0, 3), PELL_3)
+@example(QuadScalar(10**700, 1, 2), QuadScalar(Fraction(1, 3), 0, 2))
+def test_filter_view_bound_holds(X, offset):
+    dist = Distance(abs(X), offset)
+    view = dist._filter_view
+    if view is None:
+        assert dist.float_view is None
+        return
+    s, f, e = view
+    with mpmath.workdps(_digits(X, offset)):
+        err = abs(mpmath.mpf(s) - mpmath.sqrt(abs(mp_value(X)))) + abs(mpmath.mpf(f) - mp_value(offset))
+        assert err <= e
+
+
+@SETTINGS
+@given(triangles(bigs=(10, 10**6, 10**30, 10**60), ks=st.integers(0, 120)))
+def test_float_gap_bound_holds(case):
+    fg = gluing._float_gap(*case)
+    assert fg is not None
+    gap, err = fg
+    lhs, r1, r2 = case
+    with mpmath.workdps(400):
+        true_gap = mp_distance(r1) + mp_distance(r2) - mp_distance(lhs)
+        assert abs(mpmath.mpf(gap) - true_gap) <= err
