@@ -24,8 +24,8 @@ from .numerics import (
     ExactnessError,
     QuadScalar,
     ScalarMode,
-    _triple,
     as_float,
+    float_eval_with_error,
     float_with_error,
     is_exact,
     rational_interval,
@@ -169,35 +169,31 @@ class Distance(Record):
         """(s, f, e) for the triangle filter: float views s of sqrt(torus_sq)
         and f of offset, with a proven |s - sqrt(torus_sq)| + |f - offset| <= e.
 
-        Both come from `_scalar_view`, with no 120-bit root.  With (fx, ex)
-        the view of X = torus_sq >= 0 and y = max(fx, 0), |y - X| <= ex too,
-        and s = fl(sqrt(y)).  If y > ex, then sqrt(X) >= sqrt(y - ex) > 0 and
+        Both come from `float_eval_with_error`, with no 120-bit root.  With
+        (fx, ex) the view of X = torus_sq >= 0 and y = max(fx, 0),
+        |y - X| <= ex too, and s = fl(sqrt(y)).  If y > ex, then
+        sqrt(X) >= sqrt(y - ex) > 0 and
         |sqrt(y) - sqrt(X)| = |y - X| / (sqrt(y) + sqrt(X))
                             <= ex / (sqrt(y) + sqrt(y - ex));
         otherwise |sqrt(y) - sqrt(X)| <= sqrt(|y - X|) <= sqrt(ex).  The
         rounded root adds at most u*sqrt(y) <= 2^-53 * s / (1 - u), u = 2^-53.
         Neither root underflows (y = 0 or y >= 2^-1074), nor does the
-        quotient, as ex >= 2^-52 * y.  e adds these to f's error with at most
+        quotient, as ex >= 2^-50 * y.  e adds these to f's error with at most
         seven roundings, each a factor >= 1 - u on a nonnegative value, and
         the factor 1 + 2^-46 covers them.
 
-        Where `_scalar_view` has no view of a component (a coefficient beyond
-        the float range), s and f come from `float_view`, whose root is
-        within 2^-51 * s + 2^-1070.  None when that has none either.
+        None when a component has no such view (a float, or a coefficient
+        beyond the float range): the filter then leaves the decision to the
+        exact squaring.
         """
-        xv, ov = _scalar_view(self.torus_sq), _scalar_view(self.offset)
+        xv, ov = float_eval_with_error(self.torus_sq), float_eval_with_error(self.offset)
         if xv is None or ov is None:
-            view = self.float_view
-            if view is None:
-                return None
-            s, f, e = view
-            e += 2.0**-51 * s + 2.0**-1070
-        else:
-            (fx, ex), (f, e) = xv, ov
-            y = max(fx, 0.0)
-            s = math.sqrt(y)
-            e += ex / (s + math.sqrt(y - ex)) if y > ex else math.sqrt(ex)
-            e += 2.0**-53 * s
+            return None
+        (fx, ex), (f, e) = xv, ov
+        y = max(fx, 0.0)
+        s = math.sqrt(y)
+        e += ex / (s + math.sqrt(y - ex)) if y > ex else math.sqrt(ex)
+        e += 2.0**-53 * s
         return s, f, e * (1 + 2.0**-46)
 
     def same_components(self, other: "Distance") -> bool:
@@ -216,57 +212,6 @@ class Distance(Record):
 
 
 _ZERO = Distance(0, 0)
-
-
-def _scalar_view(x) -> tuple[float, float] | None:
-    """(f, e): the exact scalar x = (A + B*sqrt(d))/D evaluated in floats,
-    with a proven |f - x| <= e.  None for a float x or where a step
-    overflows, as for coefficients beyond the float range.
-
-    f = fl(fl(a + fl(b*r)) / den), with a, b, den = float(A), float(B),
-    float(D) and r = fl(sqrt(d)).  With u = 2^-53 every operation, and the
-    conversion of an integer of 2^53 or more, is a factor 1 + delta,
-    |delta| <= u, and gamma_n = n*u / (1 - n*u) (Higham, ch. 3).  Integers
-    below 2^53 convert exactly.  The error scales with S/D, where
-    S = |A| + |B|*sqrt(d): the cancellation factor S / |A + B*sqrt(d)| can
-    be large, and a bound relative to |x| would then be false.
-
-    - |A|, |B|, D all below 2^53: b*r = B*sqrt(d)*(1 + theta), |theta| <=
-      gamma_2, and |B|*sqrt(d) <= |b|*r / (1 - u).  The sum and the quotient
-      add at most u*(1 + u)*|f| and u*|f|, so
-          |f - x| <= 2u(1 + 4u) * (|f| + |b|*r/den).
-    - Otherwise the conversions add u*|A|/D, a third rounding on
-      B*sqrt(d), and u*|x| <= u*S/D from den, so
-          |f - x| <= 2u(1 + u)*|f| + (2u*|a| + 4u*|b|*r) * (1 + 8u) / den.
-    - B = 0: f = A/D is one correctly rounded quotient of integers, and
-      |f - x| <= u*|x| <= u*|f| / (1 - u).
-
-    e evaluates these with the factors 2u*(1 + 2^-46), 8u and 2u, which
-    cover the at most five roundings of e, each a factor >= 1 - u on a
-    nonnegative value.  Only quotients and their products can underflow,
-    and only when D >= 2^53; 2^-1070 covers the at most 2^-1075 each loses.
-    """
-    if isinstance(x, QuadScalar):
-        A, B, D, d = _triple(x)
-    elif isinstance(x, (int, Fraction)):
-        A, B, D, d = x.numerator, 0, x.denominator, DEFAULT_D
-    else:
-        return None
-    try:
-        if B == 0:
-            f = A / D
-            return f, 2.0**-52 * abs(f) + 2.0**-1070
-        a, b, den = float(A), float(B), float(D)
-    except OverflowError:
-        return None
-    r = math.sqrt(d)
-    f = (a + b * r) / den
-    if (abs(A) | abs(B) | D) >> 53:
-        e = 2.0**-50 * (abs(f) + (abs(a) + abs(b) * r) / den) + 2.0**-1070
-    else:
-        e = (2.0**-52 + 2.0**-98) * (abs(f) + abs(b) * r / den) + 2.0**-1070
-    # e is finite only when every step before it was
-    return (f, e) if e < math.inf else None
 
 
 def glued_distance(a: GluedPoint, b: GluedPoint, params: GluingParams, gram: GramMatrix) -> Distance:
@@ -664,7 +609,7 @@ def check_metric_axioms(
     only a violation, which the squaring decides, pays for the rational
     enclosures that price its slack (see `_triangle_exact`).  The filter
     reads float views evaluated from the integer triples, with error
-    bounds that scale with their cancellation (`_scalar_view`); the
+    bounds that scale with their cancellation (`float_eval_with_error`); the
     correctly rounded distance values (`Distance.value`, a 120-bit root)
     are computed only for the violations the log records, and an axiom the
     exact test finds to hold adds 0.0 to max_abs_error without one.

@@ -545,6 +545,48 @@ def float_with_error(x) -> tuple[float, float] | None:
     return f, abs(f) * 2.0**-51 + 2.0**-1060
 
 
+def float_eval_with_error(x) -> tuple[float, float] | None:
+    """(f, e): the exact scalar x = (A + B*sqrt(d))/D evaluated in floats,
+    with a proven |f - x| <= e.  None when x is a float or a step overflows,
+    as for a coefficient (d included) beyond the float range.
+
+    Cheaper than `float_with_error`, whose f is correctly rounded, but e
+    scales with S/D, S = |A| + |B|*sqrt(d), not with |x|: the cancellation
+    factor S / |A + B*sqrt(d)| can be large, and a bound relative to |x|
+    would then be false.
+
+    f = fl(fl(a + p) / den) with a, b, den = float(A), float(B), float(D),
+    r = fl(sqrt(float(d))) and p = fl(b*r).  With u = 2^-53, every
+    conversion and operation is a factor 1 + delta, |delta| <= u, and
+    gamma_n = n*u / (1 - n*u) (Higham, ch. 3).  The root halves the error
+    of float(d), so p = B*sqrt(d)*(1 + theta) with |theta| <= gamma_4, and
+    a = A*(1 + alpha), den = D*(1 + delta).  Hence
+        |a + p - (A + B*sqrt(d))| <= u*|A| + gamma_4*|B|*sqrt(d),
+    the sum and the quotient add at most u*|f| / (1 - u)^2 each, and
+    1/den - 1/D = -delta/den adds at most u*S/den.  With |A| <= |a| / (1 - u)
+    and |B|*sqrt(d) <= |b|*r / (1 - u)^3,
+        |f - x| <= 2u*|f| / (1 - u)^2 + (2u*|a| + 5u*|b|*r) * (1 + 8u) / den.
+    e = 2^-50 * (|f| + (|a| + |b|*r)/den) + 2^-1070 exceeds that even after
+    the roundings that compute it, at most five on the way of any term, each
+    a factor >= 1 - u on a nonnegative value, as
+    8u * (1 - u)^5 > 5u * (1 + 8u) / (1 - u)^2.  No
+    product underflows (|b| and r are 0 or >= 1); the quotients and the
+    scaling by 2^-50 can, and lose at most 2^-1075 each, which 2^-1070
+    covers.
+    """
+    if not is_exact(x):
+        return None
+    A, B, D, d = _triple(x)
+    try:
+        a, b, den, r = float(A), float(B), float(D), math.sqrt(d)
+    except OverflowError:
+        return None
+    f = (a + b * r) / den
+    e = 2.0**-50 * (abs(f) + (abs(a) + abs(b) * r) / den) + 2.0**-1070
+    # e is finite only when every step before it was
+    return (f, e) if e < math.inf else None
+
+
 # -- scalar modes ---------------------------------------------------------------
 
 

@@ -14,10 +14,10 @@ filter, its float views, the structural tie and the chain must each be
 caught.
 
 The filter's float views are evaluated from the integer triples, and their
-proven bounds (`gluing._scalar_view`, `Distance._filter_view`) are checked
-against mpmath with 60 digits beyond the coefficients' own: on Pell-type
-cancellation, coefficients near and beyond 2^53, and subnormal and
-near-overflow magnitudes.
+proven bounds (`numerics.float_eval_with_error`, `Distance._filter_view`)
+are checked against mpmath with 60 digits beyond the coefficients' own: on
+Pell-type cancellation, coefficients near and beyond 2^53, radicands beyond
+2^53, and subnormal and near-overflow magnitudes.
 """
 
 import math
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from torusglue import gluing
 from torusglue.gluing import Distance, _sign_with_root, _triangle_exact
-from torusglue.numerics import QuadScalar
+from torusglue.numerics import QuadScalar, _reduced, float_eval_with_error
 from torusglue.orbit import circle_density_hit
 
 SETTINGS = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -192,11 +192,16 @@ def test_clear_cases_skip_the_enclosures(monkeypatch):
 # -- planted faults ------------------------------------------------------------------
 
 
-# 19601^2 - 2*13860^2 = 1351^2 - 3*780^2 = 1: with a cancellation factor
-# near 10^9 and 10^7, the float evaluation of each misses it by 0.64 of its
-# proven bound, from below for sqrt(2) and from above for sqrt(3)
+# 19601^2 - 2*13860^2 = 1351^2 - 3*780^2 = 1: cancellation factors near
+# 10^9 and 10^7
 PELL_2 = QuadScalar(19601, -13860, 2)  # 2.5508902623608594e-05
 PELL_3 = QuadScalar(1351, -780, 3)  # 3.7009627571104859e-04
+# coefficients just past 2^53, which round on conversion: the float
+# evaluation misses each by 0.19 of its proven bound, from below for
+# sqrt(2) and from above for sqrt(3), and the filter view's root misses
+# sqrt(NEAR_d) by 0.19 of its own bound the same way
+NEAR_2 = QuadScalar(Fraction(19309359253218690, 5), Fraction(-13653778864578739, 5), 2)  # 1057663.7195
+NEAR_3 = QuadScalar(Fraction(19937376099592134, 5), Fraction(-11510849457982753, 5), 3)  # 17866.6377
 
 
 def fault_cases():
@@ -205,13 +210,13 @@ def fault_cases():
     w = QuadScalar(Fraction(1, 3), Fraction(1, 7), 2)
     zero = Distance(0, 0)
     return [
-        # near-ties a tenth of a view bound away from a Pell-type scalar, on the
+        # violations 0.02 of a view bound beyond NEAR_d or sqrt(NEAR_d), on the
         # side its float view errs to: a filter that trusts the view by more
-        # than half its bound accepts these violations
-        (Distance(0, PELL_2), Distance(0, Fraction("2.55089022e-5")), zero, False),
-        (Distance(PELL_2, 0), Distance(0, Fraction("0.00505063384")), zero, False),
-        (Distance(0, Fraction("3.7009627572e-4")), Distance(0, PELL_3), zero, False),
-        (Distance(0, Fraction("0.019237886467")), Distance(PELL_3, 0), zero, False),
+        # than an eighth of its bound accepts them
+        (Distance(0, NEAR_2), Distance(0, Fraction("1057663.58")), zero, False),
+        (Distance(NEAR_2, 0), Distance(0, Fraction("1028.42772")), zero, False),
+        (Distance(0, Fraction("17866.78")), Distance(0, NEAR_3), zero, False),
+        (Distance(0, Fraction("133.66668")), Distance(NEAR_3, 0), zero, False),
         # a violation of 6e-17 that 60-digit enclosures cannot see
         (lhs, r1, r2, False),
         # fl(0.1) + fl(0.2) rounds above fl(0.3 + 1e-30): a float gap > 0 on a violation
@@ -236,24 +241,22 @@ def _zero_error_bound(mp):
     mp.setattr(gluing, "_float_gap", mutant)
 
 
-def _scalar_bound(change):
-    """A mutant whose `_scalar_view` keeps f and replaces e by change(f, e)."""
+def _view_bound(change):
+    """A mutant whose float evaluations keep f and replace e by change(f, e)."""
 
     def plant(mp):
-        view = gluing._scalar_view
-
         def mutant(x):
-            fe = view(x)
+            fe = float_eval_with_error(x)
             return None if fe is None else (fe[0], change(*fe))
 
-        mp.setattr(gluing, "_scalar_view", mutant)
+        mp.setattr(gluing, "float_eval_with_error", mutant)
 
     return plant
 
 
 def _root_rounding_only(mp):
     def view(self):
-        (fx, _), (f, e) = gluing._scalar_view(self.torus_sq), gluing._scalar_view(self.offset)
+        (fx, _), (f, e) = float_eval_with_error(self.torus_sq), float_eval_with_error(self.offset)
         s = math.sqrt(max(fx, 0.0))
         return s, f, (e + 2.0**-53 * s) * (1 + 2.0**-46)
 
@@ -263,8 +266,9 @@ def _root_rounding_only(mp):
 MUTANTS = {
     "filter error bound 0": _zero_error_bound,
     # the bound of a correctly rounded view, blind to cancellation
-    "cancellation factor ignored": _scalar_bound(lambda f, e: 2.0**-51 * abs(f) + 2.0**-1070),
-    "view bound halved": _scalar_bound(lambda f, e: e / 2),
+    "cancellation factor ignored": _view_bound(lambda f, e: 2.0**-51 * abs(f) + 2.0**-1070),
+    # sound at a half or a quarter: no case found errs by more than 0.2 of e
+    "view bound an eighth": _view_bound(lambda f, e: e / 8),
     "root bound without the view's error": _root_rounding_only,
     "any zero side is a tie": lambda mp: mp.setattr(
         gluing, "_structural_tie", lambda lhs, r1, r2: r1.is_zero() or r2.is_zero()
@@ -315,14 +319,31 @@ def _pell(d, p1, q1, count=60):
 
 PELL = {2: _pell(2, 1, 1), 3: _pell(3, 2, 1)}  # up to about 2^76 and 2^114
 TWO53 = 2**53
+# Mersenne primes, so square-free radicands that round on conversion
+BIG_D = (2**61 - 1, 2**89 - 1, 2**107 - 1)
+
+
+def _big_radicand(A, B, D, d):
+    """(A + B*sqrt(d))/D for a radicand whose square-free check, trial
+    division up to sqrt(d), would take too long here: built the way
+    arithmetic builds its results, without the check."""
+    return _reduced(A, B, D, d)
 
 
 @st.composite
 def view_scalars(draw):
-    """(A + B*sqrt(d))/D over sqrt(2) or sqrt(3), in the regimes the views must bound."""
+    """(A + B*sqrt(d))/D over sqrt(2), sqrt(3) or a radicand beyond 2^53, in
+    the regimes the views must bound."""
     d = draw(st.sampled_from((2, 3)))
     sign = draw(st.sampled_from((1, -1)))
-    kind = draw(st.sampled_from(("pell", "near 2^53", "wide", "subnormal", "near overflow", "rational")))
+    kinds = ("pell", "near 2^53", "wide", "subnormal", "near overflow", "rational", "big radicand")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "big radicand":
+        d = draw(st.sampled_from(BIG_D))
+        B = draw(signs) * draw(st.integers(1, 2**70))
+        # A near -B*sqrt(d), so that the two terms cancel
+        A = -B // abs(B) * (math.isqrt(d * B * B) + draw(st.integers(0, 2)))
+        return _big_radicand(A, B, draw(st.integers(1, 2**60)), d)
     if kind in ("pell", "subnormal"):
         p, q = draw(st.sampled_from(PELL[d]))
         A, B = sign * p, -sign * q
@@ -348,9 +369,13 @@ def view_scalars(draw):
 
 
 def _coefficients(x):
-    """(A, B, D) with x = (A + B*sqrt(d))/D in lowest terms, D > 0."""
+    """(A, B, D, d) with x = (A + B*sqrt(d))/D in lowest terms, D > 0."""
     D = math.lcm(x.a.denominator, x.b.denominator)
-    return x.a.numerator * (D // x.a.denominator), x.b.numerator * (D // x.b.denominator), D
+    return x.a.numerator * (D // x.a.denominator), x.b.numerator * (D // x.b.denominator), D, x.d
+
+
+def _beyond_float_range(*xs):
+    return max(abs(n) for x in xs for n in _coefficients(x)).bit_length() > 1000
 
 
 def _digits(*xs):
@@ -360,24 +385,27 @@ def _digits(*xs):
 
 def _scale(x):
     """S/D = (|A| + |B|*sqrt(d))/D, which the view's bound must scale with."""
-    return abs(mp_value(QuadScalar(x.a, 0, x.d))) + abs(mp_value(QuadScalar(0, x.b, x.d)))
+    A, B, D, d = _coefficients(x)
+    return (abs(mpmath.mpf(A)) + abs(mpmath.mpf(B)) * mpmath.sqrt(d)) / D
 
 
 @SETTINGS
 @given(view_scalars())
 @example(PELL_2)
 @example(PELL_3)
+@example(NEAR_2)
+@example(NEAR_3)
 @example(QuadScalar(TWO53 + 1, -(TWO53 - 1), 2))
-# coefficients past 2^53 round on conversion: here the bound of exact
-# conversions would fall short by a factor 1.4
-@example(QuadScalar(Fraction(837639905254075202903, 621583708876057673),
-                    Fraction(-592300857197613754521, 621583708876057673), 2))
 @example(QuadScalar(Fraction(1, 2**1100), 0, 2))
 @example(QuadScalar(1, Fraction(1, 2**1030), 2))
-def test_scalar_view_bound_holds(x):
-    fe = gluing._scalar_view(x)
-    if fe is None:  # only past the float range
-        assert max(abs(n) for n in _coefficients(x)).bit_length() > 1000
+# float(d) rounds as well: isqrt(d) - sqrt(d) cancels by a factor near 4d
+@example(_big_radicand(math.isqrt(2**61 - 1), -1, 1, 2**61 - 1))
+@example(_big_radicand(-math.isqrt(2**107 - 1) - 1, 1, 3, 2**107 - 1))
+@example(_big_radicand(1, 1, 1, 2**1279 - 1))
+def test_float_eval_bound_holds(x):
+    fe = float_eval_with_error(x)
+    if fe is None:
+        assert _beyond_float_range(x)
         return
     f, e = fe
     with mpmath.workdps(_digits(x)):
@@ -395,7 +423,7 @@ def test_filter_view_bound_holds(X, offset):
     dist = Distance(abs(X), offset)
     view = dist._filter_view
     if view is None:
-        assert dist.float_view is None
+        assert _beyond_float_range(X, offset)
         return
     s, f, e = view
     with mpmath.workdps(_digits(X, offset)):
