@@ -22,7 +22,7 @@ from .numerics import (
     EXACT,
     FLOAT,
     QuadScalar,
-    as_float,
+    _check_d,
     format_scalar,
     frac,
     parse_scalar,
@@ -68,9 +68,7 @@ def _rational(text: str, d=None) -> Fraction:
 
 
 def _radicand(text: str, d=None) -> int:
-    d = _int(text)
-    QuadScalar(0, 1, d)  # raises ValueError unless d is square-free and >= 2
-    return d
+    return _check_d(_int(text))  # raises ValueError unless square-free and >= 2
 
 
 def _alpha(text: str, d: int) -> QuadScalar:
@@ -143,7 +141,7 @@ _unsigned_64 = _must(lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned intege
 
 def _has_float_view(v) -> bool:
     try:
-        return math.isfinite(as_float(v))
+        return math.isfinite(float(v))
     except OverflowError:
         return False
 
@@ -389,7 +387,7 @@ def _cmd_nearest(cfg: RunConfig) -> dict:
         oracle_t, oracle_c = grid_nearest_on_line(p, y2, params, cfg.gram, cfg.t_grid)
         ok_c = (
             abs(oracle_c - rec_c.achieved.value) <= 1e-9
-            and abs(as_float(oracle_t) - as_float(p.t)) <= 1e-9
+            and abs(float(oracle_t) - float(p.t)) <= 1e-9
         )
         passed = passed and ok_a and ok_b and ok_c
         results.append(
@@ -402,7 +400,7 @@ def _cmd_nearest(cfg: RunConfig) -> dict:
                 "nearest_on_line": {
                     "ok": ok_c,
                     "record": rec_c,
-                    "grid_t": as_float(oracle_t),
+                    "grid_t": float(oracle_t),
                     "grid_min": oracle_c,
                 },
             }

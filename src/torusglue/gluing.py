@@ -24,13 +24,10 @@ from .numerics import (
     ExactnessError,
     QuadScalar,
     ScalarMode,
-    as_float,
     float_eval_with_error,
-    float_with_error,
     is_exact,
     rational_interval,
     require_exact,
-    scalar_abs,
     scalar_lt,
     scalar_min,
     sign_of,
@@ -140,29 +137,16 @@ class Distance(Record):
 
     @cached_property
     def _root(self) -> float:
-        """sqrt_as_float(torus_sq), which `value` and `float_view` share."""
+        """sqrt_as_float(torus_sq), cached: `value` is read more than once
+        for a violation."""
         return sqrt_as_float(self.torus_sq)
 
     @property
     def value(self) -> float:
-        return self._root + as_float(self.offset)
+        return self._root + float(self.offset)
 
     def __float__(self) -> float:
         return self.value
-
-    @cached_property
-    def float_view(self) -> tuple[float, float, float] | None:
-        """(s, f, e): s = sqrt_as_float(torus_sq), within 2^-52 * sqrt(torus_sq)
-        (plus 2^-1075 when subnormal), and f = float(offset) with a proven
-        |f - offset| <= e.  None when a component is a float, whose error is
-        unknown, or lies beyond the float range."""
-        off = float_with_error(self.offset)
-        if off is None or not is_exact(self.torus_sq):
-            return None
-        try:
-            return self._root, *off
-        except OverflowError:
-            return None
 
     @cached_property
     def _filter_view(self) -> tuple[float, float, float] | None:
@@ -219,7 +203,7 @@ def glued_distance(a: GluedPoint, b: GluedPoint, params: GluingParams, gram: Gra
     if a.is_compact and b.is_compact:
         return Distance(base_sq, 0)
     if not a.is_compact and not b.is_compact:
-        gap = scalar_abs(a.t - b.t)
+        gap = abs(a.t - b.t)
         return Distance(base_sq, scalar_min(gap, params.M))
     return Distance(base_sq, params.R)
 
@@ -467,11 +451,11 @@ def _batch_glued_values(ka, ya, ta, kb, yb, tb, params, gram):
     np.sqrt(np.maximum(base, 0.0, out=base), out=base)
     gap = np.subtract(ta, tb)
     np.abs(gap, out=gap)
-    np.minimum(gap, float(as_float(params.M)), out=gap)
+    np.minimum(gap, float(params.M), out=gap)
     gap *= ka
     gap *= kb
     base += gap
-    base += np.multiply(ka != kb, float(as_float(params.R)), out=gap)
+    base += np.multiply(ka != kb, float(params.R), out=gap)
     return base
 
 
@@ -548,7 +532,7 @@ def _float_height_span(M) -> float:
     heights has no finite float (from about M = 3e307).
     """
     try:
-        m = max(1.0, as_float(M))
+        m = max(1.0, float(M))
     except OverflowError:
         m = math.inf
     if not math.isfinite(6.0 * m):
@@ -583,7 +567,7 @@ def _check_float_triple(a, b, c, params, gram, mode, log: _ViolationLog) -> int:
     pts = a, b, c
     kind = np.array([[0 if p.is_compact else 1] for p in pts])
     y = np.array([[p.y.as_floats()] for p in pts])
-    t = np.array([[0.0 if p.is_compact else as_float(p.t)] for p in pts])
+    t = np.array([[0.0 if p.is_compact else float(p.t)] for p in pts])
     dists = [np.array([glued_distance(pts[c1], pts[c2], params, gram).value]) for c1, c2 in _PAIRS]
     return _check_floats(kind, y, t, dists, mode, log, lambda col, i: pts[col])
 
@@ -638,7 +622,7 @@ def check_metric_axioms(
         if not mode.exact and sampler is None:
             checks += _check_batch(n, params, gram, mode, seed, log)
         else:
-            span = 3 * max(1, math.ceil(as_float(params.M)))
+            span = 3 * max(1, math.ceil(float(params.M)))
             for i in range(n):
                 rng = rng_for(seed, i)
                 if sampler is None:
@@ -690,7 +674,7 @@ class TriangleWitness(Record):
             "rhs_1": self.d_ac,
             "rhs_2": self.d_cb,
             "slack": self.slack,
-            "slack_value": as_float(self.slack),
+            "slack_value": float(self.slack),
         }
 
 
@@ -859,7 +843,7 @@ def grid_nearest_in_compact(
     import numpy as np
 
     dsq = _grid_dsq(p.y.as_floats(), gram, grid_n)
-    vals = np.sqrt(np.maximum(dsq, 0.0)) + as_float(params.R)
+    vals = np.sqrt(np.maximum(dsq, 0.0)) + float(params.R)
     k = int(np.argmin(vals))
     return (
         TorusPoint(Fraction(k // grid_n, grid_n), Fraction(k % grid_n, grid_n)),
@@ -891,13 +875,13 @@ def grid_nearest_on_line(
     step = 2 * span / n
     if not isinstance(span, QuadScalar) and not isinstance(params.M, QuadScalar):
         (a, b), (ma, mb) = abs(span).as_integer_ratio(), params.M.as_integer_ratio()
-        cap = as_float(params.M)
+        cap = float(params.M)
         vals = [
             base + (a * c / (b * n) if a * c * mb < ma * b * n else cap)
             for c in map(abs, range(n, -n - 1, -2))
         ]
     else:
-        gaps = [scalar_abs(j * step - span) for j in range(t_n)]
-        vals = [base + as_float(scalar_min(gap, params.M)) for gap in gaps]
+        gaps = [abs(j * step - span) for j in range(t_n)]
+        vals = [base + float(scalar_min(gap, params.M)) for gap in gaps]
     j = vals.index(min(vals))
     return p.t + (j * step - span), float(vals[j])

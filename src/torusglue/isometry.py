@@ -22,7 +22,7 @@ from .gluing import (
     glued_distance,
     winding_distance,
 )
-from .numerics import DEFAULT_D, EXACT, CertificationError, ScalarMode, _check_d, as_float, require_exact
+from .numerics import DEFAULT_D, EXACT, CertificationError, ScalarMode, _check_d, require_exact
 from .report import Record
 from .sampling import random_glued_point, random_torus_point, random_winding_point, rng_for
 from .torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint
@@ -278,7 +278,7 @@ def verify_isometry(
         raise ValueError("space must be 'glued' or 'winding'")
     if not mode.exact:
         _float_height_span(params.M)
-    span = 3 * max(1, int(as_float(params.M)))
+    span = 3 * max(1, int(float(params.M)))
 
     failures: list[PairFailure] = []
     max_err = 0.0

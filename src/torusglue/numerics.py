@@ -4,9 +4,14 @@ Every certificate-grade decision in this package reduces to a sign test on
 one of these scalars.  A scalar is stored as one normalized integer triple
 (A, B, D) with D > 0 and gcd(A, B, D) = 1, so arithmetic, signs and floors
 are integer operations, and `isqrt` supplies the one irrational ingredient.
-Rounding happens only in the float views (`float`, `sqrt_as_float`), at the
-reporting edge and in the explicitly float-typed parallel mode; those views
-carry a proven relative error of at most 2^-52.
+
+Values leave the field only through three views, one per job:
+- `float(x)` and `sqrt_as_float(x)`, for report values and float mode:
+  one rounding of a 120-bit integer, within 2^-52 relative (above the
+  subnormal range);
+- `float_eval_with_error(x)`, for the triangle filter: a float evaluation
+  with an absolute error bound that it proves itself;
+- `interval` and `sqrt_interval`, rational enclosures for pricing a slack.
 """
 
 from __future__ import annotations
@@ -41,14 +46,23 @@ class CertificationError(AssertionError):
 
 
 def is_square_free(n: int) -> bool:
+    """Whether n >= 2 has no repeated prime factor, in about n^(1/3) divisions.
+
+    Each k with k^3 <= n (n shrinking as factors are divided out) is
+    divided out once; a second division means a square factor.  What is
+    left then has no prime factor below k and is below k^3, so it is 1, a
+    prime or a product of two primes: square-free unless a perfect square.
+    """
     if n < 2:
         return False
     k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
+    while k * k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return False
         k += 1
-    return True
+    return n == 1 or math.isqrt(n) ** 2 != n
 
 
 # typed: 2.0 and numpy.int64(2) hash like 2 but are not valid field indices
@@ -314,9 +328,6 @@ class QuadScalar:
         """Field norm a^2 - d*b^2; zero only for the zero scalar."""
         return Fraction(self._A * self._A - self.d * self._B * self._B, self._D * self._D)
 
-    def conjugate(self) -> "QuadScalar":
-        return _new(self._A, -self._B, self._D, self.d)
-
     def reciprocal(self) -> "QuadScalar":
         return _quotient(1, 0, 1, self._A, self._B, self._D, self.d)
 
@@ -441,10 +452,6 @@ def require_exact(x, what: str = "value"):
     return x
 
 
-def as_float(x) -> float:
-    return float(x)
-
-
 def sign_of(x) -> int:
     if isinstance(x, QuadScalar):
         return x.sign()
@@ -471,15 +478,11 @@ def scalar_lt(x, y) -> bool:
     """Exact order when both operands are exact, float order otherwise."""
     if is_exact(x) and is_exact(y):
         return sign_of(x - y) < 0
-    return as_float(x) < as_float(y)
+    return float(x) < float(y)
 
 
 def scalar_min(x, y):
     return x if scalar_lt(x, y) else y
-
-
-def scalar_abs(x):
-    return abs(x)
 
 
 def rational_interval(x, digits: int = 30) -> tuple[Fraction, Fraction]:
@@ -528,32 +531,15 @@ def sqrt_as_float(x) -> float:
     return math.isqrt(_scaled(A, B, D, d, 2 * j)) / (1 << j)
 
 
-def float_with_error(x) -> tuple[float, float] | None:
-    """(f, err) with f = float(x) and a proven bound |f - x| <= err.
-
-    None when x is a float (its error is unknown here) or float(x) overflows.
-    Rational and quadratic conversions round one integer quotient whose
-    relative error is below 2^-119, so |f - x| <= 2^-53 * |x| + 2^-1075
-    <= 2^-51 * |f| + 2^-1060 (the second term covers subnormal results).
-    """
-    if not is_exact(x):
-        return None
-    try:
-        f = _to_float(*_triple(x))
-    except OverflowError:
-        return None
-    return f, abs(f) * 2.0**-51 + 2.0**-1060
-
-
 def float_eval_with_error(x) -> tuple[float, float] | None:
     """(f, e): the exact scalar x = (A + B*sqrt(d))/D evaluated in floats,
     with a proven |f - x| <= e.  None when x is a float or a step overflows,
     as for a coefficient (d included) beyond the float range.
 
-    Cheaper than `float_with_error`, whose f is correctly rounded, but e
-    scales with S/D, S = |A| + |B|*sqrt(d), not with |x|: the cancellation
-    factor S / |A + B*sqrt(d)| can be large, and a bound relative to |x|
-    would then be false.
+    The triangle filter's view: cheaper than `float(x)`, which rounds once
+    from a 120-bit integer, but e scales with S/D, S = |A| + |B|*sqrt(d),
+    not with |x|: the cancellation factor S / |A + B*sqrt(d)| can be
+    large, and a bound relative to |x| would then be false.
 
     f = fl(fl(a + p) / den) with a, b, den = float(A), float(B), float(D),
     r = fl(sqrt(float(d))) and p = fl(b*r).  With u = 2^-53, every

@@ -34,10 +34,8 @@ from .numerics import (
     _reduced,
     _sign,
     _triple,
-    as_float,
     frac,
     require_exact,
-    scalar_abs,
     scalar_lt,
     scalar_min,
     sign_of,
@@ -81,12 +79,8 @@ class Convergent(Record):
     q: int
     err: object
 
-    @property
-    def err_float(self) -> float:
-        return as_float(self.err)
-
     def report_fields(self) -> dict:
-        return {**super().report_fields(), "err_float": self.err_float}
+        return {**super().report_fields(), "err_float": float(self.err)}
 
 
 def cf_expansion(x, n: int) -> list[int]:
@@ -171,7 +165,7 @@ class _Rotation:
             raise CertificationError(f"convergent {p}/{q} is not reduced or has zero defect")
         if self.convergents:
             prev = self.convergents[-1][1].err
-            if s != -sign_of(prev) or not scalar_lt(scalar_abs(err), scalar_abs(prev)):
+            if s != -sign_of(prev) or not scalar_lt(abs(err), abs(prev)):
                 raise CertificationError(
                     f"convergent {p}/{q} breaks the alternating, shrinking defect"
                 )
@@ -782,18 +776,18 @@ def local_isometry_check(
         require_exact(t, "local isometry parameter")
         require_exact(s, "local isometry parameter")
     radius_sq, nsq = _validity_radius_sq(subgroup, params, gram)
-    radius = math.sqrt(as_float(radius_sq))
+    radius = math.sqrt(float(radius_sq))
 
     delta = t - s
     delta_sq = delta * delta
-    separation = abs(as_float(delta))
+    separation = abs(float(delta))
     if scalar_lt(radius_sq, delta_sq):
         raise ValidityRadiusError(radius, separation)
 
     dist = winding_distance(WindingPoint.line(t), WindingPoint.line(s), params, gram, subgroup)
     expected_torus_sq = delta_sq * nsq
-    expected_offset = scalar_abs(delta)
-    slope = 1 + math.sqrt(as_float(nsq))
+    expected_offset = abs(delta)
+    slope = 1 + math.sqrt(float(nsq))
     lhs = dist.value
     rhs = slope * separation
     ok = mode.equal(dist, Distance(expected_torus_sq, expected_offset), mode.eps)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quoted
 
-from .numerics import QuadScalar, ScalarMode, as_float, format_scalar, parse_scalar
+from .numerics import QuadScalar, ScalarMode, format_scalar, parse_scalar
 
 
 def scalar_json(x):
@@ -165,7 +165,7 @@ def density_csv(report) -> str:
     for rep in report if isinstance(report, list) else [report]:
         u1, u2, hits = _density_values(rep)
         for t, distance in hits:
-            rows.append(",".join(_float_text(as_float(v)) for v in (u1, u2, t, distance)))
+            rows.append(",".join(_float_text(float(v)) for v in (u1, u2, t, distance)))
     return "\n".join(rows) + "\n"
 
 

@@ -28,7 +28,6 @@ from .numerics import (
     _floor,
     _reduced,
     _sign,
-    as_float,
     floor_frac,
     is_exact,
     require_exact,
@@ -225,7 +224,7 @@ class TorusPoint(Record):
         return other.u1 - self.u1, other.u2 - self.u2
 
     def as_floats(self) -> tuple[float, float]:
-        return as_float(self.u1), as_float(self.u2)
+        return float(self.u1), float(self.u2)
 
 
 def _point(u1, u2) -> TorusPoint:
@@ -503,9 +502,6 @@ def batch_torus_distance_sq(ya, yb, gram: GramMatrix):
 class TangentVector:
     v1: object
     v2: object
-
-    def as_floats(self) -> tuple[float, float]:
-        return as_float(self.v1), as_float(self.v2)
 
 
 def tangent_norm_sq(v: TangentVector, gram: GramMatrix):

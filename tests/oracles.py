@@ -16,9 +16,7 @@ from torusglue.gluing import AxiomViolation, Distance, _triangle_exact, glued_di
 from torusglue.numerics import (
     CertificationError,
     QuadScalar,
-    as_float,
     frac,
-    scalar_abs,
     scalar_lt,
     sign_of,
 )
@@ -55,10 +53,10 @@ def convergent_stream(x):
         s = sign_of(err)
         if math.gcd(p, q) != 1 or s == 0:
             raise CertificationError(f"convergent {p}/{q} is not reduced or has zero defect")
-        if prev_abs is not None and (s != -prev_sign or not scalar_lt(scalar_abs(err), prev_abs)):
+        if prev_abs is not None and (s != -prev_sign or not scalar_lt(abs(err), prev_abs)):
             raise CertificationError(f"convergent {p}/{q} breaks the alternating, shrinking defect")
         prev_sign = s
-        prev_abs = scalar_abs(err)
+        prev_abs = abs(err)
         yield a, Convergent(p, q, err)
         p_prev2, p_prev = p_prev, p
         q_prev2, q_prev = q_prev, q
@@ -263,7 +261,7 @@ def exact_axiom_log(triples, params, gram, max_recorded: int = 100):
 def exact_isometry_max_error(apply_map, n, params, gram, seed=0, space="glued", subgroup=None, d=2):
     """max_error of exact `verify_isometry`: the same seeded pairs, the float
     error of every pair computed."""
-    span = 3 * max(1, int(as_float(params.M)))
+    span = 3 * max(1, int(float(params.M)))
     max_err = 0.0
     for i in range(n):
         rng = rng_for(seed, i)

@@ -38,9 +38,7 @@ from torusglue.numerics import (
     EXACT,
     FLOAT,
     QuadScalar,
-    as_float,
     frac,
-    scalar_abs,
     scalar_lt,
     sign_of,
     sqrt_interval,
@@ -188,14 +186,14 @@ def test_criterion_5_local_isometry_identity():
             # squared-term comparison: both components match exactly
             assert rec.exact_match
             assert rec.distance.torus_sq == delta * delta * 3
-            assert rec.distance.offset == scalar_abs(delta)
+            assert rec.distance.offset == abs(delta)
             assert math.isclose(rec.slope, slope, rel_tol=1e-14)
             assert math.isclose(rec.lhs, slope * rec.separation, rel_tol=1e-10)
             assert math.isclose(rec.rhs, slope * rec.separation, rel_tol=1e-10)
         # separations beyond the gap cap are refused, radius reported
         with pytest.raises(ValidityRadiusError) as info:
             local_isometry_check(Fraction(3), Fraction(0), LINE, CANONICAL, GRAM)
-        assert as_float(CANONICAL.M) < 3.0
+        assert float(CANONICAL.M) < 3.0
         assert math.isclose(info.value.radius, math.sqrt(1 / 12), rel_tol=1e-12)
 
 
@@ -232,7 +230,7 @@ def test_criterion_7_continued_fraction_invariants():
             assert cs[k].p == 2 * cs[k - 1].p + cs[k - 2].p
             assert cs[k].q == 2 * cs[k - 1].q + cs[k - 2].q
         for prev, cur in zip(cs, cs[1:]):
-            assert scalar_lt(scalar_abs(cur.err), scalar_abs(prev.err))
+            assert scalar_lt(abs(cur.err), abs(prev.err))
             assert cur.err == cur.q * SQRT2 - cur.p  # defect is exact, not float
         assert (cs[4].p, cs[4].q) == (41, 29)
 

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from torusglue.cli import main
-from torusglue.numerics import QuadScalar, as_float, frac, scalar_lt, sqrt_as_float
+from torusglue.numerics import QuadScalar, frac, scalar_lt, sqrt_as_float
 from torusglue.orbit import (
     DensityHit,
     _first_entry,
@@ -54,10 +54,10 @@ def scan_density_hit(target, subgroup, y0=None, eps=Fraction(1, 100), gram=None,
     w1 = frac(target.u1 - y0.u1)
     w2 = frac(target.u2 - y0.u2)
 
-    beta = as_float(alpha)
-    base = as_float(frac(alpha * w1))
-    w2f = as_float(w2)
-    tol = as_float(eps) / math.sqrt(_min_eigen_float(gram)) * 1.0001 + 1e-6
+    beta = float(alpha)
+    base = float(frac(alpha * w1))
+    w2f = float(w2)
+    tol = float(eps) / math.sqrt(_min_eigen_float(gram)) * 1.0001 + 1e-6
 
     for start in range(0, budget + 1, chunk):
         stop = min(start + chunk, budget + 1)

@@ -31,7 +31,7 @@ from torusglue.gluing import (
     _float_point,
     check_metric_axioms,
 )
-from torusglue.numerics import FLOAT, ScalarMode, as_float
+from torusglue.numerics import FLOAT, ScalarMode
 from torusglue.report import canonical_json
 from torusglue.torus import (
     _BATCH_CHUNK,
@@ -105,15 +105,15 @@ def oracle_points_equal(a: GluedPoint, b: GluedPoint, eps: float) -> bool:
     ya, yb = np.array([a.y.as_floats()]), np.array([b.y.as_floats()])
     if batch_torus_distance_sq(ya, yb, GramMatrix.identity())[0] > eps * eps:
         return False
-    return a.is_compact or abs(as_float(a.t) - as_float(b.t)) <= eps
+    return a.is_compact or abs(float(a.t) - float(b.t)) <= eps
 
 
 def _oracle_glued_values(ka, ya, ta, kb, yb, tb, params, gram):
     base = np.sqrt(np.maximum(oracle_kernel(ya, yb, gram), 0.0))
     both_cyl = (ka == 1) & (kb == 1)
     mixed = ka != kb
-    m = float(as_float(params.M))
-    r = float(as_float(params.R))
+    m = float(params.M)
+    r = float(params.R)
     off = np.where(both_cyl, np.minimum(np.abs(ta - tb), m), np.where(mixed, r, 0.0))
     return base + off
 
@@ -122,7 +122,7 @@ def oracle_check_batch(n, params, gram, mode, seed, log):
     rng = np.random.default_rng(seed)
     kind = rng.integers(0, 2, size=(3, n))
     y = rng.random((3, n, 2))
-    span = 3.0 * max(1.0, as_float(params.M))
+    span = 3.0 * max(1.0, float(params.M))
     t = rng.uniform(-span, span, (3, n))
 
     def glued(c1, c2):

@@ -26,8 +26,6 @@ from torusglue.numerics import (
     FLOAT,
     ExactnessError,
     QuadScalar,
-    as_float,
-    scalar_abs,
     scalar_min,
     sign_of,
     sqrt_as_float,
@@ -163,8 +161,8 @@ def test_counterexample_structure():
     assert wit.d_ab.offset == bad.M and sign_of(wit.d_ab.torus_sq) == 0
     assert wit.d_ac.offset == bad.R and wit.d_cb.offset == bad.R
     assert wit.slack == bad.M - 2 * bad.R == Fraction(1, 5)
-    lhs = as_float(wit.d_ab.offset)
-    rhs = as_float(wit.d_ac.offset) + as_float(wit.d_cb.offset)
+    lhs = float(wit.d_ab.offset)
+    rhs = float(wit.d_ac.offset) + float(wit.d_cb.offset)
     assert lhs > rhs
 
 
@@ -232,7 +230,7 @@ def _loop_grid_nearest_on_line(p, y2, params, gram, t_n, span=None):
     for j in range(t_n):
         offset = j * step - span
         s = p.t + offset
-        v = base + as_float(scalar_min(scalar_abs(offset), params.M))
+        v = base + float(scalar_min(abs(offset), params.M))
         if best_v is None or v < best_v:
             best_t, best_v = s, v
     return best_t, float(best_v)

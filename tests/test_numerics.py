@@ -5,14 +5,18 @@ arithmetic, high-precision Decimal for floor, and raw string literals for
 the wire format.
 """
 
+import inspect
 import math
 import operator
+import textwrap
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
+from torusglue import numerics
 from torusglue.numerics import (
     EXACT,
     FLOAT,
@@ -20,7 +24,6 @@ from torusglue.numerics import (
     FieldMismatchError,
     QuadScalar,
     ScalarMode,
-    as_float,
     floor_frac,
     format_scalar,
     frac,
@@ -29,7 +32,6 @@ from torusglue.numerics import (
     parse_scalar,
     rational_interval,
     require_exact,
-    scalar_abs,
     scalar_lt,
     scalar_min,
     sign_of,
@@ -49,9 +51,52 @@ def random_quad(rng, d=2, span=40):
     return QuadScalar(a, b, d)
 
 
+def _square_free_sieve(limit: int) -> list[bool]:
+    """is_square_free(n) for n < limit by definition: cross out multiples of k^2."""
+    free = [n >= 2 for n in range(limit)]
+    for k in range(2, math.isqrt(limit) + 1):
+        free[k * k :: k * k] = [False] * len(free[k * k :: k * k])
+    return free
+
+
 def test_square_free_classifier():
     assert all(is_square_free(n) for n in (2, 3, 5, 6, 7, 10, 11, 13))
     assert not any(is_square_free(n) for n in (4, 8, 9, 12, 16, 18, 20))
+    free = _square_free_sieve(20_000)
+    assert [n for n in range(20_000) if is_square_free(n) != free[n]] == []
+
+
+def _square_free_by_factorint(n: int) -> bool:
+    return all(e == 1 for e in sympy.factorint(n).values())
+
+
+P31 = 2**31 - 1  # prime, above the cube root of its square
+# a Mersenne prime; the square of a prime above the cube root, alone and
+# times 3, which only the last step, the perfect-square test, rejects; and
+# a square-free product of two primes above the cube root
+LARGE = (2**61 - 1, P31**2, 3 * P31**2, P31 * (2**29 - 3))
+
+
+def _without_square_test():
+    """A planted fault: is_square_free with its last step, the perfect-square
+    test of what trial division leaves, replaced by `return True`."""
+    src = textwrap.dedent(inspect.getsource(numerics.is_square_free))
+    last = src.rstrip().splitlines()[-1]
+    assert "isqrt" in last, "the last step moved; update the planted fault"
+    scope = {"math": math}
+    exec(src.replace(last, "    return True"), scope)
+    return scope["is_square_free"]
+
+
+@pytest.mark.parametrize("n", LARGE)
+def test_square_free_matches_factorint(n):
+    assert is_square_free(n) == _square_free_by_factorint(n)
+
+
+def test_square_free_without_square_test_is_caught():
+    mutant = _without_square_test()
+    wrong = [n for n in LARGE if mutant(n) != _square_free_by_factorint(n)]
+    assert wrong == [P31**2, 3 * P31**2]
 
 
 def test_constructor_rejects_bad_radicand():
@@ -209,7 +254,7 @@ def test_sqrt_interval_and_float():
         assert lo >= 0
         assert scalar_lt(lo * lo, val) or lo * lo == val
         assert scalar_lt(val, hi * hi) or hi * hi == val
-        assert math.isclose(sqrt_as_float(val), math.sqrt(as_float(val)), rel_tol=1e-13)
+        assert math.isclose(sqrt_as_float(val), math.sqrt(float(val)), rel_tol=1e-13)
     assert sqrt_as_float(Fraction(0)) == 0.0
 
 
@@ -254,8 +299,8 @@ def test_scalar_helpers_mix_exact_and_float():
     assert scalar_lt(SQRT2, 1.5)
     assert not scalar_lt(1.5, SQRT2)
     assert scalar_min(SQRT2, Fraction(3, 2)) == SQRT2
-    assert scalar_abs(QuadScalar(0, -1, 2)) == SQRT2
-    assert scalar_abs(-2.5) == 2.5
+    assert abs(QuadScalar(0, -1, 2)) == SQRT2
+    assert abs(-2.5) == 2.5
 
 
 def test_wire_format_examples():

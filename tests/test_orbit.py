@@ -12,7 +12,7 @@ import pytest
 
 from torusglue import orbit
 from torusglue.gluing import GluingParams
-from torusglue.numerics import QuadScalar, as_float, frac, scalar_abs, scalar_lt, sign_of
+from torusglue.numerics import QuadScalar, frac, scalar_lt, sign_of
 from torusglue.orbit import (
     CircleMembership,
     CircleNonMembership,
@@ -72,7 +72,7 @@ def test_convergents_alternate_and_shrink():
     cs = cf_convergents(SQRT2, 12)
     for prev, cur in zip(cs, cs[1:]):
         assert sign_of(prev.err) == -sign_of(cur.err)
-        assert scalar_lt(scalar_abs(cur.err), scalar_abs(prev.err))
+        assert scalar_lt(abs(cur.err), abs(prev.err))
 
 
 def test_convergents_are_best_approximations():
@@ -81,7 +81,7 @@ def test_convergents_are_best_approximations():
         for c in cf_convergents(x, 7):
             if c.q < 2:
                 continue
-            record = scalar_abs(c.err)
+            record = abs(c.err)
             for q in range(1, c.q):
                 assert scalar_lt(record, wrap_dist(q * x)), (c.p, c.q, q)
 
@@ -162,7 +162,7 @@ def test_torus_density_hit_certified():
         assert oracle == hit.distance_sq
         assert scalar_lt(hit.distance_sq, eps * eps)
         assert hit.point == LINE.point(hit.t)
-        assert math.isclose(hit.distance, math.sqrt(as_float(oracle)), rel_tol=1e-12)
+        assert math.isclose(hit.distance, math.sqrt(float(oracle)), rel_tol=1e-12)
 
 
 def test_torus_density_hit_respects_budget():
@@ -282,7 +282,7 @@ def test_local_isometry_refuses_outside_radius():
 def test_local_isometry_radius_tracks_m():
     thin = GluingParams(Fraction(1), Fraction(1, 10))
     rec = local_isometry_check(Fraction(1, 50), Fraction(0), LINE, thin)
-    assert math.isclose(rec.radius, math.sqrt(as_float(Fraction(1, 300))), rel_tol=1e-12)
+    assert math.isclose(rec.radius, math.sqrt(float(Fraction(1, 300))), rel_tol=1e-12)
     with pytest.raises(ValidityRadiusError):
         local_isometry_check(Fraction(1, 10), Fraction(0), LINE, thin)
 
@@ -293,4 +293,4 @@ def test_local_isometry_small_tangent_branch():
     rec = local_isometry_check(Fraction(1, 20), Fraction(0), LINE, PARAMS, gram=g)
     assert rec.passed
     assert rec.distance.torus_sq == Fraction(1, 400) * Fraction(1, 3)
-    assert math.isclose(rec.radius, math.sqrt(as_float(Fraction(1, 36))), rel_tol=1e-12)
+    assert math.isclose(rec.radius, math.sqrt(float(Fraction(1, 36))), rel_tol=1e-12)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torusglue.numerics import ExactnessError, QuadScalar, as_float, frac, sign_of
+from torusglue.numerics import ExactnessError, QuadScalar, frac, sign_of
 from torusglue.sampling import random_torus_point, rng_for
 from torusglue.torus import (
     GramMatrix,
@@ -170,7 +170,7 @@ def test_batch_matches_scalar():
         ya = np.array([p.as_floats() for p in pts_a])
         yb = np.array([p.as_floats() for p in pts_b])
         got = batch_torus_distance_sq(ya, yb, g)
-        want = [as_float(torus_distance_sq(a, b, g)) for a, b in zip(pts_a, pts_b)]
+        want = [float(torus_distance_sq(a, b, g)) for a, b in zip(pts_a, pts_b)]
         assert np.allclose(got, want, atol=1e-9)
 
 
