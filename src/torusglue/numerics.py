@@ -65,9 +65,17 @@ def is_square_free(n: int) -> bool:
     return n == 1 or math.isqrt(n) ** 2 != n
 
 
+# Radicands stay below 2^64, so that the square-free check of `_check_d`
+# divides at most about 2.6 million times (2^(64/3)), under a second; a
+# prime near 2^89 would take minutes.
+_MAX_D = 2**64
+
+
 # typed: 2.0 and numpy.int64(2) hash like 2 but are not valid field indices
 @lru_cache(maxsize=None, typed=True)
 def _check_d(d: int) -> int:
+    if isinstance(d, int) and d >= _MAX_D:
+        raise ValueError(f"field index must be below 2**64, got {d!r}")
     if not isinstance(d, int) or not is_square_free(d):
         raise ValueError(f"field index must be a square-free integer >= 2, got {d!r}")
     return d
@@ -187,6 +195,11 @@ class QuadScalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadScalar is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild from the triple: the default would set the
+        # slots one by one, which __setattr__ refuses
+        return _new, (self._A, self._B, self._D, self.d)
 
     @property
     def a(self) -> Fraction:

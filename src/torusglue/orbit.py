@@ -18,7 +18,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 from .numerics import (
@@ -257,6 +257,34 @@ def _circle_dist_sq(w, g_axis):
     return Fraction(A, D)
 
 
+class _Tolerance:
+    """What `circle_density_hit` derives from one (eps, g_axis): eps as a
+    Fraction (exact comparisons need an exact tolerance) and eps^2, and on
+    first use the sharpness bound and the default `max_terms`.  The last two
+    are computed only where the call reads them, so a failing division
+    raises there, as inline arithmetic would."""
+
+    def __init__(self, eps, g_axis):
+        self.eps = Fraction(eps)
+        self.eps_sq = self.eps * self.eps
+        self.g_axis = g_axis
+
+    @cached_property
+    def bound(self):
+        # read only when d0 >= eps^2 > 0, so g_axis > 0 and
+        # delta^2 * g_axis < eps^2 reads delta^2 < eps^2 / g_axis
+        return self.eps_sq / self.g_axis
+
+    @cached_property
+    def max_terms(self) -> int:
+        return math.ceil(1 / self.bound).bit_length() + 1
+
+
+# typed: a float g_axis of an int's value, which the call rejects, must not
+# lend that int's entry a float bound
+_tolerance = lru_cache(maxsize=64, typed=True)(_Tolerance)
+
+
 def circle_density_hit(
     target,
     theta,
@@ -281,17 +309,15 @@ def circle_density_hit(
     require_exact(target, "circle density target")
     require_exact(x0, "circle base point")
     _require_irrational(theta, "rotation step")
-    eps = Fraction(eps)  # exact comparisons need an exact tolerance
-    eps_sq = eps * eps
+    tol = _tolerance(eps, g_axis)
+    eps, eps_sq = tol.eps, tol.eps_sq
     w = frac(target - x0)
     d0 = _circle_dist_sq(w, g_axis)
     if scalar_lt(d0, eps_sq):
         return CircleHit(target, eps, 0, frac(x0), d0, sqrt_as_float(d0), None)
-    # d0 >= eps^2 > 0 here, so g_axis > 0 and delta^2 * g_axis < eps^2 reads
-    # delta^2 < eps^2 / g_axis
-    bound = eps_sq / g_axis
+    bound = tol.bound
     if max_terms is None:
-        max_terms = math.ceil(1 / bound).bit_length() + 1
+        max_terms = tol.max_terms
     rot = _rotation(theta)
     j = _sharp_index(rot, bound, max_terms)
     if j is None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .numerics import DEFAULT_D, QuadScalar, frac
+from .numerics import DEFAULT_D, _check_d, _floor, _reduced
 
 
 def rng_for(seed: int, index: int) -> random.Random:
@@ -23,12 +23,20 @@ def random_fraction(rng: random.Random, max_den: int = 32) -> Fraction:
 
 
 def random_unit_scalar(rng: random.Random, d: int = DEFAULT_D, radical_prob: float = 0.5):
-    """Exact scalar in [0, 1), sometimes with a radical part."""
-    a = random_fraction(rng)
+    """Exact scalar in [0, 1), sometimes with a radical part.
+
+    A Fraction num/den, or frac(num/den + bn/bd*sqrt(d)) as a QuadScalar
+    over sqrt(d), built from the one integer triple
+    (num*bd + bn*den*sqrt(d)) / (den*bd) less its floor.
+    """
+    den = rng.randint(1, 32)
+    num = rng.randrange(0, den)
     if rng.random() >= radical_prob:
-        return a
-    b = Fraction(rng.randint(-4, 4), rng.randint(1, 8))
-    return frac(QuadScalar(a, b, d))
+        return Fraction(num, den)
+    bn, bd = rng.randint(-4, 4), rng.randint(1, 8)
+    _check_d(d)
+    A, B, D = num * bd, bn * den, den * bd
+    return _reduced(A - _floor(A, B, D, d) * D, B, D, d)
 
 
 def random_span_scalar(rng: random.Random, span, d: int = DEFAULT_D):
@@ -38,10 +46,11 @@ def random_span_scalar(rng: random.Random, span, d: int = DEFAULT_D):
 
 
 def random_torus_point(rng: random.Random, exact: bool = True, d: int = DEFAULT_D):
-    from .torus import TorusPoint
+    from .torus import TorusPoint, _point
 
     if exact:
-        return TorusPoint(random_unit_scalar(rng, d), random_unit_scalar(rng, d))
+        # both coordinates already lie in [0, 1)
+        return _point(random_unit_scalar(rng, d), random_unit_scalar(rng, d))
     return TorusPoint(rng.random(), rng.random())
 
 

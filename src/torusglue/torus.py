@@ -11,6 +11,17 @@ them by exact signs, with no float; the float batch kernel evaluates the
 same four in float64 (only the zero shift, for a diagonal reduced form) and
 is the only code here that loads numpy.  The unreduced wide-window path is
 kept as an oracle.
+
+Exact points work on integer triples (A, B, D), value (A + B*sqrt(d)) / D.
+Each exact `TorusPoint` computes its lift once, on first use: both
+coordinates over one denominator, with the field index of its QuadScalar
+coordinates and that of its irrational ones.  The lift lives in the
+instance `__dict__`, outside the dataclass fields, so equality, hashing,
+reports, pickles and copies never see it; a point with a float coordinate
+has none.  Wrap-around sums and differences (`_plus`, `_minus`) add the
+coordinates' triples and take one exact sign test.  Every result keeps the
+value, the type (Fraction or QuadScalar) and the field index that Fraction
+and QuadScalar operators give.
 """
 
 from __future__ import annotations
@@ -29,7 +40,6 @@ from .numerics import (
     _reduced,
     _sign,
     floor_frac,
-    is_exact,
     require_exact,
     scalar_lt,
     sign_of,
@@ -158,12 +168,46 @@ def _unit(x):
     return 0.0 if isinstance(r, float) and r == 1.0 else r
 
 
+def _operands(s, o):
+    """(sA, sB, sD, oA, oB, oD, d): the triples of exact s and o and the field
+    index of the QuadScalar sum that has s as `self` (o as `self` when s is
+    rational), resolved as `QuadScalar._coerce` resolves it; d = 0 when both
+    are rationals and one is a Fraction.  None for a float, an int pair, or
+    another type, which take the operators themselves."""
+    ts, to = type(s), type(o)
+    if ts is QuadScalar:
+        d = s.d
+        if to is QuadScalar:
+            if o.d != d and o._B:
+                if s._B:
+                    raise FieldMismatchError(f"cannot mix sqrt({d}) and sqrt({o.d}) scalars")
+                d = o.d
+            return s._A, s._B, s._D, o._A, o._B, o._D, d
+        if to is Fraction or to is int:
+            return s._A, s._B, s._D, o.numerator, 0, o.denominator, d
+    elif ts is Fraction or ts is int:
+        if to is QuadScalar:
+            return s.numerator, 0, s.denominator, o._A, o._B, o._D, o.d
+        if to is Fraction or (to is int and ts is Fraction):
+            return s.numerator, 0, s.denominator, o.numerator, 0, o.denominator, 0
+    return None
+
+
 def _plus(u, x):
-    """u + x mod 1 for u, x in [0, 1)."""
-    s = u + x
-    if isinstance(s, float):
-        return _unit(s)
-    return s - 1 if s >= 1 else s
+    """u + x mod 1 for u, x in [0, 1).  Exact values add their triples and
+    take one exactly decided - 1: the value, type and field index of
+    `s - 1 if s >= 1 else s` with s = u + x."""
+    ops = _operands(u, x)
+    if ops is None:
+        s = u + x
+        if isinstance(s, float):
+            return _unit(s)
+        return s - 1 if s >= 1 else s
+    uA, uB, uD, xA, xB, xD, d = ops
+    A, B, D = uA * xD + xA * uD, uB * xD + xB * uD, uD * xD
+    if _sign(A - D, B, d) >= 0:
+        A -= D
+    return _reduced(A, B, D, d) if d else Fraction(A, D)
 
 
 def _negated(u):
@@ -175,12 +219,37 @@ def _negated(u):
 
 def _minus(x, y):
     """x - y mod 1 for x, y in [0, 1), as `_plus(_negated(y), x)` gives it.
-    Exact values take one sum, -y + x, whose operand order keeps the field
-    index that path gives."""
-    if isinstance(x, float) or isinstance(y, float):
-        return _plus(_negated(y), x)
-    s = -y + x
-    return s + 1 if s < 0 else s
+    Exact values subtract their triples and take one exactly decided + 1:
+    the value, type and field index of `s + 1 if s < 0 else s` with
+    s = -y + x, whose operand order keeps the field index that path gives."""
+    ops = _operands(y, x)
+    if ops is None:
+        if isinstance(x, float) or isinstance(y, float):
+            return _plus(_negated(y), x)
+        s = -y + x
+        return s + 1 if s < 0 else s
+    yA, yB, yD, xA, xB, xD, d = ops
+    A, B, D = xA * yD - yA * xD, xB * yD - yB * xD, yD * xD
+    if _sign(A, B, d) < 0:
+        A += D
+    return _reduced(A, B, D, d) if d else Fraction(A, D)
+
+
+def _parts(x):
+    """(A, B, D, label) of an exact coordinate (A + B*sqrt(d)) / D, label its
+    field index d if a QuadScalar and 0 if a rational; None for any other."""
+    if isinstance(x, QuadScalar):
+        return x._A, x._B, x._D, x.d
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator, 0
+    return None
+
+
+def _joined(x: int, y: int) -> int:
+    """Two field labels, each 0 (none), d (one) or -1 (several), as one."""
+    if x == y or not y:
+        return x
+    return y if not x else -1
 
 
 @dataclass(frozen=True)
@@ -193,6 +262,11 @@ class TorusPoint(Record):
     conditional - 1, -u is 1 - u or 0, and x - u lies in (-1, 1) and takes
     one conditional + 1.  The value, type and field index are those the
     constructor gives; a float coordinate still goes through it, bit for bit.
+
+    An exact point carries its integer lift (`_lift`), computed on first use
+    and cached in the instance `__dict__`, outside the dataclass fields:
+    `==`, `hash`, `repr`, reports, pickles and copies see the coordinates
+    alone.
     """
 
     u1: object
@@ -202,12 +276,33 @@ class TorusPoint(Record):
         object.__setattr__(self, "u1", _unit(self.u1))
         object.__setattr__(self, "u2", _unit(self.u2))
 
+    def __getstate__(self):
+        """The coordinates alone: the cached lift is not state."""
+        return {"u1": self.u1, "u2": self.u2}
+
+    @cached_property
+    def _lift(self):
+        """(a1, b1, a2, b2, L, label, field): u_i = (a_i + b_i*sqrt(d)) / L
+        over the lcm L of the coordinates' denominators; `label` is the field
+        index of the QuadScalar coordinates and `field` that of the irrational
+        ones, each 0 for none, d for one and -1 for two that differ.  None
+        when a coordinate is not exact (a float)."""
+        c1, c2 = _parts(self.u1), _parts(self.u2)
+        if c1 is None or c2 is None:
+            return None
+        A1, B1, D1, l1 = c1
+        A2, B2, D2, l2 = c2
+        L = math.lcm(D1, D2)
+        k1, k2 = L // D1, L // D2
+        field = _joined(l1 if B1 else 0, l2 if B2 else 0)
+        return A1 * k1, B1 * k1, A2 * k2, B2 * k2, L, _joined(l1, l2), field
+
     @classmethod
     def origin(cls) -> "TorusPoint":
         return cls(Fraction(0), Fraction(0))
 
     def is_exact(self) -> bool:
-        return is_exact(self.u1) and is_exact(self.u2)
+        return self._lift is not None
 
     def translate(self, other: "TorusPoint") -> "TorusPoint":
         return _point(_plus(self.u1, other.u1), _plus(self.u2, other.u2))
@@ -285,27 +380,35 @@ def _corners(sign1: int, sign2: int) -> tuple[tuple[int, int], ...]:
     return tuple((s1, s2) for s1 in span1 for s2 in span2)
 
 
-def _parts(x) -> tuple[int, int, int]:
-    """(A, B, D) of an exact coordinate (A + B*sqrt(d)) / D."""
-    if isinstance(x, QuadScalar):
-        return x._A, x._B, x._D
-    return x.numerator, 0, x.denominator
+def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, lp: tuple, lq: tuple):
+    """`torus_distance_sq` of exact points, on integers (see there), from
+    their lifts lp = p._lift and lq = q._lift, each read once by the caller.
 
-
-def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix):
-    """`torus_distance_sq` of exact points, on integers (see there)."""
-    coords = q.u1, p.u1, q.u2, p.u2
-    labels = {x.d for x in coords if isinstance(x, QuadScalar)}
-    fields = {x.d for x in coords if isinstance(x, QuadScalar) and x._B}
-    if len(fields) > 1:
+    A lift (a1, b1, a2, b2, L, label, field) holds u_i = (a_i + b_i*sqrt(d))/L
+    with L > 0 the lcm of the point's two denominators, so q - p goes over
+    lcm(Lp, Lq), the lcm of all four.  Joined (`_joined`), the two labels
+    and the two fields are those of the four coordinates:
+    - two irrational fields raise FieldMismatchError, naming the least and
+      the greatest of the coordinates' fields;
+    - one irrational field is d; with none, every b_i is 0 and d only
+      labels the result;
+    - QuadScalars of two labels evaluate the form at the end in QuadScalar
+      arithmetic, which sets the field index of the rational result;
+    - no QuadScalar at all gives a Fraction.
+    """
+    pa1, pb1, pa2, pb2, Lp, plabel, pfield = lp
+    qa1, qb1, qa2, qb2, Lq, qlabel, qfield = lq
+    field = _joined(pfield, qfield)
+    if field < 0:
+        fields = {x.d for x in (q.u1, p.u1, q.u2, p.u2) if isinstance(x, QuadScalar) and x._B}
         raise FieldMismatchError(f"cannot mix sqrt({min(fields)}) and sqrt({max(fields)}) scalars")
-    d = next(iter(fields or labels or (DEFAULT_D,)))
-    q1, p1, q2, p2 = parts = [_parts(x) for x in coords]
+    label = _joined(plabel, qlabel)
+    d = field or (label if label > 0 else DEFAULT_D)
     # q - p over the common denominator L: (a_i + b_i*sqrt(d)) / L
-    L = math.lcm(q1[2], p1[2], q2[2], p2[2])
-    k = [L // x[2] for x in parts]
-    a1, b1 = q1[0] * k[0] - p1[0] * k[1], q1[1] * k[0] - p1[1] * k[1]
-    a2, b2 = q2[0] * k[2] - p2[0] * k[3], q2[1] * k[2] - p2[1] * k[3]
+    L = math.lcm(Lp, Lq)
+    kp, kq = L // Lp, L // Lq
+    a1, b1 = qa1 * kq - pa1 * kp, qb1 * kq - pb1 * kp
+    a2, b2 = qa2 * kq - pa2 * kp, qb2 * kq - pb2 * kp
     # U^-1 (q - p), moved by the nearest integers to (z_i + c_i*sqrt(d)) / L,
     # each within 1/2 of 0
     (u11, u12), (u21, u22) = gram.unimodular_inverse
@@ -328,7 +431,7 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix):
     for A, B in vals[1:]:
         if _sign(A - best[0], B - best[1], d) < 0:
             best = A, B
-    if len(labels) > 1:
+    if label < 0:
         # QuadScalar arithmetic gives a rational result the field index of
         # one operand or another; take the form on q - p in that arithmetic
         # at the first minimizing representative, in unreduced shift order
@@ -342,7 +445,7 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix):
         d1, d2 = p.delta(q)
         return gram.form(d1 + k1, d2 + k2)
     A, B = best
-    if not labels:
+    if not label:
         return Fraction(A, G * L * L)
     return _reduced(A, B, G * L * L, d)
 
@@ -350,10 +453,12 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix):
 def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: int = 1):
     """min over lattice shifts of the Gram form on representatives of q - p.
 
-    Exact points are computed on integers.  Their four coordinates go over
-    one common denominator L as pairs (a, b), meaning (a + b*sqrt(d)) / L;
-    U^-1 and the rounding to the nearest integer act on those pairs, with
-    the closed-form floor.  Only the four corners of the cell around the
+    Exact points are computed on integers, from their lifts: both points
+    have lifts exactly when the four coordinates are exact.  The coordinates
+    go over one common denominator L as pairs (a, b), meaning
+    (a + b*sqrt(d)) / L; U^-1 and the rounding to the nearest integer act
+    on the pairs of q - p, with the closed-form floor.  Only the four
+    corners of the cell around the
     rounded difference can hold the minimum (`_corners`), so the result is
     the same for every `window` >= 1, which is accepted for compatibility.
     At each corner the reduced form is one integer polynomial over G * L^2,
@@ -369,8 +474,9 @@ def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: in
     A point with a float coordinate makes the result a float: the pair goes
     through `batch_torus_distance_sq`, the one float evaluator.
     """
-    if p.is_exact() and q.is_exact():
-        return _exact_distance_sq(p, q, gram)
+    lp, lq = p._lift, q._lift
+    if lp is not None and lq is not None:
+        return _exact_distance_sq(p, q, gram, lp, lq)
     import numpy as np
 
     return float(batch_torus_distance_sq(np.array([p.as_floats()]), np.array([q.as_floats()]), gram)[0])

@@ -4,8 +4,10 @@ Each oracle is the plain form of something the package computes faster:
 QuadScalar continued fractions and first-entry levels recomputed on every
 call, exact stepping for first entries, rounding to the nearest integer,
 torus translates and inversions built by re-reducing the raw coordinates,
-report text written through `json.dumps` and Fraction views, and exact
-axiom and isometry checks that compute the float value of every distance.
+wrap-around sums, exact torus distances and seeded samples built through
+scalar operator dispatch, report text written through `json.dumps` and
+Fraction views, and exact axiom and isometry checks that compute the float
+value of every distance.
 """
 
 import json
@@ -14,14 +16,20 @@ from fractions import Fraction
 
 from torusglue.gluing import AxiomViolation, Distance, _triangle_exact, glued_distance
 from torusglue.numerics import (
+    DEFAULT_D,
     CertificationError,
+    FieldMismatchError,
     QuadScalar,
+    _floor,
+    _reduced,
+    _sign,
     frac,
     scalar_lt,
     sign_of,
 )
 from torusglue.orbit import Convergent
-from torusglue.sampling import random_glued_point, random_winding_point, rng_for
+from torusglue.sampling import random_fraction, random_glued_point, random_winding_point, rng_for
+from torusglue.torus import TorusPoint, _corners
 
 
 def nearest_int(x) -> int:
@@ -138,6 +146,98 @@ def torus_compose(s, o) -> tuple:
     else:
         x = translate(s.x, o.x)
     return x, s.inverts != o.inverts
+
+
+# -- exact torus points through operator dispatch ----------------------------------
+#
+# Before exact points carried integer lifts, wrap-around sums and the exact
+# torus distance re-derived each coordinate's triple through Fraction and
+# QuadScalar operators, and the seeded samplers built their scalars through
+# Fraction -> QuadScalar -> frac.  These oracles keep those forms.
+
+
+def plus(u, x):
+    """u + x mod 1 for exact u, x in [0, 1), by the operators."""
+    s = u + x
+    return s - 1 if s >= 1 else s
+
+
+def minus(x, y):
+    """x - y mod 1 for exact x, y in [0, 1), as -y + x by the operators."""
+    s = -y + x
+    return s + 1 if s < 0 else s
+
+
+def _parts(x) -> tuple:
+    if isinstance(x, QuadScalar):
+        return x._A, x._B, x._D
+    return x.numerator, 0, x.denominator
+
+
+def exact_distance_sq(p, q, gram):
+    """The exact torus distance with the field sets, the four triples and
+    their lcm rebuilt from the coordinates on every call."""
+    coords = q.u1, p.u1, q.u2, p.u2
+    labels = {x.d for x in coords if isinstance(x, QuadScalar)}
+    fields = {x.d for x in coords if isinstance(x, QuadScalar) and x._B}
+    if len(fields) > 1:
+        raise FieldMismatchError(f"cannot mix sqrt({min(fields)}) and sqrt({max(fields)}) scalars")
+    d = next(iter(fields or labels or (DEFAULT_D,)))
+    q1, p1, q2, p2 = parts = [_parts(x) for x in coords]
+    L = math.lcm(q1[2], p1[2], q2[2], p2[2])
+    k = [L // x[2] for x in parts]
+    a1, b1 = q1[0] * k[0] - p1[0] * k[1], q1[1] * k[0] - p1[1] * k[1]
+    a2, b2 = q2[0] * k[2] - p2[0] * k[3], q2[1] * k[2] - p2[1] * k[3]
+    (u11, u12), (u21, u22) = gram.unimodular_inverse
+    w1, c1 = u11 * a1 + u12 * a2, u11 * b1 + u12 * b2
+    w2, c2 = u21 * a1 + u22 * a2, u21 * b1 + u22 * b2
+    z1 = w1 - _floor(2 * w1 + L, 2 * c1, 2 * L, d) * L
+    z2 = w2 - _floor(2 * w2 + L, 2 * c2, 2 * L, d) * L
+    shifts = _corners(_sign(z1, c1, d), _sign(z2, c2, d))
+    (n11, n12, n22), G = gram._int_data
+    root = d * (n11 * c1 * c1 + 2 * n12 * c1 * c2 + n22 * c2 * c2)
+    h1, h2 = 2 * (n11 * c1 + n12 * c2), 2 * (n12 * c1 + n22 * c2)
+    vals = []
+    for s1, s2 in shifts:
+        x1, x2 = z1 + s1 * L, z2 + s2 * L
+        vals.append((x1 * (n11 * x1 + 2 * n12 * x2) + n22 * x2 * x2 + root, x1 * h1 + x2 * h2))
+    best = vals[0]
+    for A, B in vals[1:]:
+        if _sign(A - best[0], B - best[1], d) < 0:
+            best = A, B
+    if len(labels) > 1:
+        (v11, v12), (v21, v22) = gram.reduction[0]
+        reps = []
+        for (s1, s2), val in zip(shifts, vals):
+            if val == best:
+                x1, x2 = z1 + s1 * L, z2 + s2 * L
+                reps.append(((v11 * x1 + v12 * x2 - a1) // L, (v21 * x1 + v22 * x2 - a2) // L))
+        k1, k2 = min(reps)
+        d1, d2 = p.delta(q)
+        return gram.form(d1 + k1, d2 + k2)
+    A, B = best
+    if not labels:
+        return Fraction(A, G * L * L)
+    return _reduced(A, B, G * L * L, d)
+
+
+def unit_scalar(rng, d=DEFAULT_D, radical_prob=0.5):
+    """`random_unit_scalar` as Fraction -> QuadScalar(a, b, d) -> frac."""
+    a = random_fraction(rng)
+    if rng.random() >= radical_prob:
+        return a
+    b = Fraction(rng.randint(-4, 4), rng.randint(1, 8))
+    return frac(QuadScalar(a, b, d))
+
+
+def span_scalar(rng, span, d=DEFAULT_D):
+    whole = rng.randint(-int(span), int(span))
+    return whole + unit_scalar(rng, d) - random_fraction(rng)
+
+
+def torus_point(rng, d=DEFAULT_D):
+    """An exact `random_torus_point`, reduced again by the constructor."""
+    return TorusPoint(unit_scalar(rng, d), unit_scalar(rng, d))
 
 
 # -- report text through json.dumps and Fraction views ------------------------------

@@ -229,6 +229,8 @@ def test_config_validation_names_the_key(capsys):
         (("verify-metric", "--R", "-1"), "'R'"),
         (("verify-metric", "--M", "0"), "'M'"),
         (("verify-metric", "--d", "4"), "'d'"),
+        # the prime 2^89 - 1, beyond the radicand bound 2^64: refused, not trial-divided
+        (("density", "--d", "618970019642690137449562111"), "'d'"),
         (("verify-metric", "--gram", "1,2"), "'gram'"),
         (("verify-metric", "--gram", "1,5,1"), "'gram'"),
         (("verify-metric", "--seed", "-3"), "'seed'"),

@@ -23,6 +23,7 @@ from torusglue.numerics import QuadScalar, frac, scalar_lt, sqrt_as_float
 from torusglue.orbit import (
     DensityHit,
     _first_entry,
+    _tolerance,
     circle_density_hit,
     density_report,
     torus_density_hit,
@@ -230,6 +231,33 @@ def test_circle_cap_follows_eps():
     assert hit.convergent is not None and hit.k > 0
     with pytest.raises(ValueError):
         circle_density_hit(Fraction(1, 3), theta, eps=Fraction(1, 10**400), max_terms=64)
+
+
+def test_circle_tolerance_is_derived_once_per_eps_and_axis():
+    theta = frac(1 / QuadScalar(0, 1, 2))
+    eps = Fraction(1, 10**9)
+    _tolerance.cache_clear()
+    for j in range(50):
+        circle_density_hit(Fraction(j, 50), theta, Fraction(0), eps, Fraction(2))
+    assert (_tolerance.cache_info().misses, _tolerance.cache_info().hits) == (1, 49)
+
+
+def test_circle_tolerance_errors_arise_where_they_did():
+    theta = frac(1 / QuadScalar(0, 1, 2))
+    eps = Fraction(1, 10**9)
+    # a zero axis puts every point within eps: no bound is divided out
+    assert circle_density_hit(Fraction(1, 3), theta, eps=eps, g_axis=0).k == 0
+    with pytest.raises(ZeroDivisionError):
+        circle_density_hit(Fraction(1, 3), theta, eps=0)
+    with pytest.raises(ValueError, match="no convergent within 5 terms"):
+        circle_density_hit(Fraction(1, 3), theta, eps=0, max_terms=5)
+    # a float axis is refused, and leaves the equal int axis a Fraction bound
+    with pytest.raises(TypeError):
+        circle_density_hit(Fraction(1, 3), theta, eps=eps, g_axis=2.0)
+    assert circle_density_hit(Fraction(1, 3), theta, eps=eps, g_axis=2) == circle_density_hit(
+        Fraction(1, 3), theta, eps=eps, g_axis=Fraction(2)
+    )
+    assert type(_tolerance(eps, 2).bound) is Fraction
 
 
 def test_x1_group_at_eps_1e400_exits_0(capsys):

@@ -9,6 +9,7 @@ import inspect
 import math
 import operator
 import textwrap
+import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -97,6 +98,16 @@ def test_square_free_without_square_test_is_caught():
     mutant = _without_square_test()
     wrong = [n for n in LARGE if mutant(n) != _square_free_by_factorint(n)]
     assert wrong == [P31**2, 3 * P31**2]
+
+
+def test_radicands_stay_below_2_to_the_64():
+    # 2^64 - 1 = 3*5*17*257*641*65537*6700417 is square-free and the largest allowed
+    assert numerics._check_d(2**64 - 1) == 2**64 - 1
+    for d in (2**64, 2**89 - 1, 2**107 - 1):
+        start = time.process_time()
+        with pytest.raises(ValueError, match=r"below 2\*\*64"):
+            QuadScalar(1, 1, d)
+        assert time.process_time() - start < 0.1
 
 
 def test_constructor_rejects_bad_radicand():
