@@ -15,15 +15,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .numerics import (
     DEFAULT_D,
     EXACT,
     CertificationError,
     ExactnessError,
+    FieldMismatchError,
     QuadScalar,
     ScalarMode,
+    _reduced,
+    _sign,
     float_eval_with_error,
     is_exact,
     rational_interval,
@@ -41,6 +44,8 @@ from .torus import (
     Length,
     OneParamSubgroup,
     TorusPoint,
+    _memo,
+    _operands,
     batch_torus_distance_sq,
     torus_distance_sq,
 )
@@ -135,7 +140,7 @@ class Distance(Record):
     torus_sq: object
     offset: object
 
-    @cached_property
+    @_memo
     def _root(self) -> float:
         """sqrt_as_float(torus_sq), cached: `value` is read more than once
         for a violation."""
@@ -148,7 +153,7 @@ class Distance(Record):
     def __float__(self) -> float:
         return self.value
 
-    @cached_property
+    @_memo
     def _filter_view(self) -> tuple[float, float, float] | None:
         """(s, f, e) for the triangle filter: float views s of sqrt(torus_sq)
         and f of offset, with a proven |s - sqrt(torus_sq)| + |f - offset| <= e.
@@ -198,13 +203,44 @@ class Distance(Record):
 _ZERO = Distance(0, 0)
 
 
+def _capped_gap(ta, tb, M):
+    """min(|ta - tb|, M) with the value, type and field index of
+    `scalar_min(abs(ta - tb), M)`, which is M when the two are equal.
+
+    Exact heights give one difference triple (`_operands`, with ta as the
+    operator's left operand), one sign for the absolute value and one sign
+    against M; floats, int pairs and other types take the operators.  An
+    irrational gap against an irrational M of another field raises the
+    FieldMismatchError that `abs(ta - tb) - M` raises.
+    """
+    ops = _operands(ta, tb)
+    tm = type(M)
+    if ops is None or not (tm is QuadScalar or tm is Fraction or tm is int):
+        return scalar_min(abs(ta - tb), M)
+    aA, aB, aD, bA, bB, bD, d = ops
+    A, B, D = aA * bD - bA * aD, aB * bD - bB * aD, aD * bD
+    if _sign(A, B, d) < 0:
+        A, B = -A, -B
+    sd = d  # the field of the comparison with M
+    if tm is QuadScalar:
+        mA, mB, mD = M._A, M._B, M._D
+        if mB and M.d != d:
+            if B:
+                raise FieldMismatchError(f"cannot mix sqrt({d}) and sqrt({M.d}) scalars")
+            sd = M.d
+    else:
+        mA, mB, mD = M.numerator, 0, M.denominator
+    if _sign(A * mD - mA * D, B * mD - mB * D, sd) >= 0:
+        return M
+    return _reduced(A, B, D, d) if d else Fraction(A, D)
+
+
 def glued_distance(a: GluedPoint, b: GluedPoint, params: GluingParams, gram: GramMatrix) -> Distance:
     base_sq = torus_distance_sq(a.y, b.y, gram)
     if a.is_compact and b.is_compact:
         return Distance(base_sq, 0)
     if not a.is_compact and not b.is_compact:
-        gap = abs(a.t - b.t)
-        return Distance(base_sq, scalar_min(gap, params.M))
+        return Distance(base_sq, _capped_gap(a.t, b.t, params.M))
     return Distance(base_sq, params.R)
 
 
@@ -349,16 +385,19 @@ def _violation_slack(lhs: Distance, r1: Distance, r2: Distance) -> float:
 def _triangle_exact(lhs: Distance, r1: Distance, r2: Distance) -> tuple[bool, float]:
     """Decide lhs <= r1 + r2 exactly; a violation carries its slack.
 
-    In order: an exact structural tie (`_structural_tie`); a float filter
-    whose error is proven (`_float_gap`), which only ever accepts; the exact
-    squaring chain (`_exceeds`) for what the filter leaves; and, for a
-    violation only, the enclosures that price its slack.  No float decides
-    a violation, and the enclosures decide nothing.
+    In order: a float filter whose error is proven (`_float_gap`), which
+    only ever accepts; an exact structural tie (`_structural_tie`), which
+    only ever accepts too, for what the filter leaves (a tie has a gap of
+    zero, which the filter cannot prove positive); the exact squaring
+    chain (`_exceeds`) for what both leave; and, for a violation only, the
+    enclosures that price its slack.  Either acceptance proves
+    lhs <= r1 + r2, so their order changes no verdict.  No float decides a
+    violation, and the enclosures decide nothing.
     """
-    if _structural_tie(lhs, r1, r2):
-        return True, 0.0
     fg = _float_gap(lhs, r1, r2)
     if fg is not None and fg[0] > fg[1]:
+        return True, 0.0
+    if _structural_tie(lhs, r1, r2):
         return True, 0.0
     if not _exceeds(lhs, r1, r2):
         return True, 0.0
@@ -405,6 +444,11 @@ def _require_exact_points(*points) -> None:
 def _check_triple(a, b, c, params, gram, log: _ViolationLog) -> int:
     """Exact checks of one triple, every comparison decided in Q(sqrt(d)).
 
+    The distance between two identical point objects is computed once:
+    with `b is a`, d_ab, d_ba and d_aa are one `Distance`, and with
+    `c is a`, d_ac is d_aa and d_bc is d_ba.  `glued_distance` is a pure
+    function, so each is the `Distance` a second call would give.
+
     Float values are computed only for what the log records.  A symmetry
     or identity error the exact test finds absent is 0.0 without one:
     equal components have equal float values, as `value` reads only the
@@ -412,10 +456,13 @@ def _check_triple(a, b, c, params, gram, log: _ViolationLog) -> int:
     """
     _require_exact_points(a, b, c)
     d_ab = glued_distance(a, b, params, gram)
-    d_ba = glued_distance(b, a, params, gram)
-    d_ac = glued_distance(a, c, params, gram)
-    d_bc = glued_distance(b, c, params, gram)
-    d_aa = glued_distance(a, a, params, gram)
+    if b is a:
+        d_ba = d_aa = d_ab
+    else:
+        d_ba = glued_distance(b, a, params, gram)
+        d_aa = glued_distance(a, a, params, gram)
+    d_ac = d_aa if c is a else glued_distance(a, c, params, gram)
+    d_bc = d_ba if c is a else glued_distance(b, c, params, gram)
     if d_ab != d_ba:
         log.add("symmetry", a, b, None, d_ab.value, d_ba.value, abs(d_ab.value - d_ba.value))
     if d_aa != _ZERO:
@@ -588,8 +635,8 @@ def check_metric_axioms(
     Exact mode decides every comparison with exact arithmetic over
     Q(sqrt(d)), the field its default sampler draws from, and raises
     ExactnessError on a point with a float coordinate.  A triangle
-    inequality holds by an exact structural tie, by a float filter with a
-    proven error bound, or by sign-tracked squaring, tried in that order;
+    inequality holds by a float filter with a proven error bound, by an
+    exact structural tie, or by sign-tracked squaring, tried in that order;
     only a violation, which the squaring decides, pays for the rational
     enclosures that price its slack (see `_triangle_exact`).  The filter
     reads float views evaluated from the integer triples, with error

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache
 
 from .gluing import (
     Distance,
@@ -25,7 +25,7 @@ from .gluing import (
 from .numerics import DEFAULT_D, EXACT, CertificationError, ScalarMode, _check_d, require_exact
 from .report import Record
 from .sampling import random_glued_point, random_torus_point, random_winding_point, rng_for
-from .torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint
+from .torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint, _combine
 
 
 class DecompositionError(ValueError):
@@ -72,7 +72,9 @@ class LineIsometry(Record):
         return cls(-1, 2 * center)
 
     def apply(self, t):
-        return t + self.shift if self.sign > 0 else self.shift - t
+        """t + shift or shift - t, added on triples (`_combine`) with the
+        value, type and field index of the operator expression."""
+        return _combine(t, self.shift, 1) if self.sign > 0 else _combine(self.shift, t, -1)
 
     def compose(self, other: "LineIsometry") -> "LineIsometry":
         return LineIsometry(self.sign * other.sign, self.shift + self.sign * other.shift)
@@ -328,6 +330,20 @@ _PROBES = (
 _HEIGHTS = (Fraction(0), Fraction(1), Fraction(1, 3))
 
 
+# bounded: a bundle decomposes a map and its impostors with one seed in a row
+@lru_cache(maxsize=8, typed=True)
+def _seeded_probes(seed: int, count: int, d: int) -> tuple[TorusPoint, ...]:
+    """The seeded extra probes of `decompose_isometry`, drawn over sqrt(d)."""
+    return tuple(random_torus_point(rng_for(seed, i), exact=True, d=d) for i in range(count))
+
+
+def _all_probes(seed: int, count: int, d: int):
+    """The fixed probes, then the seeded ones, drawn only when reached."""
+    yield from _PROBES
+    if count > 0:
+        yield from _seeded_probes(seed, count, d)
+
+
 def decompose_isometry(
     apply_map,
     params: GluingParams,
@@ -350,15 +366,18 @@ def decompose_isometry(
     matches every compact image exactly, and the cross-check compares each
     line image with the fitted form in every component.
     Seeded probes are drawn only after the 4 fixed ones pass the sheet
-    check, so a sheet swap is rejected after one call and no draw.
+    check, so a sheet swap is rejected after one call and no draw.  They
+    are drawn once per (seed, extra_probes, d) and kept in a small memo
+    (`_seeded_probes`), so a second decomposition with the same seed, as
+    of an impostor beside the map it imitates, draws nothing and probes the
+    same points.
     """
     if extra_probes > 0:
         _check_d(d)
-    seeded = (random_torus_point(rng_for(seed, i), exact=True, d=d) for i in range(extra_probes))
 
     # sheets must be preserved
     probes, torus_images = [], []
-    for y in chain(_PROBES, seeded):
+    for y in _all_probes(seed, extra_probes, d):
         img = apply_map(GluedPoint.compact(y))
         if not img.is_compact:
             raise ComponentSwapError("a torus point landed on the cylinder")
@@ -375,10 +394,11 @@ def decompose_isometry(
             images.append(img)
         line_images.append(images)
         c, one, third = (img.t for img in images)
-        if one - c not in (1, -1):
+        step = _combine(one, c, -1)
+        if step != 1 and step != -1:
             raise LineActionError("height map does not move unit steps to unit steps")
-        sign = 1 if one - c == 1 else -1
-        if third != c + sign * Fraction(1, 3):
+        sign = 1 if step == 1 else -1
+        if third != _combine(c, Fraction(sign, 3), 1):
             raise LineActionError("height map is not affine with slope +-1")
         line_maps.append(LineIsometry(sign, c))
     if any(lm != line_maps[0] for lm in line_maps):

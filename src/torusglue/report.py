@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import fields
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii as _quoted
 
 from .numerics import QuadScalar, ScalarMode, format_scalar, parse_scalar
@@ -85,62 +85,72 @@ def _float_text(x: float) -> str:
 
 
 # `_quoted` is what json.dumps(str) calls with its default ensure_ascii=True.
+# Report keys come from a small fixed vocabulary, so their texts are memoized.
+@lru_cache(maxsize=1024)
 def _key_text(key) -> str:
     if not isinstance(key, str):
         raise TypeError("report keys must be strings")
     return _quoted(key) + ": "
 
 
-# `_write` dispatches on type(obj); a subclass, such as a numpy float, takes
-# the branch of the first of these bases it is an instance of
+def _scalar_text(x) -> str:
+    return _quoted(str(x))
+
+
+# the text of each leaf type, by exact type: a subclass, such as a numpy
+# float, goes through `_write` and takes the branch of the first of
+# `_BASES` it is an instance of
+_LEAF_TEXT = {
+    str: _quoted,
+    float: _float_text,
+    int: str,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+    Fraction: _scalar_text,
+    QuadScalar: _scalar_text,
+}
 _BASES = (float, int, str, Fraction, QuadScalar, list, tuple, dict)
-_BRANCHES = frozenset((*_BASES, bool, type(None)))
 
 
 def _write(obj, parts: list[str], indent: int) -> None:
+    """Append the text of obj.  Containers write their leaf entries inline,
+    one part each, and recurse only into nested containers and subclasses."""
     t = type(obj)
-    if t not in _BRANCHES:
+    leaf = _LEAF_TEXT.get(t)
+    if leaf is None and t is not dict and t is not list and t is not tuple:
         t = next((base for base in _BASES if isinstance(obj, base)), None)
-    if t is str:
-        parts.append(_quoted(obj))
-    elif t is dict:
-        if not obj:
-            parts.append("{}")
-            return
-        keys = sorted(obj)
-        texts = [_key_text(key) for key in keys]
-        inner = "  " * (indent + 1)
-        parts.append("{\n")
-        for key, text in zip(keys, texts):
-            parts.append(inner + text)
-            _write(obj[key], parts, indent + 1)
-            parts.append(",\n")
-        parts[-1] = "\n"
-        parts.append("  " * indent + "}")
-    elif t is list or t is tuple:
-        if not obj:
-            parts.append("[]")
-            return
-        inner = "  " * (indent + 1)
-        parts.append("[\n")
-        for item in obj:
-            parts.append(inner)
-            _write(item, parts, indent + 1)
-            parts.append(",\n")
-        parts[-1] = "\n"
-        parts.append("  " * indent + "]")
-    elif t is QuadScalar or t is Fraction:
-        parts.append(_quoted(str(obj)))
-    elif t is int:
-        parts.append(str(obj))
-    elif t is float:
-        parts.append(_float_text(obj))
-    elif t is bool:
-        parts.append("true" if obj else "false")
-    elif obj is None:
-        parts.append("null")
+        if t is None:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        leaf = _LEAF_TEXT.get(t)
+    if leaf is not None:
+        parts.append(leaf(obj))
+        return
+    if not obj:
+        parts.append("{}" if t is dict else "[]")
+        return
+    inner = "\n" + "  " * (indent + 1)
+    sep = ("{" if t is dict else "[") + inner
+    if t is dict:
+        for key in sorted(obj):
+            value = obj[key]
+            leaf = _LEAF_TEXT.get(type(value))
+            if leaf is None:
+                parts.append(sep + _key_text(key))
+                _write(value, parts, indent + 1)
+            else:
+                parts.append(sep + _key_text(key) + leaf(value))
+            sep = "," + inner
+        parts.append("\n" + "  " * indent + "}")
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        for item in obj:
+            leaf = _LEAF_TEXT.get(type(item))
+            if leaf is None:
+                parts.append(sep)
+                _write(item, parts, indent + 1)
+            else:
+                parts.append(sep + leaf(item))
+            sep = "," + inner
+        parts.append("\n" + "  " * indent + "]")
 
 
 def canonical_json(obj) -> str:

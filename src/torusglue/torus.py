@@ -19,9 +19,10 @@ coordinates and that of its irrational ones.  The lift lives in the
 instance `__dict__`, outside the dataclass fields, so equality, hashing,
 reports, pickles and copies never see it; a point with a float coordinate
 has none.  Wrap-around sums and differences (`_plus`, `_minus`) add the
-coordinates' triples and take one exact sign test.  Every result keeps the
-value, the type (Fraction or QuadScalar) and the field index that Fraction
-and QuadScalar operators give.
+coordinates' triples and take one exact sign test; plain sums and
+differences (`_combine`) and the winding line's points `frac(t*v)` work on
+triples too.  Every result keeps the value, the type (Fraction or
+QuadScalar) and the field index that Fraction and QuadScalar operators give.
 """
 
 from __future__ import annotations
@@ -210,6 +211,32 @@ def _plus(u, x):
     return _reduced(A, B, D, d) if d else Fraction(A, D)
 
 
+def _combine(s, o, k: int):
+    """s + o for k = 1 and s - o for k = -1, with the value, type and field
+    index of that operator expression: the operands' triples are added, and
+    floats, int pairs and other types take the operator itself."""
+    ops = _operands(s, o)
+    if ops is None:
+        return s + o if k > 0 else s - o
+    sA, sB, sD, oA, oB, oD, d = ops
+    A, B, D = sA * oD + k * oA * sD, sB * oD + k * oB * sD, sD * oD
+    return _reduced(A, B, D, d) if d else Fraction(A, D)
+
+
+def _frac_product(t, v):
+    """frac(t * v), as `TorusPoint` reduces the product: one product triple
+    less its floor, with the value, type and field index of
+    `floor_frac(t * v)[1]`; floats, int pairs and other types take the
+    operator and `_unit`."""
+    ops = _operands(t, v)
+    if ops is None:
+        return _unit(t * v)
+    tA, tB, tD, vA, vB, vD, d = ops
+    A, B, D = tA * vA + d * tB * vB, tA * vB + tB * vA, tD * vD
+    A -= _floor(A, B, D, d) * D
+    return _reduced(A, B, D, d) if d else Fraction(A, D)
+
+
 def _negated(u):
     """-u mod 1 for u in [0, 1)."""
     if isinstance(u, float):
@@ -252,6 +279,21 @@ def _joined(x: int, y: int) -> int:
     return y if not x else -1
 
 
+class _memo:
+    """`functools.cached_property` without its lock: the first read computes
+    the value and stores it in the instance `__dict__` under the same name,
+    where later reads find it before this (non-data) descriptor."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class TorusPoint(Record):
     """Point of R^2/Z^2 with both coordinates reduced to [0, 1).
@@ -264,7 +306,8 @@ class TorusPoint(Record):
     constructor gives; a float coordinate still goes through it, bit for bit.
 
     An exact point carries its integer lift (`_lift`), computed on first use
-    and cached in the instance `__dict__`, outside the dataclass fields:
+    and cached in the instance `__dict__` (`_memo`), outside the dataclass
+    fields:
     `==`, `hash`, `repr`, reports, pickles and copies see the coordinates
     alone.
     """
@@ -280,7 +323,7 @@ class TorusPoint(Record):
         """The coordinates alone: the cached lift is not state."""
         return {"u1": self.u1, "u2": self.u2}
 
-    @cached_property
+    @_memo
     def _lift(self):
         """(a1, b1, a2, b2, L, label, field): u_i = (a_i + b_i*sqrt(d)) / L
         over the lcm L of the coordinates' denominators; `label` is the field
@@ -395,6 +438,13 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, lp: tuple
     - QuadScalars of two labels evaluate the form at the end in QuadScalar
       arithmetic, which sets the field index of the rational result;
     - no QuadScalar at all gives a Fraction.
+
+    The four corners are compared by their linear differences from the
+    rounded point z (`N(z + sL) - N(z) = 2L(P.s) + L^2 N(s)` in the rational
+    part, P = N z, and `L(h.s)` in the radical one), and the quadratic is
+    evaluated once, at the first least corner in window order.  Two labels
+    keep the four evaluations, as each minimizing corner gives a
+    representative there.
     """
     pa1, pb1, pa2, pb2, Lp, plabel, pfield = lp
     qa1, qb1, qa2, qb2, Lq, qlabel, qfield = lq
@@ -423,18 +473,18 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, lp: tuple
     (n11, n12, n22), G = gram._int_data
     root = d * (n11 * c1 * c1 + 2 * n12 * c1 * c2 + n22 * c2 * c2)
     h1, h2 = 2 * (n11 * c1 + n12 * c2), 2 * (n12 * c1 + n22 * c2)
-    vals = []
-    for s1, s2 in shifts:
-        x1, x2 = z1 + s1 * L, z2 + s2 * L
-        vals.append((x1 * (n11 * x1 + 2 * n12 * x2) + n22 * x2 * x2 + root, x1 * h1 + x2 * h2))
-    best = vals[0]
-    for A, B in vals[1:]:
-        if _sign(A - best[0], B - best[1], d) < 0:
-            best = A, B
     if label < 0:
         # QuadScalar arithmetic gives a rational result the field index of
         # one operand or another; take the form on q - p in that arithmetic
         # at the first minimizing representative, in unreduced shift order
+        vals = []
+        for s1, s2 in shifts:
+            x1, x2 = z1 + s1 * L, z2 + s2 * L
+            vals.append((x1 * (n11 * x1 + 2 * n12 * x2) + n22 * x2 * x2 + root, x1 * h1 + x2 * h2))
+        best = vals[0]
+        for A, B in vals[1:]:
+            if _sign(A - best[0], B - best[1], d) < 0:
+                best = A, B
         (v11, v12), (v21, v22) = gram.reduction[0]
         reps = []
         for (s1, s2), val in zip(shifts, vals):
@@ -444,10 +494,23 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, lp: tuple
         k1, k2 = min(reps)
         d1, d2 = p.delta(q)
         return gram.form(d1 + k1, d2 + k2)
-    A, B = best
+    # The corners differ from z by s*L, and over L (> 0) the form moves by
+    #   (A(z + sL) - A(z)) / L = 2 P.s + L N(s),  (B(z + sL) - B(z)) / L = h.s
+    # with P = N z and N(s) = n11 s1^2 + 2 n12 s1 s2 + n22 s2^2, so these
+    # linear differences order the corners as their values do; the first
+    # least one in window order is the one the values pick
+    p1, p2 = 2 * (n11 * z1 + n12 * z2), 2 * (n12 * z1 + n22 * z2)
+    best = None
+    for s1, s2 in shifts:
+        gA = p1 * s1 + p2 * s2 + L * (n11 * s1 * s1 + 2 * n12 * s1 * s2 + n22 * s2 * s2)
+        gB = h1 * s1 + h2 * s2
+        if best is None or _sign(gA - best[0], gB - best[1], d) < 0:
+            best = gA, gB, s1, s2
+    x1, x2 = z1 + best[2] * L, z2 + best[3] * L
+    A = x1 * (n11 * x1 + 2 * n12 * x2) + n22 * x2 * x2 + root
     if not label:
         return Fraction(A, G * L * L)
-    return _reduced(A, B, G * L * L, d)
+    return _reduced(A, x1 * h1 + x2 * h2, G * L * L, d)
 
 
 def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: int = 1):
@@ -462,9 +525,10 @@ def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: in
     rounded difference can hold the minimum (`_corners`), so the result is
     the same for every `window` >= 1, which is accepted for compatibility.
     At each corner the reduced form is one integer polynomial over G * L^2,
-    G the lcm of the reduced Gram's denominators, and the corners are
-    compared by exact signs in window order, so the result is the one the
-    full exact window gives; no float is computed.  It is a Fraction when
+    G the lcm of the reduced Gram's denominators; the corners are compared
+    by the exact signs of their differences in window order, so the result
+    is the one the full exact window gives, and the polynomial is evaluated
+    at the winner alone.  No float is computed.  It is a Fraction when
     every coordinate is an int or a Fraction, else a QuadScalar over the
     coordinates' field; when rational-valued QuadScalars of other fields take part, the form on the
     minimizing representative of q - p is evaluated in QuadScalar
@@ -626,7 +690,7 @@ class OneParamSubgroup(Record):
         require_exact(self.v2, "subgroup direction")
         if sign_of(self.v1) == 0:
             raise ValueError("direction must have a nonzero first component")
-        ratio = self.v2 / self.v1
+        ratio = self.alpha
         if not isinstance(ratio, QuadScalar) or ratio.b == 0:
             raise ValueError("direction ratio is rational; the winding line is not dense")
 
@@ -637,12 +701,14 @@ class OneParamSubgroup(Record):
             raise ValueError("canonical slope must be a nonzero rational multiple of sqrt(d)")
         return cls(Fraction(1), alpha)
 
-    @property
+    @cached_property
     def alpha(self):
         return self.v2 / self.v1
 
     def point(self, t) -> TorusPoint:
-        return TorusPoint(t * self.v1, t * self.v2)
+        """(frac(t*v1), frac(t*v2)), each from one product triple
+        (`_frac_product`): the point `TorusPoint(t*v1, t*v2)` gives."""
+        return _point(_frac_product(t, self.v1), _frac_product(t, self.v2))
 
     def tangent(self) -> TangentVector:
         return TangentVector(self.v1, self.v2)

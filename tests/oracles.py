@@ -4,15 +4,17 @@ Each oracle is the plain form of something the package computes faster:
 QuadScalar continued fractions and first-entry levels recomputed on every
 call, exact stepping for first entries, rounding to the nearest integer,
 torus translates and inversions built by re-reducing the raw coordinates,
-wrap-around sums, exact torus distances and seeded samples built through
-scalar operator dispatch, report text written through `json.dumps` and
-Fraction views, and exact axiom and isometry checks that compute the float
-value of every distance.
+wrap-around sums, exact torus distances, seeded samples, cylinder offsets,
+line isometries and winding-line points built through scalar operator
+dispatch, report text written through `json.dumps` and Fraction views or
+by one type dispatch per value, and exact axiom and isometry checks that
+compute the float value of every distance.
 """
 
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as json_quoted
 
 from torusglue.gluing import AxiomViolation, Distance, _triangle_exact, glued_distance
 from torusglue.numerics import (
@@ -25,6 +27,7 @@ from torusglue.numerics import (
     _sign,
     frac,
     scalar_lt,
+    scalar_min,
     sign_of,
 )
 from torusglue.orbit import Convergent
@@ -240,6 +243,26 @@ def torus_point(rng, d=DEFAULT_D):
     return TorusPoint(unit_scalar(rng, d), unit_scalar(rng, d))
 
 
+# -- heights and winding points through operator dispatch ----------------------------
+#
+# Before they were built on triples, the cylinder offset, line isometries and
+# points of a winding line went through the scalar operators and, for the
+# points, the reducing TorusPoint constructor.  These oracles keep those forms.
+
+
+def capped_gap(ta, tb, M):
+    """The cylinder offset min(|ta - tb|, M), M on a tie."""
+    return scalar_min(abs(ta - tb), M)
+
+
+def line_apply(iso, t):
+    return t + iso.shift if iso.sign > 0 else iso.shift - t
+
+
+def winding_point(line, t):
+    return TorusPoint(t * line.v1, t * line.v2)
+
+
 # -- report text through json.dumps and Fraction views ------------------------------
 
 
@@ -308,6 +331,70 @@ def canonical_json(obj) -> str:
     """Canonical report text with one json.dumps call per key and per string."""
     parts: list = []
     _write(obj, parts, 0)
+    parts.append("\n")
+    return "".join(parts)
+
+
+# -- report text by per-value dispatch ------------------------------------------------
+#
+# Before containers wrote their leaves inline, the writer recursed into every
+# value, dispatched on its type (a subclass on the first base it is an
+# instance of) and quoted every key afresh.  This oracle keeps that writer.
+
+_BASES = (float, int, str, Fraction, QuadScalar, list, tuple, dict)
+_BRANCHES = frozenset((*_BASES, bool, type(None)))
+
+
+def _dispatch_write(obj, parts: list, indent: int) -> None:
+    t = type(obj)
+    if t not in _BRANCHES:
+        t = next((base for base in _BASES if isinstance(obj, base)), None)
+    if t is str:
+        parts.append(json_quoted(obj))
+    elif t is dict:
+        if not obj:
+            parts.append("{}")
+            return
+        inner = "  " * (indent + 1)
+        parts.append("{\n")
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError("report keys must be strings")
+            parts.append(inner + json_quoted(key) + ": ")
+            _dispatch_write(obj[key], parts, indent + 1)
+            parts.append(",\n")
+        parts[-1] = "\n"
+        parts.append("  " * indent + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            parts.append("[]")
+            return
+        inner = "  " * (indent + 1)
+        parts.append("[\n")
+        for item in obj:
+            parts.append(inner)
+            _dispatch_write(item, parts, indent + 1)
+            parts.append(",\n")
+        parts[-1] = "\n"
+        parts.append("  " * indent + "]")
+    elif t is QuadScalar or t is Fraction:
+        parts.append(json_quoted(str(obj)))
+    elif t is int:
+        parts.append(str(obj))
+    elif t is float:
+        parts.append(_float_text(obj))
+    elif t is bool:
+        parts.append("true" if obj else "false")
+    elif obj is None:
+        parts.append("null")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def dispatch_canonical_json(obj) -> str:
+    """Canonical report text with one recursive call and one type dispatch per value."""
+    parts: list = []
+    _dispatch_write(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
 

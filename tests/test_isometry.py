@@ -262,6 +262,8 @@ def test_decompose_maps_each_distinct_point_once(d):
 
 
 def test_swap_is_rejected_before_any_seeded_draw(monkeypatch):
+    # earlier decompositions with seed 5 would leave its probes in the memo
+    isometry._seeded_probes.cache_clear()
     draws = []
 
     def draw(*args, **kwargs):
@@ -279,6 +281,31 @@ def test_swap_is_rejected_before_any_seeded_draw(monkeypatch):
     iso = random_product_isometry(rng_for(405, 0))
     assert decompose_isometry(iso.apply, PARAMS, GRAM, seed=5) == iso
     assert len(draws) == 4
+
+
+def test_second_decomposition_with_one_seed_draws_nothing(monkeypatch):
+    isometry._seeded_probes.cache_clear()
+    draws = []
+
+    def draw(*args, **kwargs):
+        draws.append(args)
+        return random_torus_point(*args, **kwargs)
+
+    monkeypatch.setattr(isometry, "random_torus_point", draw)
+    iso = random_product_isometry(rng_for(406, 0), d=3)
+    probed = []
+    for apply_map in (iso.apply, ProductIsometry.identity().apply):
+        wrapped, calls = counting(apply_map)
+        decompose_isometry(wrapped, PARAMS, GRAM, seed=11, d=3)
+        probed.append([p.y for p in calls if p.is_compact])
+        assert len(draws) == 4
+    assert probed[0] == probed[1] and len(probed[0]) == 8
+    # another seed, count or field draws afresh
+    identity = ProductIsometry.identity().apply
+    decompose_isometry(identity, PARAMS, GRAM, seed=12, d=3)
+    decompose_isometry(identity, PARAMS, GRAM, seed=11, extra_probes=2, d=3)
+    decompose_isometry(identity, PARAMS, GRAM, seed=11, d=2)
+    assert len(draws) == 4 + 4 + 2 + 4
 
 
 def test_decompose_checks_d_before_mapping():

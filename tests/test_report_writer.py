@@ -1,8 +1,10 @@
 """Report text built from integers against the json.dumps and Fraction-view oracles.
 
-`canonical_json` dispatches on exact types, quotes strings with the encoder
-json.dumps uses; `QuadScalar.__str__` formats A/D and
-B/D with one gcd each.  Both must give the oracles' text byte for byte, and
+`canonical_json` writes leaf values inside the dict and list loops, by
+exact type, memoizes key texts and quotes strings with the encoder
+json.dumps uses; subclasses (a numpy float) take a dispatch on their
+bases.  `QuadScalar.__str__` formats A/D and B/D with one gcd each.  Both
+must give the oracles' text byte for byte, the dispatch writer's too, and
 raise the same errors on values a report cannot hold.
 """
 
@@ -67,6 +69,26 @@ def test_canonical_json_matches_the_oracle(value):
 
 
 @SETTINGS
+@given(values)
+def test_inline_leaves_match_the_dispatch_writer(value):
+    assert canonical_json(value) == oracles.dispatch_canonical_json(value)
+
+
+def test_leaves_nested_in_containers_match_the_dispatch_writer():
+    leaves = [None, True, False, 0, -7, 10**40, 0.1, -0.0, np.float64(2.5), np.float64(-0.0),
+              "k\u00e9y", _Text("sub"), _Count(3), Fraction(-5, 6), QuadScalar(1, Fraction(-2, 3), 3)]
+    value = {
+        "flat": list(leaves),
+        "tuple": tuple(leaves),
+        "dict": {f"k{i}": leaf for i, leaf in enumerate(leaves)},
+        "nested": [{"a": [leaf, [leaf]], "b": {"c": leaf}} for leaf in leaves],
+        "empty": [[], {}, ()],
+    }
+    for v in (value, leaves, leaves[8], {"x": {}}):
+        assert canonical_json(v) == oracles.dispatch_canonical_json(v)
+
+
+@SETTINGS
 @given(quads)
 def test_quad_str_matches_the_fraction_views(x):
     assert str(x) == oracles.quad_str(x)
@@ -123,7 +145,7 @@ def test_subclasses_take_the_isinstance_chain():
     ids=["int-key", "mixed-keys", "tuple-key", "nested-none-key", "bytes-key"],
 )
 def test_non_string_keys_raise_type_error(bad):
-    for write in (canonical_json, oracles.canonical_json):
+    for write in (canonical_json, oracles.canonical_json, oracles.dispatch_canonical_json):
         with pytest.raises(TypeError):
             write(bad)
 
@@ -134,7 +156,7 @@ def test_non_string_keys_raise_type_error(bad):
     ids=["object", "set", "bytes", "complex", "nested", "numpy-bool", "numpy-int"],
 )
 def test_unknown_types_raise_type_error(bad):
-    for write in (canonical_json, oracles.canonical_json):
+    for write in (canonical_json, oracles.canonical_json, oracles.dispatch_canonical_json):
         with pytest.raises(TypeError):
             write(bad)
 
@@ -145,6 +167,6 @@ def test_unknown_types_raise_type_error(bad):
     ids=["nan", "inf", "-inf", "np-nan", "np-inf", "nested"],
 )
 def test_non_finite_floats_raise_value_error(bad):
-    for write in (canonical_json, oracles.canonical_json):
+    for write in (canonical_json, oracles.canonical_json, oracles.dispatch_canonical_json):
         with pytest.raises(ValueError):
             write(bad)
