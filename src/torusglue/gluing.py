@@ -25,6 +25,7 @@ from .numerics import (
     FieldMismatchError,
     QuadScalar,
     ScalarMode,
+    _operands,
     _reduced,
     _sign,
     float_eval_with_error,
@@ -45,7 +46,6 @@ from .torus import (
     OneParamSubgroup,
     TorusPoint,
     _memo,
-    _operands,
     batch_torus_distance_sq,
     torus_distance_sq,
 )

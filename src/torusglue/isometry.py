@@ -252,10 +252,11 @@ def verify_isometry(
 
     `apply_map` is any callable on points of the chosen space ('glued' or
     'winding').  Exact glued-space samples are drawn over sqrt(d), exact
-    winding-space samples over the subgroup's slope field.  Float samples
-    take heights from [-3*max(1, M), 3*max(1, M)], so float mode raises
-    OverflowError, naming M and before drawing anything, when that range,
-    6*max(1, M), has no finite float.
+    winding-space samples over the subgroup's slope field.  Samples take
+    their heights at span s = 3*max(1, int(float(M))), float ones from
+    [-s, s]: M is rounded down here, where `check_metric_axioms` rounds it
+    up.  Float mode raises OverflowError, naming M and before drawing
+    anything, when 6*max(1, M) has no finite float.
     """
     if space == "winding":
         if subgroup is None:

@@ -5,6 +5,14 @@ one of these scalars.  A scalar is stored as one normalized integer triple
 (A, B, D) with D > 0 and gcd(A, B, D) = 1, so arithmetic, signs and floors
 are integer operations, and `isqrt` supplies the one irrational ingredient.
 
+Normal form.  A rational value lies in every field, so a scalar with B = 0
+carries the field index DEFAULT_D whatever field it was built or computed
+in; an irrational one carries its own.  Equal values then have equal
+(A, B, D, d).  Operands meet by one rule (`_operands`): two irrational
+scalars must share d, and a result takes the field of its irrational
+operand.  `_parts` reads any exact scalar, int and Fraction included, as
+its normal form.
+
 Values leave the field only through three views, one per job:
 - `float(x)` and `sqrt_as_float(x)`, for report values and float mode:
   one rounding of a 120-bit integer, within 2^-52 relative (above the
@@ -152,12 +160,13 @@ def _sqrt_d_digits(d: int, digits: int) -> int:
 
 
 def _new(A: int, B: int, D: int, d: int) -> "QuadScalar":
-    """Scalar from a triple already normalized (D > 0, gcd 1)."""
+    """Scalar from a triple already normalized (D > 0, gcd 1), in normal
+    form: field index d when B != 0, DEFAULT_D when the value is rational."""
     q = _alloc(QuadScalar)
     _set_A(q, A)
     _set_B(q, B)
     _set_D(q, D)
-    _set_d(q, d)
+    _set_d(q, d if B else DEFAULT_D)
     return q
 
 
@@ -175,10 +184,12 @@ def _reduced(A: int, B: int, D: int, d: int) -> "QuadScalar":
 class QuadScalar:
     """Exact field element (A + B*sqrt(d)) / D, stored as a normalized triple.
 
-    D > 0 and gcd(A, B, D) = 1, so equal values have equal triples.  The
-    rational coefficients of a + b*sqrt(d) are the read-only views
-    `a = A/D` and `b = B/D`.  The constructor takes (a, b, d) and validates
-    them; arithmetic builds its results from integers directly.
+    D > 0 and gcd(A, B, D) = 1, and a rational value (B = 0) has
+    d = DEFAULT_D, so equal values have equal (A, B, D, d).  The rational
+    coefficients of a + b*sqrt(d) are the read-only views `a = A/D` and
+    `b = B/D`.  The constructor takes (a, b, d) and validates d even for a
+    rational value; arithmetic builds its results from integers directly,
+    with the operands and their common field read by `_operands`.
     """
 
     __slots__ = ("_A", "_B", "_D", "d")
@@ -188,10 +199,11 @@ class QuadScalar:
         _check_d(d)
         # the lcm of the reduced denominators already makes gcd(A, B, D) = 1
         D = math.lcm(a.denominator, b.denominator)
+        B = b.numerator * (D // b.denominator)
         _set_A(self, a.numerator * (D // a.denominator))
-        _set_B(self, b.numerator * (D // b.denominator))
+        _set_B(self, B)
         _set_D(self, D)
-        _set_d(self, d)
+        _set_d(self, d if B else DEFAULT_D)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadScalar is immutable")
@@ -208,29 +220,6 @@ class QuadScalar:
     @property
     def b(self) -> Fraction:
         return Fraction(self._B, self._D)
-
-    # -- coercion ------------------------------------------------------------
-
-    def _coerce(self, other):
-        """(A, B, D) of `other` and the common field index; None if unsupported.
-
-        Rational-valued scalars mix freely across radicands; two genuinely
-        irrational scalars must share d.
-        """
-        if isinstance(other, QuadScalar):
-            d = self.d
-            if other.d != d and other._B != 0:
-                if self._B != 0:
-                    raise FieldMismatchError(
-                        f"cannot mix sqrt({self.d}) and sqrt({other.d}) scalars"
-                    )
-                d = other.d
-            return other._A, other._B, other._D, d
-        if isinstance(other, int):
-            return other, 0, 1, self.d
-        if isinstance(other, Fraction):
-            return other.numerator, 0, other.denominator, self.d
-        return None
 
     # -- predicates ----------------------------------------------------------
 
@@ -251,28 +240,18 @@ class QuadScalar:
 
     # total_ordering derives <=, > and >= from < and ==
     def __lt__(self, other):
-        o = self._coerce(other)
+        o = _operands(self, other)
         if o is None:
             return NotImplemented
-        A, B, D, d = o
-        sD = self._D
-        return _sign(self._A * D - A * sD, self._B * D - B * sD, d) < 0
+        sA, sB, sD, A, B, D, d = o
+        return _sign(sA * D - A * sD, sB * D - B * sD, d) < 0
 
     def __eq__(self, other):
+        # normal form: equal values have equal (A, B, D, d)
         if isinstance(other, QuadScalar):
-            if self.d != other.d:
-                # distinct square-free radicals are linearly independent over Q
-                if self._B != 0 or other._B != 0:
-                    return False
-            return self._A == other._A and self._B == other._B and self._D == other._D
-        if isinstance(other, int):
-            return self._B == 0 and self._D == 1 and self._A == other
-        if isinstance(other, Fraction):
-            return (
-                self._B == 0
-                and self._A == other.numerator
-                and self._D == other.denominator
-            )
+            return self._A == other._A and self._B == other._B and self._D == other._D and self.d == other.d
+        if isinstance(other, _RATIONAL):
+            return self._B == 0 and self._A == other.numerator and self._D == other.denominator
         return NotImplemented
 
     def __hash__(self):
@@ -294,46 +273,42 @@ class QuadScalar:
     def __add__(self, other):
         if isinstance(other, float):
             return float(self) + other
-        o = self._coerce(other)
+        o = _operands(self, other)
         if o is None:
             return NotImplemented
-        A, B, D, d = o
-        sD = self._D
-        return _reduced(self._A * D + A * sD, self._B * D + B * sD, sD * D, d)
+        sA, sB, sD, A, B, D, d = o
+        return _reduced(sA * D + A * sD, sB * D + B * sD, sD * D, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, float):
             return float(self) - other
-        o = self._coerce(other)
+        o = _operands(self, other)
         if o is None:
             return NotImplemented
-        A, B, D, d = o
-        sD = self._D
-        return _reduced(self._A * D - A * sD, self._B * D - B * sD, sD * D, d)
+        sA, sB, sD, A, B, D, d = o
+        return _reduced(sA * D - A * sD, sB * D - B * sD, sD * D, d)
 
     def __rsub__(self, other):
         if isinstance(other, float):
             return other - float(self)
-        o = self._coerce(other)
+        o = _operands(self, other)
         if o is None:
             return NotImplemented
-        A, B, D, d = o
-        sD = self._D
-        return _reduced(A * sD - self._A * D, B * sD - self._B * D, sD * D, d)
+        sA, sB, sD, A, B, D, d = o
+        return _reduced(A * sD - sA * D, B * sD - sB * D, sD * D, d)
 
     def __mul__(self, other):
         if isinstance(other, float):
             return float(self) * other
-        o = self._coerce(other)
+        o = _operands(self, other)
         if o is None:
             return NotImplemented
-        A, B, D, d = o
-        sA, sB = self._A, self._B
+        sA, sB, sD, A, B, D, d = o
         if B == 0:
-            return _reduced(sA * A, sB * A, self._D * D, d)
-        return _reduced(sA * A + d * sB * B, sA * B + sB * A, self._D * D, d)
+            return _reduced(sA * A, sB * A, sD * D, d)
+        return _reduced(sA * A + d * sB * B, sA * B + sB * A, sD * D, d)
 
     __rmul__ = __mul__
 
@@ -347,20 +322,20 @@ class QuadScalar:
     def __truediv__(self, other):
         if isinstance(other, float):
             return float(self) / other
-        o = self._coerce(other)
+        o = _operands(self, other)
         if o is None:
             return NotImplemented
-        A, B, D, d = o
-        return _quotient(self._A, self._B, self._D, A, B, D, d)
+        sA, sB, sD, A, B, D, d = o
+        return _quotient(sA, sB, sD, A, B, D, d)
 
     def __rtruediv__(self, other):
         if isinstance(other, float):
             return other / float(self)
-        o = self._coerce(other)
+        o = _operands(self, other)
         if o is None:
             return NotImplemented
-        A, B, D, d = o
-        return _quotient(A, B, D, self._A, self._B, self._D, d)
+        sA, sB, sD, A, B, D, d = o
+        return _quotient(A, B, D, sA, sB, sD, d)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -429,6 +404,49 @@ _set_A = QuadScalar._A.__set__
 _set_B = QuadScalar._B.__set__
 _set_D = QuadScalar._D.__set__
 _set_d = QuadScalar.d.__set__
+
+
+def _parts(x) -> tuple[int, int, int, int] | None:
+    """(A, B, D, d), the normal form of an exact scalar
+    x = (A + B*sqrt(d)) / D: an int or a Fraction reads B = 0 and
+    d = DEFAULT_D, as a rational QuadScalar does.  None for a float or any
+    other type."""
+    if isinstance(x, QuadScalar):
+        return x._A, x._B, x._D, x.d
+    if isinstance(x, _RATIONAL):
+        return x.numerator, 0, x.denominator, DEFAULT_D
+    return None
+
+
+def _operands(s, o):
+    """(sA, sB, sD, oA, oB, oD, d): the triples of exact s and o and their
+    common field index, the one rule by which scalars meet.  Two irrational
+    operands of different fields raise FieldMismatchError, naming s's field
+    first.  Otherwise d is the field of an irrational operand; with none it
+    is DEFAULT_D when a QuadScalar takes part, and 0 when neither is one and
+    one is a Fraction, so that the result is a Fraction.  None for a float,
+    an int pair or another type, which take the operators themselves.
+
+    Types are matched exactly; beside a QuadScalar s, any int or Fraction
+    instance (a bool, say) also counts, as the operators accept it.
+    """
+    ts, to = type(s), type(o)
+    if ts is QuadScalar:
+        d = s.d
+        if to is QuadScalar:
+            if o.d != d and o._B:
+                if s._B:
+                    raise FieldMismatchError(f"cannot mix sqrt({d}) and sqrt({o.d}) scalars")
+                d = o.d
+            return s._A, s._B, s._D, o._A, o._B, o._D, d
+        if to is Fraction or to is int or isinstance(o, _RATIONAL):
+            return s._A, s._B, s._D, o.numerator, 0, o.denominator, d
+    elif ts is Fraction or ts is int:
+        if to is QuadScalar:
+            return s.numerator, 0, s.denominator, o._A, o._B, o._D, o.d
+        if to is Fraction or (to is int and ts is Fraction):
+            return s.numerator, 0, s.denominator, o.numerator, 0, o.denominator, 0
+    return None
 
 
 def _quotient(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int, d: int) -> QuadScalar:
@@ -521,19 +539,12 @@ def sqrt_interval(x, digits: int = 30) -> tuple[Fraction, Fraction]:
     )
 
 
-def _triple(x) -> tuple[int, int, int, int]:
-    """(A, B, D, d) of an exact scalar; rationals get B = 0 over DEFAULT_D."""
-    if isinstance(x, QuadScalar):
-        return x._A, x._B, x._D, x.d
-    r = _rat(require_exact(x))
-    return r.numerator, 0, r.denominator, DEFAULT_D
-
-
 def sqrt_as_float(x) -> float:
     """sqrt(x) as a float with relative error at most 2^-52; x exact or float."""
-    if not is_exact(x):
+    p = _parts(x)
+    if p is None:
         return math.sqrt(max(0.0, float(x)))
-    A, B, D, d = _triple(x)
+    A, B, D, d = p
     s = _sign(A, B, d)
     if s == 0:
         return 0.0
@@ -573,9 +584,10 @@ def float_eval_with_error(x) -> tuple[float, float] | None:
     scaling by 2^-50 can, and lose at most 2^-1075 each, which 2^-1070
     covers.
     """
-    if not is_exact(x):
+    p = _parts(x)
+    if p is None:
         return None
-    A, B, D, d = _triple(x)
+    A, B, D, d = p
     try:
         a, b, den, r = float(A), float(B), float(D), math.sqrt(d)
     except OverflowError:

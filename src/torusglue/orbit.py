@@ -30,10 +30,10 @@ from .numerics import (
     _divided,
     _floor,
     _new,
+    _parts,
     _rat,
     _reduced,
     _sign,
-    _triple,
     frac,
     require_exact,
     scalar_lt,
@@ -57,7 +57,7 @@ if TYPE_CHECKING:  # density and membership load no gluing; local_isometry_check
 
 def _field_triple(x, d: int) -> tuple[int, int, int]:
     """(A, B, D) of an exact scalar x = (A + B*sqrt(d)) / D in the field of sqrt(d)."""
-    A, B, D, xd = _triple(x)
+    A, B, D, xd = _parts(require_exact(x))
     if B and xd != d:
         raise FieldMismatchError(f"scalar lives in sqrt({xd}), expected sqrt({d})")
     return A, B, D
@@ -246,7 +246,7 @@ def _circle_dist_sq(w, g_axis):
     ((A^2 + d B^2) n + 2 A B n sqrt(d)) / (D^2 m).  The type is the
     scalar arithmetic's: a QuadScalar over w's field when w is one, else a
     Fraction."""
-    A, B, D, d = _triple(w)
+    A, B, D, d = _parts(w)
     if _sign(2 * A - D, 2 * B, d) > 0:  # w > 1/2
         A, B = D - A, -B
     g = _rat(g_axis)

@@ -12,17 +12,18 @@ same four in float64 (only the zero shift, for a diagonal reduced form) and
 is the only code here that loads numpy.  The unreduced wide-window path is
 kept as an oracle.
 
-Exact points work on integer triples (A, B, D), value (A + B*sqrt(d)) / D.
-Each exact `TorusPoint` computes its lift once, on first use: both
-coordinates over one denominator, with the field index of its QuadScalar
-coordinates and that of its irrational ones.  The lift lives in the
-instance `__dict__`, outside the dataclass fields, so equality, hashing,
-reports, pickles and copies never see it; a point with a float coordinate
-has none.  Wrap-around sums and differences (`_plus`, `_minus`) add the
-coordinates' triples and take one exact sign test; plain sums and
-differences (`_combine`) and the winding line's points `frac(t*v)` work on
-triples too.  Every result keeps the value, the type (Fraction or
-QuadScalar) and the field index that Fraction and QuadScalar operators give.
+Exact points work on integer triples (A, B, D), value (A + B*sqrt(d)) / D,
+in the normal form of `numerics`.  Each exact `TorusPoint` computes its
+lift once, on first use: both coordinates over one denominator, whether a
+coordinate is a QuadScalar, and the field of its irrational ones.  The
+lift lives in the instance `__dict__`, outside the dataclass fields, so
+equality, hashing, reports, pickles and copies never see it; a point with a
+float coordinate has none.  Wrap-around sums and differences (`_plus`,
+`_minus`) add the coordinates' triples and take one exact sign test; plain
+sums and differences (`_combine`) and the winding line's points
+`frac(t*v)` work on triples too.  Every result keeps the value and the type
+(Fraction or QuadScalar) that Fraction and QuadScalar operators give, and
+so their field index, under the operand rule of `numerics._operands`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .numerics import (
     FieldMismatchError,
     QuadScalar,
     _floor,
+    _operands,
+    _parts,
     _reduced,
     _sign,
     floor_frac,
@@ -169,31 +172,6 @@ def _unit(x):
     return 0.0 if isinstance(r, float) and r == 1.0 else r
 
 
-def _operands(s, o):
-    """(sA, sB, sD, oA, oB, oD, d): the triples of exact s and o and the field
-    index of the QuadScalar sum that has s as `self` (o as `self` when s is
-    rational), resolved as `QuadScalar._coerce` resolves it; d = 0 when both
-    are rationals and one is a Fraction.  None for a float, an int pair, or
-    another type, which take the operators themselves."""
-    ts, to = type(s), type(o)
-    if ts is QuadScalar:
-        d = s.d
-        if to is QuadScalar:
-            if o.d != d and o._B:
-                if s._B:
-                    raise FieldMismatchError(f"cannot mix sqrt({d}) and sqrt({o.d}) scalars")
-                d = o.d
-            return s._A, s._B, s._D, o._A, o._B, o._D, d
-        if to is Fraction or to is int:
-            return s._A, s._B, s._D, o.numerator, 0, o.denominator, d
-    elif ts is Fraction or ts is int:
-        if to is QuadScalar:
-            return s.numerator, 0, s.denominator, o._A, o._B, o._D, o.d
-        if to is Fraction or (to is int and ts is Fraction):
-            return s.numerator, 0, s.denominator, o.numerator, 0, o.denominator, 0
-    return None
-
-
 def _plus(u, x):
     """u + x mod 1 for u, x in [0, 1).  Exact values add their triples and
     take one exactly decided - 1: the value, type and field index of
@@ -247,8 +225,9 @@ def _negated(u):
 def _minus(x, y):
     """x - y mod 1 for x, y in [0, 1), as `_plus(_negated(y), x)` gives it.
     Exact values subtract their triples and take one exactly decided + 1:
-    the value, type and field index of `s + 1 if s < 0 else s` with
-    s = -y + x, whose operand order keeps the field index that path gives."""
+    the value and type of `s + 1 if s < 0 else s` with s = -y + x.  The
+    operands go to `_operands` in that order, y first, only so that two
+    irrational fields raise the FieldMismatchError text that path raises."""
     ops = _operands(y, x)
     if ops is None:
         if isinstance(x, float) or isinstance(y, float):
@@ -262,18 +241,8 @@ def _minus(x, y):
     return _reduced(A, B, D, d) if d else Fraction(A, D)
 
 
-def _parts(x):
-    """(A, B, D, label) of an exact coordinate (A + B*sqrt(d)) / D, label its
-    field index d if a QuadScalar and 0 if a rational; None for any other."""
-    if isinstance(x, QuadScalar):
-        return x._A, x._B, x._D, x.d
-    if isinstance(x, (int, Fraction)):
-        return x.numerator, 0, x.denominator, 0
-    return None
-
-
 def _joined(x: int, y: int) -> int:
-    """Two field labels, each 0 (none), d (one) or -1 (several), as one."""
+    """Two fields, each 0 (none), d (one) or -1 (several), as one."""
     if x == y or not y:
         return x
     return y if not x else -1
@@ -325,20 +294,22 @@ class TorusPoint(Record):
 
     @_memo
     def _lift(self):
-        """(a1, b1, a2, b2, L, label, field): u_i = (a_i + b_i*sqrt(d)) / L
-        over the lcm L of the coordinates' denominators; `label` is the field
-        index of the QuadScalar coordinates and `field` that of the irrational
-        ones, each 0 for none, d for one and -1 for two that differ.  None
-        when a coordinate is not exact (a float)."""
-        c1, c2 = _parts(self.u1), _parts(self.u2)
+        """(a1, b1, a2, b2, L, quad, field): u_i = (a_i + b_i*sqrt(d)) / L
+        over the lcm L of the coordinates' denominators; `quad` tells whether
+        a coordinate is a QuadScalar, and `field` is the field of the
+        irrational ones, 0 for none, d for one and -1 for two that differ.
+        None when a coordinate is not exact (a float)."""
+        u1, u2 = self.u1, self.u2
+        c1, c2 = _parts(u1), _parts(u2)
         if c1 is None or c2 is None:
             return None
-        A1, B1, D1, l1 = c1
-        A2, B2, D2, l2 = c2
+        A1, B1, D1, d1 = c1
+        A2, B2, D2, d2 = c2
         L = math.lcm(D1, D2)
         k1, k2 = L // D1, L // D2
-        field = _joined(l1 if B1 else 0, l2 if B2 else 0)
-        return A1 * k1, B1 * k1, A2 * k2, B2 * k2, L, _joined(l1, l2), field
+        quad = type(u1) is QuadScalar or type(u2) is QuadScalar
+        field = _joined(d1 if B1 else 0, d2 if B2 else 0)
+        return A1 * k1, B1 * k1, A2 * k2, B2 * k2, L, quad, field
 
     @classmethod
     def origin(cls) -> "TorusPoint":
@@ -427,33 +398,28 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, lp: tuple
     """`torus_distance_sq` of exact points, on integers (see there), from
     their lifts lp = p._lift and lq = q._lift, each read once by the caller.
 
-    A lift (a1, b1, a2, b2, L, label, field) holds u_i = (a_i + b_i*sqrt(d))/L
+    A lift (a1, b1, a2, b2, L, quad, field) holds u_i = (a_i + b_i*sqrt(d))/L
     with L > 0 the lcm of the point's two denominators, so q - p goes over
-    lcm(Lp, Lq), the lcm of all four.  Joined (`_joined`), the two labels
-    and the two fields are those of the four coordinates:
+    lcm(Lp, Lq), the lcm of all four.  Joined (`_joined`), the two lifts'
+    fields give the field of the four coordinates' irrational parts:
     - two irrational fields raise FieldMismatchError, naming the least and
       the greatest of the coordinates' fields;
-    - one irrational field is d; with none, every b_i is 0 and d only
-      labels the result;
-    - QuadScalars of two labels evaluate the form at the end in QuadScalar
-      arithmetic, which sets the field index of the rational result;
+    - one irrational field is d; with none, every b_i is 0 and d is
+      DEFAULT_D, the field index of a rational QuadScalar;
     - no QuadScalar at all gives a Fraction.
 
     The four corners are compared by their linear differences from the
     rounded point z (`N(z + sL) - N(z) = 2L(P.s) + L^2 N(s)` in the rational
     part, P = N z, and `L(h.s)` in the radical one), and the quadratic is
-    evaluated once, at the first least corner in window order.  Two labels
-    keep the four evaluations, as each minimizing corner gives a
-    representative there.
+    evaluated once, at the first least corner in window order.
     """
-    pa1, pb1, pa2, pb2, Lp, plabel, pfield = lp
-    qa1, qb1, qa2, qb2, Lq, qlabel, qfield = lq
+    pa1, pb1, pa2, pb2, Lp, pquad, pfield = lp
+    qa1, qb1, qa2, qb2, Lq, qquad, qfield = lq
     field = _joined(pfield, qfield)
     if field < 0:
         fields = {x.d for x in (q.u1, p.u1, q.u2, p.u2) if isinstance(x, QuadScalar) and x._B}
         raise FieldMismatchError(f"cannot mix sqrt({min(fields)}) and sqrt({max(fields)}) scalars")
-    label = _joined(plabel, qlabel)
-    d = field or (label if label > 0 else DEFAULT_D)
+    d = field or DEFAULT_D
     # q - p over the common denominator L: (a_i + b_i*sqrt(d)) / L
     L = math.lcm(Lp, Lq)
     kp, kq = L // Lp, L // Lq
@@ -473,27 +439,6 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, lp: tuple
     (n11, n12, n22), G = gram._int_data
     root = d * (n11 * c1 * c1 + 2 * n12 * c1 * c2 + n22 * c2 * c2)
     h1, h2 = 2 * (n11 * c1 + n12 * c2), 2 * (n12 * c1 + n22 * c2)
-    if label < 0:
-        # QuadScalar arithmetic gives a rational result the field index of
-        # one operand or another; take the form on q - p in that arithmetic
-        # at the first minimizing representative, in unreduced shift order
-        vals = []
-        for s1, s2 in shifts:
-            x1, x2 = z1 + s1 * L, z2 + s2 * L
-            vals.append((x1 * (n11 * x1 + 2 * n12 * x2) + n22 * x2 * x2 + root, x1 * h1 + x2 * h2))
-        best = vals[0]
-        for A, B in vals[1:]:
-            if _sign(A - best[0], B - best[1], d) < 0:
-                best = A, B
-        (v11, v12), (v21, v22) = gram.reduction[0]
-        reps = []
-        for (s1, s2), val in zip(shifts, vals):
-            if val == best:
-                x1, x2 = z1 + s1 * L, z2 + s2 * L
-                reps.append(((v11 * x1 + v12 * x2 - a1) // L, (v21 * x1 + v22 * x2 - a2) // L))
-        k1, k2 = min(reps)
-        d1, d2 = p.delta(q)
-        return gram.form(d1 + k1, d2 + k2)
     # The corners differ from z by s*L, and over L (> 0) the form moves by
     #   (A(z + sL) - A(z)) / L = 2 P.s + L N(s),  (B(z + sL) - B(z)) / L = h.s
     # with P = N z and N(s) = n11 s1^2 + 2 n12 s1 s2 + n22 s2^2, so these
@@ -508,7 +453,7 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, lp: tuple
             best = gA, gB, s1, s2
     x1, x2 = z1 + best[2] * L, z2 + best[3] * L
     A = x1 * (n11 * x1 + 2 * n12 * x2) + n22 * x2 * x2 + root
-    if not label:
+    if not (pquad or qquad):
         return Fraction(A, G * L * L)
     return _reduced(A, x1 * h1 + x2 * h2, G * L * L, d)
 
@@ -530,10 +475,7 @@ def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: in
     is the one the full exact window gives, and the polynomial is evaluated
     at the winner alone.  No float is computed.  It is a Fraction when
     every coordinate is an int or a Fraction, else a QuadScalar over the
-    coordinates' field; when rational-valued QuadScalars of other fields take part, the form on the
-    minimizing representative of q - p is evaluated in QuadScalar
-    arithmetic, which sets the field index of a rational result as the
-    unreduced oracle `naive_torus_distance_sq` does.
+    field of the coordinates' irrational parts, in normal form.
 
     A point with a float coordinate makes the result a float: the pair goes
     through `batch_torus_distance_sq`, the one float evaluator.

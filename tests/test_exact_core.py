@@ -340,8 +340,8 @@ def test_exact_ties_keep_every_minimizer():
     assert assert_matches_naive(origin, corner, IDENTITY) == Fraction(1, 2)
     assert_matches_naive(origin, corner, SKEWED)
     assert_matches_naive(corner, origin, SKEWED)
-    # rational-valued scalars of two fields: the field index of the result
-    # is the one QuadScalar arithmetic gives at the first minimizer
+    # rational-valued scalars built over two fields: the result is a
+    # rational QuadScalar, whose field index is DEFAULT_D on both paths
     mixed = TorusPoint(QuadScalar(Fraction(1, 2), 0, 3), QuadScalar(Fraction(1, 2), 0, 2))
     for gram in (IDENTITY, SKEWED):
         got = assert_matches_naive(origin, mixed, gram)

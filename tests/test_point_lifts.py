@@ -152,11 +152,14 @@ def test_lift_leaves_the_point_unchanged(p):
 
 
 def test_lift_holds_one_denominator_and_the_labels():
-    assert TorusPoint(Fraction(1, 4), Fraction(1, 6))._lift == (3, 0, 2, 0, 12, 0, 0)
+    # (a1, b1, a2, b2, L, quad, field): quad tells whether a coordinate is a
+    # QuadScalar, field is the field of the irrational ones
+    assert TorusPoint(Fraction(1, 4), Fraction(1, 6))._lift == (3, 0, 2, 0, 12, False, 0)
     # (1/3 + 1/5 sqrt 2, 1/2): over 30
-    assert TorusPoint(Q2, Fraction(1, 2))._lift == (10, 6, 15, 0, 30, 2, 2)
-    assert TorusPoint(Q2, QuadScalar(Fraction(1, 2), 0, 3))._lift[5:] == (-1, 2)
-    assert TorusPoint(Q2, Q3)._lift[5:] == (-1, -1)
+    assert TorusPoint(Q2, Fraction(1, 2))._lift == (10, 6, 15, 0, 30, True, 2)
+    assert TorusPoint(QuadScalar(Fraction(1, 2), 0, 3), Fraction(1, 3))._lift == (3, 0, 2, 0, 6, True, 0)
+    assert TorusPoint(Q2, QuadScalar(Fraction(1, 2), 0, 3))._lift[5:] == (True, 2)
+    assert TorusPoint(Q2, Q3)._lift[5:] == (True, -1)
 
 
 def test_float_point_takes_the_batch_path(monkeypatch):
