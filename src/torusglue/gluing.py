@@ -22,9 +22,9 @@ from .numerics import (
     EXACT,
     CertificationError,
     ExactnessError,
-    FieldMismatchError,
     QuadScalar,
     ScalarMode,
+    _field,
     _operands,
     _reduced,
     _sign,
@@ -39,7 +39,7 @@ from .numerics import (
     sqrt_interval,
 )
 from .report import Record
-from .sampling import random_glued_point, rng_for
+from .sampling import _height_span, random_glued_point, rng_for
 from .torus import (
     GramMatrix,
     Length,
@@ -210,8 +210,8 @@ def _capped_gap(ta, tb, M):
     Exact heights give one difference triple (`_operands`, with ta as the
     operator's left operand), one sign for the absolute value and one sign
     against M; floats, int pairs and other types take the operators.  An
-    irrational gap against an irrational M of another field raises the
-    FieldMismatchError that `abs(ta - tb) - M` raises.
+    irrational gap against an irrational M of another field raises, by
+    `_field`, the FieldMismatchError that `abs(ta - tb) - M` raises.
     """
     ops = _operands(ta, tb)
     tm = type(M)
@@ -225,9 +225,7 @@ def _capped_gap(ta, tb, M):
     if tm is QuadScalar:
         mA, mB, mD = M._A, M._B, M._D
         if mB and M.d != d:
-            if B:
-                raise FieldMismatchError(f"cannot mix sqrt({d}) and sqrt({M.d}) scalars")
-            sd = M.d
+            sd = _field(d if B else 0, M.d)
     else:
         mA, mB, mD = M.numerator, 0, M.denominator
     if _sign(A * mD - mA * D, B * mD - mB * D, sd) >= 0:
@@ -650,7 +648,10 @@ def check_metric_axioms(
     off-torus term is arithmetic on the 0/1 kinds, bit for bit the
     per-element selects), and `sampler` and `extra_triples` triples from
     `glued_distance`, one triple at a time.  Only the violations the report
-    records become point objects.  The default sampler draws float heights
+    records become point objects.  The default sampler draws exact heights
+    at span 3*max(1, ceil(M)), computed without a float
+    (`sampling._height_span`, the rule `verify_isometry` draws by), so an M
+    beyond the float range works in exact mode.  It draws float heights
     from [-3*max(1, M), 3*max(1, M)], so float mode raises OverflowError,
     naming M and before drawing anything, when that range, 6*max(1, M), has
     no finite float (`_float_height_span`; the CLI exits 2 naming M).
@@ -669,7 +670,7 @@ def check_metric_axioms(
         if not mode.exact and sampler is None:
             checks += _check_batch(n, params, gram, mode, seed, log)
         else:
-            span = 3 * max(1, math.ceil(float(params.M)))
+            span = _height_span(params.M)
             for i in range(n):
                 rng = rng_for(seed, i)
                 if sampler is None:

@@ -24,7 +24,7 @@ from .gluing import (
 )
 from .numerics import DEFAULT_D, EXACT, CertificationError, ScalarMode, _check_d, require_exact
 from .report import Record
-from .sampling import random_glued_point, random_torus_point, random_winding_point, rng_for
+from .sampling import _height_span, random_glued_point, random_torus_point, random_winding_point, rng_for
 from .torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint, _combine
 
 
@@ -253,10 +253,11 @@ def verify_isometry(
     `apply_map` is any callable on points of the chosen space ('glued' or
     'winding').  Exact glued-space samples are drawn over sqrt(d), exact
     winding-space samples over the subgroup's slope field.  Samples take
-    their heights at span s = 3*max(1, int(float(M))), float ones from
-    [-s, s]: M is rounded down here, where `check_metric_axioms` rounds it
-    up.  Float mode raises OverflowError, naming M and before drawing
-    anything, when 6*max(1, M) has no finite float.
+    their heights at span s = 3*max(1, ceil(M)), float ones from [-s, s]:
+    the rule of `check_metric_axioms`, computed exactly
+    (`sampling._height_span`), so an exact M beyond the float range works.
+    Float mode raises OverflowError, naming M and before drawing anything,
+    when 6*max(1, M) has no finite float.
     """
     if space == "winding":
         if subgroup is None:
@@ -281,7 +282,7 @@ def verify_isometry(
         raise ValueError("space must be 'glued' or 'winding'")
     if not mode.exact:
         _float_height_span(params.M)
-    span = 3 * max(1, int(float(params.M)))
+    span = _height_span(params.M)
 
     failures: list[PairFailure] = []
     max_err = 0.0

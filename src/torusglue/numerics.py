@@ -418,14 +418,24 @@ def _parts(x) -> tuple[int, int, int, int] | None:
     return None
 
 
+def _field(d1: int, d2: int) -> int:
+    """The field two exact values share, the one field rule of the package:
+    each argument is a field index, or 0 for a rational value.  The
+    irrational index, 0 when there is none; two different irrational ones
+    raise FieldMismatchError, naming d1 first."""
+    if d1 and d2 and d1 != d2:
+        raise FieldMismatchError(f"cannot mix sqrt({d1}) and sqrt({d2}) scalars")
+    return d1 or d2
+
+
 def _operands(s, o):
     """(sA, sB, sD, oA, oB, oD, d): the triples of exact s and o and their
-    common field index, the one rule by which scalars meet.  Two irrational
-    operands of different fields raise FieldMismatchError, naming s's field
-    first.  Otherwise d is the field of an irrational operand; with none it
-    is DEFAULT_D when a QuadScalar takes part, and 0 when neither is one and
-    one is a Fraction, so that the result is a Fraction.  None for a float,
-    an int pair or another type, which take the operators themselves.
+    common field index, by which scalars meet.  The field is `_field` of the
+    operands' irrational fields: two of different fields raise
+    FieldMismatchError, naming s's field first.  With no irrational operand
+    d is DEFAULT_D when a QuadScalar takes part, and 0 when neither is one
+    and one is a Fraction, so that the result is a Fraction.  None for a
+    float, an int pair or another type, which take the operators themselves.
 
     Types are matched exactly; beside a QuadScalar s, any int or Fraction
     instance (a bool, say) also counts, as the operators accept it.
@@ -435,9 +445,7 @@ def _operands(s, o):
         d = s.d
         if to is QuadScalar:
             if o.d != d and o._B:
-                if s._B:
-                    raise FieldMismatchError(f"cannot mix sqrt({d}) and sqrt({o.d}) scalars")
-                d = o.d
+                d = _field(d if s._B else 0, o.d)
             return s._A, s._B, s._D, o._A, o._B, o._D, d
         if to is Fraction or to is int or isinstance(o, _RATIONAL):
             return s._A, s._B, s._D, o.numerator, 0, o.denominator, d

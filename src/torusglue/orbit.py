@@ -24,10 +24,10 @@ from typing import TYPE_CHECKING
 from .numerics import (
     EXACT,
     CertificationError,
-    FieldMismatchError,
     QuadScalar,
     ScalarMode,
     _divided,
+    _field,
     _floor,
     _new,
     _parts,
@@ -56,10 +56,10 @@ if TYPE_CHECKING:  # density and membership load no gluing; local_isometry_check
 
 
 def _field_triple(x, d: int) -> tuple[int, int, int]:
-    """(A, B, D) of an exact scalar x = (A + B*sqrt(d)) / D in the field of sqrt(d)."""
+    """(A, B, D) of an exact scalar x = (A + B*sqrt(d)) / D in the field of
+    sqrt(d); an irrational x of another field raises (`_field`)."""
     A, B, D, xd = _parts(require_exact(x))
-    if B and xd != d:
-        raise FieldMismatchError(f"scalar lives in sqrt({xd}), expected sqrt({d})")
+    _field(xd if B else 0, d)
     return A, B, D
 
 

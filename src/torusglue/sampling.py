@@ -9,12 +9,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .numerics import DEFAULT_D, _check_d, _floor, _reduced
+from .numerics import DEFAULT_D, _check_d, _floor, _reduced, floor_frac
 
 
 def rng_for(seed: int, index: int) -> random.Random:
     # str seeding hashes with sha512, stable across processes and platforms
     return random.Random(f"{seed}:{index}")
+
+
+def _height_span(M) -> int:
+    """3*max(1, ceil(M)) for an exact M, computed without a float: the span
+    s of the heights that the metric and isometry checks sample, exact ones
+    at s and float ones from [-s, s]."""
+    return 3 * max(1, -floor_frac(-M)[0])
 
 
 def random_fraction(rng: random.Random, max_den: int = 32) -> Fraction:

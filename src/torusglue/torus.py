@@ -15,7 +15,7 @@ kept as an oracle.
 Exact points work on integer triples (A, B, D), value (A + B*sqrt(d)) / D,
 in the normal form of `numerics`.  Each exact `TorusPoint` computes its
 lift once, on first use: both coordinates over one denominator, whether a
-coordinate is a QuadScalar, and the field of its irrational ones.  The
+coordinate is a QuadScalar, and each coordinate's field.  The
 lift lives in the instance `__dict__`, outside the dataclass fields, so
 equality, hashing, reports, pickles and copies never see it; a point with a
 float coordinate has none.  Wrap-around sums and differences (`_plus`,
@@ -36,8 +36,8 @@ from functools import cached_property, lru_cache
 from .numerics import (
     DEFAULT_D,
     CertificationError,
-    FieldMismatchError,
     QuadScalar,
+    _field,
     _floor,
     _operands,
     _parts,
@@ -241,13 +241,6 @@ def _minus(x, y):
     return _reduced(A, B, D, d) if d else Fraction(A, D)
 
 
-def _joined(x: int, y: int) -> int:
-    """Two fields, each 0 (none), d (one) or -1 (several), as one."""
-    if x == y or not y:
-        return x
-    return y if not x else -1
-
-
 class _memo:
     """`functools.cached_property` without its lock: the first read computes
     the value and stores it in the instance `__dict__` under the same name,
@@ -294,11 +287,12 @@ class TorusPoint(Record):
 
     @_memo
     def _lift(self):
-        """(a1, b1, a2, b2, L, quad, field): u_i = (a_i + b_i*sqrt(d)) / L
+        """(a1, b1, a2, b2, L, quad, f1, f2): u_i = (a_i + b_i*sqrt(f_i)) / L
         over the lcm L of the coordinates' denominators; `quad` tells whether
-        a coordinate is a QuadScalar, and `field` is the field of the
-        irrational ones, 0 for none, d for one and -1 for two that differ.
-        None when a coordinate is not exact (a float)."""
+        a coordinate is a QuadScalar, and f_i is u_i's field, 0 for a
+        rational u_i.  The fields are not joined here: a distance takes its
+        field from the differences (`_exact_distance_sq`).  None when a
+        coordinate is not exact (a float)."""
         u1, u2 = self.u1, self.u2
         c1, c2 = _parts(u1), _parts(u2)
         if c1 is None or c2 is None:
@@ -308,8 +302,7 @@ class TorusPoint(Record):
         L = math.lcm(D1, D2)
         k1, k2 = L // D1, L // D2
         quad = type(u1) is QuadScalar or type(u2) is QuadScalar
-        field = _joined(d1 if B1 else 0, d2 if B2 else 0)
-        return A1 * k1, B1 * k1, A2 * k2, B2 * k2, L, quad, field
+        return A1 * k1, B1 * k1, A2 * k2, B2 * k2, L, quad, d1 if B1 else 0, d2 if B2 else 0
 
     @classmethod
     def origin(cls) -> "TorusPoint":
@@ -394,18 +387,22 @@ def _corners(sign1: int, sign2: int) -> tuple[tuple[int, int], ...]:
     return tuple((s1, s2) for s1 in span1 for s2 in span2)
 
 
-def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, lp: tuple, lq: tuple):
-    """`torus_distance_sq` of exact points, on integers (see there), from
-    their lifts lp = p._lift and lq = q._lift, each read once by the caller.
+def _exact_distance_sq(lp: tuple, lq: tuple, gram: GramMatrix):
+    """`torus_distance_sq` of exact points p and q, on integers (see there),
+    from their lifts lp = p._lift and lq = q._lift, each read once by the
+    caller.
 
-    A lift (a1, b1, a2, b2, L, quad, field) holds u_i = (a_i + b_i*sqrt(d))/L
+    A lift (a1, b1, a2, b2, L, quad, f1, f2) holds u_i = (a_i + b_i*sqrt(f_i))/L
     with L > 0 the lcm of the point's two denominators, so q - p goes over
-    lcm(Lp, Lq), the lcm of all four.  Joined (`_joined`), the two lifts'
-    fields give the field of the four coordinates' irrational parts:
-    - two irrational fields raise FieldMismatchError, naming the least and
-      the greatest of the coordinates' fields;
-    - one irrational field is d; with none, every b_i is 0 and d is
-      DEFAULT_D, the field index of a rational QuadScalar;
+    lcm(Lp, Lq), the lcm of all four.  The field is that of the two
+    differences q.u_i - p.u_i, by `_field`:
+    - an axis whose two coordinates are irrational over different fields
+      raises FieldMismatchError, as `q.u_i - p.u_i` does;
+    - a difference whose radical part cancels is rational;
+    - two differences irrational over different fields raise, naming
+      axis 1's field first;
+    - otherwise d is the differences' field, or DEFAULT_D, the field index
+      of a rational QuadScalar, when both are rational;
     - no QuadScalar at all gives a Fraction.
 
     The four corners are compared by their linear differences from the
@@ -413,18 +410,15 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, lp: tuple
     part, P = N z, and `L(h.s)` in the radical one), and the quadratic is
     evaluated once, at the first least corner in window order.
     """
-    pa1, pb1, pa2, pb2, Lp, pquad, pfield = lp
-    qa1, qb1, qa2, qb2, Lq, qquad, qfield = lq
-    field = _joined(pfield, qfield)
-    if field < 0:
-        fields = {x.d for x in (q.u1, p.u1, q.u2, p.u2) if isinstance(x, QuadScalar) and x._B}
-        raise FieldMismatchError(f"cannot mix sqrt({min(fields)}) and sqrt({max(fields)}) scalars")
-    d = field or DEFAULT_D
+    pa1, pb1, pa2, pb2, Lp, pquad, pf1, pf2 = lp
+    qa1, qb1, qa2, qb2, Lq, qquad, qf1, qf2 = lq
     # q - p over the common denominator L: (a_i + b_i*sqrt(d)) / L
     L = math.lcm(Lp, Lq)
     kp, kq = L // Lp, L // Lq
     a1, b1 = qa1 * kq - pa1 * kp, qb1 * kq - pb1 * kp
     a2, b2 = qa2 * kq - pa2 * kp, qb2 * kq - pb2 * kp
+    f1, f2 = _field(qf1, pf1), _field(qf2, pf2)
+    d = _field(f1 if b1 else 0, f2 if b2 else 0) or DEFAULT_D
     # U^-1 (q - p), moved by the nearest integers to (z_i + c_i*sqrt(d)) / L,
     # each within 1/2 of 0
     (u11, u12), (u21, u22) = gram.unimodular_inverse
@@ -474,15 +468,19 @@ def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: in
     by the exact signs of their differences in window order, so the result
     is the one the full exact window gives, and the polynomial is evaluated
     at the winner alone.  No float is computed.  It is a Fraction when
-    every coordinate is an int or a Fraction, else a QuadScalar over the
-    field of the coordinates' irrational parts, in normal form.
+    every coordinate is an int or a Fraction, else a QuadScalar in normal
+    form over the field of the differences q.u_i - p.u_i, by the one field
+    rule (`numerics._field`): a difference whose radical part cancels is
+    rational, and FieldMismatchError comes only from an axis or a pair of
+    differences irrational over two fields, when the squared distance has
+    no value in one Q(sqrt(d)).
 
     A point with a float coordinate makes the result a float: the pair goes
     through `batch_torus_distance_sq`, the one float evaluator.
     """
     lp, lq = p._lift, q._lift
     if lp is not None and lq is not None:
-        return _exact_distance_sq(p, q, gram, lp, lq)
+        return _exact_distance_sq(lp, lq, gram)
     import numpy as np
 
     return float(batch_torus_distance_sq(np.array([p.as_floats()]), np.array([q.as_floats()]), gram)[0])

@@ -178,14 +178,17 @@ def _parts(x) -> tuple:
 
 
 def exact_distance_sq(p, q, gram):
-    """The exact torus distance with the field sets, the four triples and
-    their lcm rebuilt from the coordinates on every call."""
+    """The exact torus distance with the four triples and their lcm rebuilt
+    from the coordinates on every call.  Its field is that of the two
+    differences q.u_i - p.u_i, taken by the operators: an axis that mixes
+    two irrational fields raises as the operator does, and two differences
+    irrational over different fields raise, naming axis 1's field first."""
     coords = q.u1, p.u1, q.u2, p.u2
     labels = {x.d for x in coords if isinstance(x, QuadScalar)}
-    fields = {x.d for x in coords if isinstance(x, QuadScalar) and x._B}
-    if len(fields) > 1:
-        raise FieldMismatchError(f"cannot mix sqrt({min(fields)}) and sqrt({max(fields)}) scalars")
-    d = next(iter(fields or labels or (DEFAULT_D,)))
+    fields = [x.d for x in (q.u1 - p.u1, q.u2 - p.u2) if isinstance(x, QuadScalar) and x._B]
+    if len(set(fields)) > 1:
+        raise FieldMismatchError(f"cannot mix sqrt({fields[0]}) and sqrt({fields[1]}) scalars")
+    d = fields[0] if fields else DEFAULT_D
     q1, p1, q2, p2 = parts = [_parts(x) for x in coords]
     L = math.lcm(q1[2], p1[2], q2[2], p2[2])
     k = [L // x[2] for x in parts]
@@ -447,8 +450,8 @@ def exact_axiom_log(triples, params, gram, max_recorded: int = 100):
 
 def exact_isometry_max_error(apply_map, n, params, gram, seed=0, space="glued", subgroup=None, d=2):
     """max_error of exact `verify_isometry`: the same seeded pairs, the float
-    error of every pair computed."""
-    span = 3 * max(1, int(float(params.M)))
+    error of every pair computed.  Heights are drawn at span 3*max(1, ceil(M))."""
+    span = 3 * max(1, math.ceil(params.M))
     max_err = 0.0
     for i in range(n):
         rng = rng_for(seed, i)

@@ -5,9 +5,12 @@ sums and differences (`_plus`, `_minus`) and the exact torus distance work
 on the triples, and the seeded samplers build their scalars as one triple.
 The oracles in `oracles.py` keep the Fraction and QuadScalar operator forms.
 Results must agree in value, in type and in the field index of a
-QuadScalar, which for a rational value depends on the operands, and the
-same FieldMismatchError text must come out.  The lift must not show in
-equality, hashing, reports, pickles or copies.
+QuadScalar, which for a rational value is DEFAULT_D, and the same
+FieldMismatchError text must come out.  The exact distance takes its field
+from the two differences q.u_i - p.u_i (`numerics._field`), so a distance
+whose radical parts cancel axis by axis is defined, and only an axis or a
+pair of differences irrational over two fields raises.  The lift must not
+show in equality, hashing, reports, pickles or copies.
 """
 
 import copy
@@ -21,11 +24,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from torusglue import torus
-from torusglue.numerics import FieldMismatchError, QuadScalar, frac
+from torusglue import gluing, orbit, torus
+from torusglue.numerics import DEFAULT_D, FieldMismatchError, QuadScalar, _field, frac
 from torusglue.report import canonical_json
 from torusglue.sampling import random_span_scalar, random_torus_point, random_unit_scalar, rng_for
-from torusglue.torus import GramMatrix, TorusPoint, _minus, _plus, torus_distance_sq
+from torusglue.torus import GramMatrix, TorusPoint, _minus, _plus, naive_torus_distance_sq, torus_distance_sq
 
 SETTINGS = settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 rationals = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 10**3))
@@ -113,18 +116,65 @@ def test_translates_match_operator_dispatch(p, q):
 @example(TorusPoint(Q2, Q3), TorusPoint(QuadScalar(0, Fraction(1, 9), 5), 0), GRAMS[1])
 @example(TorusPoint(QuadScalar(Fraction(1, 4), 0, 3), 0), TorusPoint(Fraction(1, 2), QuadScalar(0, 0, 2)), GRAMS[1])
 @example(TorusPoint(QuadScalar(Fraction(1, 4), 0, 3), QuadScalar(0, 0, 5)), TorusPoint(Q2, 0), GRAMS[2])
+@example(TorusPoint(Q2, Q3), TorusPoint(Q2, Fraction(1, 2)), GRAMS[1])
+@example(TorusPoint(Q2, Q3), TorusPoint(0, 0), GRAMS[0])
 def test_lifted_distance_matches_operator_dispatch(p, q, gram):
     for a, b in ((p, q), (q, p), (p, p)):
         check(lambda x, y: torus_distance_sq(x, y, gram), lambda x, y: oracles.exact_distance_sq(x, y, gram), a, b)
 
 
-def test_mixed_fields_name_the_least_and_greatest():
+# coordinates over two fields: a distance takes its field from the differences
+TWO_FIELDS = TorusPoint(QuadScalar(-1, 1, 2), QuadScalar(-1, 1, 3))
+NAIVE_GRAMS = (GramMatrix(1, 0, 1), GramMatrix(2, 1, 3), GramMatrix(5, 4, 4))
+
+
+@pytest.mark.parametrize("gram", NAIVE_GRAMS, ids=["identity", "skewed", "wide"])
+def test_distances_whose_radical_parts_cancel_match_the_naive_form(gram):
+    shifted = TorusPoint(TWO_FIELDS.u1 + Fraction(1, 4), TWO_FIELDS.u2 + Fraction(5, 6))
+    # axis 1 cancels; axis 2 keeps its sqrt(3) part
+    half = TorusPoint(TWO_FIELDS.u1 + Fraction(1, 3), Q3)
+    for p, q in ((TWO_FIELDS, TWO_FIELDS), (TWO_FIELDS, shifted), (shifted, TWO_FIELDS), (TWO_FIELDS, half)):
+        got, want = torus_distance_sq(p, q, gram), naive_torus_distance_sq(p, q, gram)
+        assert same(got, want), (p, q, got, want)
+    zero = torus_distance_sq(TWO_FIELDS, TWO_FIELDS, gram)
+    assert type(zero) is QuadScalar and zero == 0 and zero.d == DEFAULT_D
+    rational = torus_distance_sq(TWO_FIELDS, shifted, gram)
+    assert rational.is_rational() and rational == torus_distance_sq(
+        TorusPoint.origin(), TorusPoint(Fraction(1, 4), Fraction(5, 6)), gram)
+    assert torus_distance_sq(TWO_FIELDS, half, gram).d == 3
+
+
+def test_mixed_fields_raise_by_axis_then_by_difference():
     Q5 = QuadScalar(Fraction(1, 9), Fraction(1, 11), 5)
-    p, q = TorusPoint(Q5, Q2), TorusPoint(Q3, 0)
-    with pytest.raises(FieldMismatchError, match=r"^cannot mix sqrt\(2\) and sqrt\(5\) scalars$"):
-        torus_distance_sq(p, q, GRAMS[0])
+    cases = [
+        # one axis mixes two irrational fields: the text of q.u_i - p.u_i
+        (TorusPoint(Q5, Q2), TorusPoint(Q3, 0), 3, 5),
+        (TorusPoint(0, Q5), TorusPoint(0, Q2), 2, 5),
+        (TWO_FIELDS, TorusPoint(0, Q5), 5, 3),
+        # both differences irrational over different fields: axis 1's first
+        (TorusPoint(0, 0), TorusPoint(Q2, Q3), 2, 3),
+        (TorusPoint(Q3, 0), TorusPoint(0, Q2), 3, 2),
+        (TWO_FIELDS, TorusPoint(0, 0), 2, 3),
+    ]
+    for p, q, d1, d2 in cases:
+        for gram in NAIVE_GRAMS:
+            with pytest.raises(FieldMismatchError, match=rf"^cannot mix sqrt\({d1}\) and sqrt\({d2}\) scalars$"):
+                torus_distance_sq(p, q, gram)
     with pytest.raises(FieldMismatchError, match=r"^cannot mix sqrt\(3\) and sqrt\(2\) scalars$"):
         _plus(Q3, Q2)
+
+
+def test_one_field_rule():
+    assert (_field(0, 0), _field(2, 0), _field(0, 3), _field(5, 5)) == (0, 2, 3, 5)
+    with pytest.raises(FieldMismatchError, match=r"^cannot mix sqrt\(2\) and sqrt\(3\) scalars$"):
+        _field(2, 3)
+    # the callers raise the same text, their own operands in operator order
+    with pytest.raises(FieldMismatchError, match=r"^cannot mix sqrt\(3\) and sqrt\(2\) scalars$"):
+        orbit._field_triple(Q3, 2)
+    assert orbit._field_triple(QuadScalar(Fraction(1, 2), 0, 3), 2) == (1, 0, 2)
+    with pytest.raises(FieldMismatchError, match=r"^cannot mix sqrt\(2\) and sqrt\(3\) scalars$"):
+        gluing._capped_gap(Q2, Fraction(0), Q3 + 5)
+    assert gluing._capped_gap(Q2, Q2 - 1, Q3 + 5) == 1
 
 
 # -- the lift is invisible -----------------------------------------------------------
@@ -151,15 +201,16 @@ def test_lift_leaves_the_point_unchanged(p):
         assert clone._lift == p._lift
 
 
-def test_lift_holds_one_denominator_and_the_labels():
-    # (a1, b1, a2, b2, L, quad, field): quad tells whether a coordinate is a
-    # QuadScalar, field is the field of the irrational ones
-    assert TorusPoint(Fraction(1, 4), Fraction(1, 6))._lift == (3, 0, 2, 0, 12, False, 0)
+def test_lift_holds_one_denominator_and_each_field():
+    # (a1, b1, a2, b2, L, quad, f1, f2): quad tells whether a coordinate is a
+    # QuadScalar, f_i is u_i's field, 0 for a rational u_i
+    assert TorusPoint(Fraction(1, 4), Fraction(1, 6))._lift == (3, 0, 2, 0, 12, False, 0, 0)
     # (1/3 + 1/5 sqrt 2, 1/2): over 30
-    assert TorusPoint(Q2, Fraction(1, 2))._lift == (10, 6, 15, 0, 30, True, 2)
-    assert TorusPoint(QuadScalar(Fraction(1, 2), 0, 3), Fraction(1, 3))._lift == (3, 0, 2, 0, 6, True, 0)
-    assert TorusPoint(Q2, QuadScalar(Fraction(1, 2), 0, 3))._lift[5:] == (True, 2)
-    assert TorusPoint(Q2, Q3)._lift[5:] == (True, -1)
+    assert TorusPoint(Q2, Fraction(1, 2))._lift == (10, 6, 15, 0, 30, True, 2, 0)
+    assert TorusPoint(QuadScalar(Fraction(1, 2), 0, 3), Fraction(1, 3))._lift == (3, 0, 2, 0, 6, True, 0, 0)
+    assert TorusPoint(Q2, QuadScalar(Fraction(1, 2), 0, 3))._lift[5:] == (True, 2, 0)
+    assert TorusPoint(Q2, Q3)._lift[5:] == (True, 2, 3)
+    assert TorusPoint(Q3, Q2)._lift[5:] == (True, 3, 2)
 
 
 def test_float_point_takes_the_batch_path(monkeypatch):

@@ -4,9 +4,9 @@
 coordinates already in [0, 1) and, on exact ones, take one conditional
 +-1 instead of reducing the raw sum again.  The oracles in `oracles.py`
 reduce the raw sums with floor_frac.  Results must agree in value, in type
-and in the field index of a QuadScalar, which for a rational value depends
-on the operands; where the oracle raises FieldMismatchError the reduced
-path must too.  Float coordinates must give the bits the constructor gives.
+and in the field index of a QuadScalar, which for a rational value is
+DEFAULT_D; where the oracle raises FieldMismatchError the reduced path
+must too.  Float coordinates must give the bits the constructor gives.
 """
 
 import math

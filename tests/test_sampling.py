@@ -1,9 +1,11 @@
-"""Seeded sampler determinism and value ranges."""
+"""Seeded sampler determinism, value ranges and the sampled height span."""
 
 from fractions import Fraction
 
+from torusglue import EXACT, GluingParams, GramMatrix, QuadScalar, check_metric_axioms, verify_isometry
 from torusglue.numerics import is_exact, sign_of
 from torusglue.sampling import (
+    _height_span,
     random_fraction,
     random_glued_point,
     random_product_isometry,
@@ -52,3 +54,22 @@ def test_random_product_isometry_shape():
         assert iso.line_part.sign in (1, -1)
         assert is_exact(iso.line_part.shift)
         assert iso.torus_part.inverts in (True, False)
+
+
+def test_height_span_is_three_times_the_exact_ceiling():
+    cases = {
+        1: 3, 2: 6, Fraction(1, 2): 3, Fraction(3, 2): 6, Fraction(5, 2): 9,
+        QuadScalar(0, 1, 2): 6, QuadScalar(1, 1, 2): 9, 10**400: 3 * 10**400,
+        Fraction(10**400 + 1, 10): 3 * (10**399 + 1),
+    }
+    for M, span in cases.items():
+        assert _height_span(M) == span and type(_height_span(M)) is int, M
+
+
+def test_exact_checks_sample_heights_beyond_the_float_range():
+    # no float(M) on the way: an M past 1.8e308 draws its heights exactly
+    params, gram = GluingParams(10**400, 10**400), GramMatrix.identity()
+    report = check_metric_axioms(3, params, gram, EXACT)
+    assert report.checks > 0 and report.violations_total == 0
+    verified = verify_isometry(lambda p: p, 3, params, gram, mode=EXACT)
+    assert verified.describe()["passed"] and verified.describe()["samples"] == 3

@@ -6,6 +6,8 @@
   and never a bare AssertionError.
 - No function-local `from .report import`: `report` imports only
   `numerics`, so every module can import it at the top.
+- One field join: the text of a field mismatch is written only in
+  `numerics._field`, so every caller joins fields by that one rule.
 """
 
 import ast
@@ -64,6 +66,18 @@ def test_no_function_local_report_import(path):
         if isinstance(inner, ast.ImportFrom) and inner.level == 1 and inner.module == "report"
     ]
     assert lines == [], f"{path.name}: function-local report imports on lines {lines}"
+
+
+def test_field_mismatch_text_lives_only_in_the_field_rule():
+    places = []
+    for path in SOURCES:
+        tree = _tree(path)
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "cannot mix sqrt(" in node.value:
+                inner = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                places.append((path.name, inner[-1] if inner else None))
+    assert places == [("numerics.py", "_field")]
 
 
 # Each script plants one fault that a certification check must catch, and

@@ -4,7 +4,7 @@
 common denominator.  `naive_torus_distance_sq` evaluates the unreduced Gram
 form on every shift of q - p in QuadScalar and Fraction arithmetic; the two
 must agree in value, in type, and in the field index of a QuadScalar result,
-which for a rational value depends on the fields of the operands.  Cases mix
+which for a rational value is DEFAULT_D.  Cases mix
 Fraction and QuadScalar coordinates with denominators up to 10^40, add
 rational-valued QuadScalars of a second field, hit exact ties and use a Gram
 whose float copy overflows.
