@@ -22,6 +22,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 from .numerics import (
+    DEFAULT_D,
     EXACT,
     CertificationError,
     QuadScalar,
@@ -47,6 +48,8 @@ from .torus import (
     GramMatrix,
     OneParamSubgroup,
     TorusPoint,
+    _minus,
+    _plus,
     tangent_norm_sq,
     torus_distance_sq,
 )
@@ -239,35 +242,52 @@ class CircleHit(Record):
     convergent: Convergent | None
 
 
-def _circle_dist_sq(w, g_axis):
-    """wrap^2 * g_axis, wrap = min(w, 1 - w) the short way around from a
-    fractional part w in [0, 1), on w's triple (A, B, D): 1 - w is
-    (D - A, -B, D), and the square times g_axis = n / m is
-    ((A^2 + d B^2) n + 2 A B n sqrt(d)) / (D^2 m).  The type is the
-    scalar arithmetic's: a QuadScalar over w's field when w is one, else a
-    Fraction."""
-    A, B, D, d = _parts(w)
+def _wrap_sq(A: int, B: int, D: int, d: int, n: int, m: int) -> tuple[int, int, int]:
+    """wrap^2 * n/m as a triple over Q(sqrt d), not reduced: wrap = min(w, 1 - w)
+    is the short way around from w = (A + B*sqrt(d)) / D in [0, 1), any D > 0.
+    1 - w is (D - A, -B, D), and the square times n/m is
+    ((A^2 + d B^2) n + 2 A B n sqrt(d)) / (D^2 m)."""
     if _sign(2 * A - D, 2 * B, d) > 0:  # w > 1/2
         A, B = D - A, -B
+    return (A * A + d * B * B) * n, 2 * A * B * n, D * D * m
+
+
+def _circle_dist_sq(w, g_axis):
+    """wrap^2 * g_axis for a fractional part w in [0, 1), on w's triple
+    (`_wrap_sq`).  The type is the scalar arithmetic's: a QuadScalar over
+    w's field when w is one, else a Fraction."""
+    A, B, D, d = _parts(w)
     g = _rat(g_axis)
-    n, m = g.numerator, g.denominator
-    A, B, D = (A * A + d * B * B) * n, 2 * A * B * n, D * D * m
+    A, B, D = _wrap_sq(A, B, D, d, g.numerator, g.denominator)
     if isinstance(w, QuadScalar):
         return _reduced(A, B, D, d)
     return Fraction(A, D)
 
 
+def _positive_eps(eps) -> Fraction:
+    """eps as a Fraction (exact comparisons need an exact tolerance), or
+    ValueError unless it is positive: no window of width 0 or less holds a
+    hit, and a search for one would never end."""
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    return eps
+
+
 class _Tolerance:
     """What `circle_density_hit` derives from one (eps, g_axis): eps as a
-    Fraction (exact comparisons need an exact tolerance) and eps^2, and on
-    first use the sharpness bound and the default `max_terms`.  The last two
-    are computed only where the call reads them, so a failing division
-    raises there, as inline arithmetic would."""
+    Fraction (`_positive_eps`), eps^2, and g_axis as an exact (n, m),
+    which refuses a float axis; and on first use the sharpness bound and the
+    default `max_terms`.  The last two are computed only where the call
+    reads them, so a failing division raises there, as inline arithmetic
+    would."""
 
     def __init__(self, eps, g_axis):
-        self.eps = Fraction(eps)
+        self.eps = _positive_eps(eps)
         self.eps_sq = self.eps * self.eps
         self.g_axis = g_axis
+        g = _rat(g_axis)
+        self.g = g.numerator, g.denominator
 
     @cached_property
     def bound(self):
@@ -283,6 +303,12 @@ class _Tolerance:
 # typed: a float g_axis of an int's value, which the call rejects, must not
 # lend that int's entry a float bound
 _tolerance = lru_cache(maxsize=64, typed=True)(_Tolerance)
+
+
+def _below(x, n: int, m: int) -> bool:
+    """Whether the exact scalar x lies below n/m (m > 0), by one sign."""
+    A, B, D, d = _parts(x)
+    return _sign(A * m - n * D, B * m, d) < 0
 
 
 def circle_density_hit(
@@ -304,16 +330,33 @@ def circle_density_hit(
     the Fibonacci numbers), and phi^2 > 2, so convergent j = bit_length of
     ceil(g_axis / eps^2) is sharp enough: that index plus one is the default
     `max_terms`, O(log 1/eps), read off the bound eps^2 / g_axis that
-    `_sharp_index` takes.
+    `_sharp_index` takes.  eps must be positive (ValueError).
+
+    The gap w = frac(target - x0), its squared wrap d0, the landing
+    frac(x0 + k*theta) and frac(landing - target) are integer triples, each
+    taken mod 1 with one `_floor`, and every comparison with eps^2 is one
+    `_sign`; the record's scalars are built from the triples, with the value,
+    type and field index the operators give.  The landing's distance comes
+    from `_circle_dist_sq`.
     """
     require_exact(target, "circle density target")
     require_exact(x0, "circle base point")
     _require_irrational(theta, "rotation step")
     tol = _tolerance(eps, g_axis)
     eps, eps_sq = tol.eps, tol.eps_sq
-    w = frac(target - x0)
-    d0 = _circle_dist_sq(w, g_axis)
-    if scalar_lt(d0, eps_sq):
+    en, em = eps_sq.numerator, eps_sq.denominator
+    gn, gm = tol.g
+    tA, tB, tD, td = _parts(target)
+    xA, xB, xD, xd = _parts(x0)
+    xf = xd if xB else 0
+    # w = frac(target - x0), in the field the operator takes
+    wd = _field(td if tB else 0, xf) or DEFAULT_D
+    wA, wB, wD = tA * xD - xA * tD, tB * xD - xB * tD, tD * xD
+    wA -= _floor(wA, wB, wD, wd) * wD
+    A, B, D = _wrap_sq(wA, wB, wD, wd, gn, gm)
+    if _sign(A * em - en * D, B * em, wd) < 0:
+        quad = type(target) is QuadScalar or type(x0) is QuadScalar
+        d0 = _reduced(A, B, D, wd) if quad else Fraction(A, D)
         return CircleHit(target, eps, 0, frac(x0), d0, sqrt_as_float(d0), None)
     bound = tol.bound
     if max_terms is None:
@@ -325,15 +368,22 @@ def circle_density_hit(
     conv = rot.convergent(j)[1]
     delta = conv.err
     d = delta.d
-    wA, wB, wD = _field_triple(w, d)
+    _field(wd if wB else 0, d)
     if _sign(delta._A, delta._B, d) < 0:
         wA -= wD  # w - 1
     # m = floor(w / delta), or floor((w - 1) / delta) for delta < 0
     m = _floor(*_divided(wA, wB, wD, delta._A, delta._B, delta._D, d), d)
     k = m * conv.q
-    position = frac(x0 + k * theta)
-    dist_sq = _circle_dist_sq(frac(position - target), g_axis)
-    if not scalar_lt(dist_sq, eps_sq):
+    # the landing frac(x0 + k*theta), and frac(landing - target)
+    hA, hB, hD = theta._A, theta._B, theta._D
+    _field(xf, d)
+    pA, pB, pD = xA * hD + k * hA * xD, xB * hD + k * hB * xD, xD * hD
+    pA -= _floor(pA, pB, pD, d) * pD
+    position = _reduced(pA, pB, pD, d)
+    A, B, D = pA * tD - tA * pD, pB * tD - tB * pD, pD * tD
+    A -= _floor(A, B, D, d) * D
+    dist_sq = _circle_dist_sq(_reduced(A, B, D, d), g_axis)
+    if not _below(dist_sq, en, em):
         raise CertificationError(f"rotation by k = {k} steps does not land within eps of the target")
     return CircleHit(target, eps, k, position, dist_sq, sqrt_as_float(dist_sq), conv)
 
@@ -352,10 +402,17 @@ class DensityHit(Record):
     scanned: int
 
 
-def _window_radius(eps: Fraction, gram: GramMatrix) -> Fraction:
-    """A rational r > eps * sqrt(g11 / det), on the Gram's cached grid step
-    count (`GramMatrix._radius_steps`)."""
-    return eps * gram._radius_steps / _RADIUS_GRID
+@lru_cache(maxsize=64, typed=True)
+def _window(eps, steps: int) -> tuple:
+    """(eps, eps^2, r): what `torus_density_hit` derives from one eps and a
+    Gram's grid step count n = `GramMatrix._radius_steps`.  eps is a
+    Fraction (`_positive_eps`, so eps <= 0 raises ValueError here, and a
+    cache hit pays nothing); eps^2 and the window radius
+    r = eps * n / _RADIUS_GRID > eps * sqrt(g11/det) are integer pairs
+    (numerator, denominator), not reduced.  Typed like `_tolerance`."""
+    eps = _positive_eps(eps)
+    a, b = eps.numerator, eps.denominator
+    return eps, (a * a, b * b), (a * steps, b * _RADIUS_GRID)
 
 
 def _first_entry(alpha, c, width) -> int:
@@ -381,17 +438,28 @@ def _first_entry(alpha, c, width) -> int:
     is at most 1/2, so the window at least doubles per level and a window
     of width w needs at most log2(1/w) + 1 levels, unwound from the inside.
     The chain of rotations depends on alpha alone and comes from its shared
-    table (`_Rotation.level`), which holds each level's step and 1/step as
-    integer triples.  A search carries c and width down it as normalized
-    triples (A, B, D) over Q(sqrt d): a level costs one product, one gcd and
-    one floor per triple, and each comparison is the sign of a
-    cross-multiplied difference.  No scalar objects are built.
+    table (`_Rotation.level`).  The search runs on integer triples
+    (`_first_entry_triples`); c and width may be ints, Fractions or
+    QuadScalars over alpha's field.
     """
     d = alpha.d
-    rot = _rotation(alpha)
+    return _first_entry_triples(_rotation(alpha), d, _field_triple(c, d), _field_triple(width, d))
+
+
+def _first_entry_triples(rot: _Rotation, d: int, c: tuple, width: tuple) -> int:
+    """`_first_entry` for the rotation of table `rot`, with c and width given
+    as triples (A, B, D) meaning (A + B*sqrt(d)) / D, D > 0, reduced or not.
+
+    Each level's step and 1/step are integer triples in the table.  A level
+    costs one product per triple and one floor, for c mod 1, and each
+    comparison is the sign of a cross-multiplied difference.  The triples
+    are not divided by their gcd: `_sign` and `_floor` take any D > 0, and
+    on a rotation's short level triples the gcd costs more than it saves.
+    No scalar objects are built.
+    """
     levels = rot.levels
-    cA, cB, cD = _field_triple(c, d)
-    wA, wB, wD = _field_triple(width, d)
+    cA, cB, cD = c
+    wA, wB, wD = width
     offsets = []
     k = 0
     # while not c < width
@@ -410,12 +478,8 @@ def _first_entry(alpha, c, width) -> int:
             offsets.append((cA, cB, cD))
         # c = frac(c * inv), or frac((c - 1) * inv) going up
         cA, cB, cD = cA * iA + d * cB * iB, cA * iB + cB * iA, cD * iD
-        g = math.gcd(cA, cB, cD)
-        cA, cB, cD = cA // g, cB // g, cD // g
         cA -= _floor(cA, cB, cD, d) * cD
         wA, wB, wD = wA * iA + d * wB * iB, wA * iB + wB * iA, wD * iD
-        g = math.gcd(wA, wB, wD)
-        wA, wB, wD = wA // g, wB // g, wD // g
     for i in reversed(range(len(offsets))):
         up, _, _, _, iA, iB, iD, _ = levels[i]
         oA, oB, oD = offsets[i]
@@ -445,11 +509,21 @@ def torus_density_hit(
 
     so every lattice shift of (0, delta) has Gram length^2 at least
     (det/g11)*wrap(delta)^2, and a k within eps has wrap(delta) below
-    eps*sqrt(g11/det) < r (`_window_radius`).  The k with frac(alpha*(w1 + k))
+    eps*sqrt(g11/det) < r (`_window`).  The k with frac(alpha*(w1 + k))
     in [w2 - r, w2 + r) mod 1 come from an exact first-entry search
-    (`_first_entry`) in increasing order; each is re-checked against the full
-    lattice distance, and the first within eps is returned, with k <= budget.
+    (`_first_entry_triples`) in increasing order; each is re-checked against
+    the full lattice distance (`torus_distance_sq`), and the first within
+    eps is returned, with k <= budget.  eps must be positive (ValueError).
     `chunk` is accepted for compatibility and unused.
+
+    Up to the re-check everything is integer arithmetic: eps, eps^2 and r
+    come once per (eps, Gram) from `_window`; w1 = frac(target.u1 - y0.u1)
+    and w2 come from the points' lifts, and c = frac(alpha*w1 - w2 + r) and
+    each later start frac(c + k*step) with one `_floor` each.  The t, point
+    and distance of a candidate are built only when it is re-checked, with
+    the value, type and field index the scalar operators give (a Fraction t
+    where no coordinate or v1 is a QuadScalar), and the distance is compared
+    with eps^2 by one `_sign`.
     """
     gram = gram or GramMatrix.identity()
     y0 = y0 or TorusPoint.origin()
@@ -457,24 +531,45 @@ def torus_density_hit(
     require_exact(target.u2, "density target")
     require_exact(y0.u1, "orbit base point")
     require_exact(y0.u2, "orbit base point")
-    eps = Fraction(eps)  # exact comparisons need an exact tolerance
-    eps_sq = eps * eps
+    eps, (en, em), (rn, rd) = _window(eps, gram._radius_steps)
     alpha = subgroup.alpha
-    w1 = frac(target.u1 - y0.u1)
-    w2 = frac(target.u2 - y0.u2)
-
-    r = _window_radius(eps, gram)
-    step = frac(alpha)
-    # frac(alpha*(w1 + k)) - (w2 - r) mod 1 is frac(c + k*step)
-    c = frac(alpha * w1 - w2 + r)
-    k = _first_entry(step, c, 2 * r)
+    aA, aB, aD, d = alpha._A, alpha._B, alpha._D, alpha.d
+    # target - y0 over the lcm L of the lifts' denominators: (a_i + b_i*sqrt(d)) / L,
+    # each in (-1, 1), with the field rule of the operators on the way to c
+    ta1, tb1, ta2, tb2, Lt, _, tf1, tf2 = target._lift
+    ya1, yb1, ya2, yb2, Ly, _, yf1, yf2 = y0._lift
+    L = math.lcm(Lt, Ly)
+    kt, ky = L // Lt, L // Ly
+    a1, b1 = ta1 * kt - ya1 * ky, tb1 * kt - yb1 * ky
+    a2, b2 = ta2 * kt - ya2 * ky, tb2 * kt - yb2 * ky
+    f1, f2 = _field(tf1, yf1), _field(tf2, yf2)
+    _field(d, f1 if b1 else 0)
+    _field(d, f2 if b2 else 0)
+    if _sign(a1, b1, d) < 0:
+        a1 += L  # w1 = frac(target.u1 - y0.u1); w2 need not be reduced, c is taken mod 1
+    # frac(alpha*(w1 + k)) - (w2 - r) mod 1 is frac(c + k*step), step = frac(alpha)
+    cA = (aA * a1 + d * aB * b1 - a2 * aD) * rd + rn * aD * L
+    cB = (aA * b1 + aB * a1 - b2 * aD) * rd
+    cD = aD * L * rd
+    cA -= _floor(cA, cB, cD, d) * cD
+    sA = aA - _floor(aA, aB, aD, d) * aD  # step, still normalized
+    rot = _table(sA, aB, aD, d)
+    width = (2 * rn, 0, rd)
+    k = _first_entry_triples(rot, d, (cA, cB, cD), width)
+    v1 = subgroup.v1
+    vA, vB, vD, _ = _parts(v1)
+    quad = type(target.u1) is QuadScalar or type(y0.u1) is QuadScalar or type(v1) is QuadScalar
     while k <= budget:
-        t = (w1 + k) / subgroup.v1
+        tA, tB, tD = _divided(a1 + k * L, b1, L, vA, vB, vD, d)  # t = (w1 + k) / v1
+        t = _reduced(tA, tB, tD, d) if quad else Fraction(tA, tD)
         point = subgroup.point(t).translate(y0)
         dist_sq = torus_distance_sq(point, target, gram)
-        if scalar_lt(dist_sq, eps_sq):
+        if _below(dist_sq, en, em):
             return DensityHit(target, eps, k, t, point, dist_sq, sqrt_as_float(dist_sq), k + 1)
-        k += 1 + _first_entry(step, frac(c + (k + 1) * step), 2 * r)
+        k += 1
+        nA, nB, nD = cA * aD + k * sA * cD, cB * aD + k * aB * cD, cD * aD
+        nA -= _floor(nA, nB, nD, d) * nD
+        k += _first_entry_triples(rot, d, (nA, nB, nD), width)
     return None
 
 
@@ -518,18 +613,20 @@ def density_report(
 _BRANCHES = ("direct", "inverted")
 
 
-def _solve_rotation(w, theta) -> tuple:
+def _solve_rotation(wA: int, wB: int, wD: int, theta) -> tuple:
     """Is k*theta - w an integer for some integer k?  (k_star, k integral, residue, member).
 
-    The sqrt(d) coordinate of k*theta - w is linear in k with slope
-    theta.b != 0, so it pins k to the single rational k_star; membership then
-    needs k_star integral and the rational residue k_star*theta.a - w.a integral.
+    w = (wA + wB*sqrt(d)) / wD, wD > 0, over theta's field.  The sqrt(d)
+    coordinate of k*theta - w is linear in k with slope theta.b != 0, so it
+    pins k to the single rational k_star = (wB/wD) / theta.b; membership
+    then needs k_star integral and the rational residue
+    k_star*theta.a - wA/wD integral.
     """
-    wA, wB, wD = _field_triple(w, theta.d)  # w = (wA + wB*sqrt(d)) / wD
-    k_star = Fraction(wB, wD) / theta.b
+    tA, tB, tD = theta._A, theta._B, theta._D
+    k_star = Fraction(wB * tD, wD * tB)
     if k_star.denominator != 1:
         return k_star, False, None, False
-    residue = k_star * theta.a - Fraction(wA, wD)
+    residue = Fraction(k_star.numerator * tA * wD - wA * tD, tD * wD)
     return k_star, True, residue, residue.denominator == 1
 
 
@@ -588,10 +685,17 @@ def derive_branch(
     """
     if branch not in _BRANCHES:
         raise ValueError("branch must be 'direct' or 'inverted'")
-    base = y0 if branch == "direct" else y0.invert()
-    w1, w2 = map(frac, base.delta(target))
+    # frac(target - y0), or frac(target + y0) = frac(target - y0.invert())
+    gap = _minus if branch == "direct" else _plus
+    w1, w2 = gap(target.u1, y0.u1), gap(target.u2, y0.u2)
     alpha = subgroup.alpha
-    return BranchDerivation(branch, w1, w2, *_solve_rotation(w2 - alpha * w1, alpha))
+    aA, aB, aD, d = alpha._A, alpha._B, alpha._D, alpha.d
+    # w2 - alpha*w1 over alpha's field
+    A1, B1, D1 = _field_triple(w1, d)
+    A2, B2, D2 = _field_triple(w2, d)
+    wA = A2 * aD * D1 - (aA * A1 + d * aB * B1) * D2
+    wB = B2 * aD * D1 - (aA * B1 + aB * A1) * D2
+    return BranchDerivation(branch, w1, w2, *_solve_rotation(wA, wB, aD * D1 * D2, alpha))
 
 
 @dataclass(frozen=True)
@@ -674,7 +778,7 @@ class CircleNonMembership(_Refutation):
 
 def _derive_circle_branch(target, theta, x0, branch: str) -> CircleBranchDerivation:
     w = frac(target - x0) if branch == "direct" else frac(target + x0)
-    return CircleBranchDerivation(branch, w, *_solve_rotation(w, theta))
+    return CircleBranchDerivation(branch, w, *_solve_rotation(*_field_triple(w, theta.d), theta))
 
 
 def circle_orbit_membership(target, theta, x0=Fraction(0)):

@@ -6,7 +6,9 @@ call, exact stepping for first entries, rounding to the nearest integer,
 torus translates and inversions built by re-reducing the raw coordinates,
 wrap-around sums, exact torus distances, seeded samples, cylinder offsets,
 line isometries and winding-line points built through scalar operator
-dispatch, report text written through `json.dumps` and Fraction views or
+dispatch, torus and circle density hits found and re-checked through the
+scalar operators, orbit membership derivations by the Fraction views,
+report text written through `json.dumps` and Fraction views or
 by one type dispatch per value, and exact axiom and isometry checks that
 compute the float value of every distance.
 """
@@ -29,10 +31,11 @@ from torusglue.numerics import (
     scalar_lt,
     scalar_min,
     sign_of,
+    sqrt_as_float,
 )
-from torusglue.orbit import Convergent
+from torusglue.orbit import BranchDerivation, CircleBranchDerivation, CircleHit, Convergent, DensityHit
 from torusglue.sampling import random_fraction, random_glued_point, random_winding_point, rng_for
-from torusglue.torus import TorusPoint, _corners
+from torusglue.torus import _RADIUS_GRID, GramMatrix, TorusPoint, _corners
 
 
 def nearest_int(x) -> int:
@@ -110,6 +113,98 @@ def brute_first(alpha, x, inside):
         if v >= 1:
             v = v - 1
     return None
+
+
+# -- density hits through operator dispatch -----------------------------------------
+#
+# Before the density searches ran on integer triples, `torus_density_hit` and
+# `circle_density_hit` derived the gap, the window, each start of the
+# first-entry search and each landing through Fraction and QuadScalar
+# operators.  These oracles keep those forms, with the first entries from
+# `first_entry_levels`, the convergents from `convergent_stream` and the
+# candidates' points and distances from the oracles below.
+
+
+def density_hit(target, line, y0=None, eps=Fraction(1, 100), gram=None, budget=50_000_000):
+    """`torus_density_hit` through the operators: the same hit, or None."""
+    gram = gram or GramMatrix.identity()
+    y0 = y0 or TorusPoint.origin()
+    eps = Fraction(eps)
+    eps_sq = eps * eps
+    alpha = line.alpha
+    w1 = frac(target.u1 - y0.u1)
+    w2 = frac(target.u2 - y0.u2)
+    r = eps * gram._radius_steps / _RADIUS_GRID
+    step = frac(alpha)
+    c = frac(alpha * w1 - w2 + r)
+    k = first_entry_levels(step, c, 2 * r)
+    while k <= budget:
+        t = (w1 + k) / line.v1
+        point = TorusPoint(*translate(winding_point(line, t), y0))
+        dist_sq = exact_distance_sq(point, target, gram)
+        if scalar_lt(dist_sq, eps_sq):
+            return DensityHit(target, eps, k, t, point, dist_sq, sqrt_as_float(dist_sq), k + 1)
+        k += 1 + first_entry_levels(step, frac(c + (k + 1) * step), 2 * r)
+    return None
+
+
+def wrap_sq(w, g_axis):
+    """min(w, 1 - w)^2 * g_axis for w in [0, 1), a Fraction unless a QuadScalar."""
+    wrap = w if scalar_lt(w, 1 - w) else 1 - w
+    val = wrap * wrap * g_axis
+    return val if isinstance(val, QuadScalar) else Fraction(val)
+
+
+def circle_hit(target, theta, x0=Fraction(0), eps=Fraction(1, 1000), g_axis=Fraction(1), max_terms=None):
+    """`circle_density_hit` through the operators: the same hit, or the same
+    ValueError when no convergent within max_terms is sharp enough."""
+    eps = Fraction(eps)
+    eps_sq = eps * eps
+    w = frac(target - x0)
+    d0 = wrap_sq(w, g_axis)
+    if scalar_lt(d0, eps_sq):
+        return CircleHit(target, eps, 0, frac(x0), d0, sqrt_as_float(d0), None)
+    bound = eps_sq / g_axis
+    if max_terms is None:
+        max_terms = math.ceil(1 / bound).bit_length() + 1
+    stream = convergent_stream(theta)
+    for _ in range(max_terms):
+        conv = next(stream)[1]
+        if scalar_lt(conv.err * conv.err, bound):
+            break
+    else:
+        raise ValueError(f"no convergent within {max_terms} terms is sharp enough for eps={eps}")
+    delta = conv.err
+    m = ((w - 1 if delta < 0 else w) / delta).floor()
+    k = m * conv.q
+    position = frac(x0 + k * theta)
+    dist_sq = wrap_sq(frac(position - target), g_axis)
+    if not scalar_lt(dist_sq, eps_sq):
+        raise CertificationError(f"rotation by k = {k} steps does not land within eps of the target")
+    return CircleHit(target, eps, k, position, dist_sq, sqrt_as_float(dist_sq), conv)
+
+
+def _rotation_solution(w, theta) -> tuple:
+    """(k_star, k integral, residue, member) for k*theta - w, by the Fraction views."""
+    wa, wb = (w.a, w.b) if isinstance(w, QuadScalar) else (Fraction(w), Fraction(0))
+    k_star = wb / theta.b
+    if k_star.denominator != 1:
+        return k_star, False, None, False
+    residue = k_star * theta.a - wa
+    return k_star, True, residue, residue.denominator == 1
+
+
+def branch_derivation(target, line, y0, branch):
+    """`derive_branch` through the operators: the gap to y0 or to its inverse."""
+    base = y0 if branch == "direct" else TorusPoint(*invert(y0))
+    w1, w2 = map(frac, base.delta(target))
+    alpha = line.alpha
+    return BranchDerivation(branch, w1, w2, *_rotation_solution(w2 - alpha * w1, alpha))
+
+
+def circle_branch_derivation(target, theta, x0, branch):
+    w = frac(target - x0) if branch == "direct" else frac(target + x0)
+    return CircleBranchDerivation(branch, w, *_rotation_solution(w, theta))
 
 
 # -- torus points by re-reduction ---------------------------------------------------

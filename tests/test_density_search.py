@@ -247,10 +247,11 @@ def test_circle_tolerance_errors_arise_where_they_did():
     eps = Fraction(1, 10**9)
     # a zero axis puts every point within eps: no bound is divided out
     assert circle_density_hit(Fraction(1, 3), theta, eps=eps, g_axis=0).k == 0
-    with pytest.raises(ZeroDivisionError):
+    # a zero eps is refused where the tolerance is derived
+    with pytest.raises(ValueError, match="eps must be positive"):
         circle_density_hit(Fraction(1, 3), theta, eps=0)
     with pytest.raises(ValueError, match="no convergent within 5 terms"):
-        circle_density_hit(Fraction(1, 3), theta, eps=0, max_terms=5)
+        circle_density_hit(Fraction(1, 3), theta, eps=eps, max_terms=5)
     # a float axis is refused, and leaves the equal int axis a Fraction bound
     with pytest.raises(TypeError):
         circle_density_hit(Fraction(1, 3), theta, eps=eps, g_axis=2.0)
