@@ -18,7 +18,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .numerics import (
@@ -48,6 +48,7 @@ from .torus import (
     GramMatrix,
     OneParamSubgroup,
     TorusPoint,
+    _lift_difference,
     _minus,
     _plus,
     tangent_norm_sq,
@@ -274,35 +275,26 @@ def _positive_eps(eps) -> Fraction:
     return eps
 
 
-class _Tolerance:
-    """What `circle_density_hit` derives from one (eps, g_axis): eps as a
-    Fraction (`_positive_eps`), eps^2, and g_axis as an exact (n, m),
-    which refuses a float axis; and on first use the sharpness bound and the
-    default `max_terms`.  The last two are computed only where the call
-    reads them, so a failing division raises there, as inline arithmetic
-    would."""
-
-    def __init__(self, eps, g_axis):
-        self.eps = _positive_eps(eps)
-        self.eps_sq = self.eps * self.eps
-        self.g_axis = g_axis
-        g = _rat(g_axis)
-        self.g = g.numerator, g.denominator
-
-    @cached_property
-    def bound(self):
-        # read only when d0 >= eps^2 > 0, so g_axis > 0 and
-        # delta^2 * g_axis < eps^2 reads delta^2 < eps^2 / g_axis
-        return self.eps_sq / self.g_axis
-
-    @cached_property
-    def max_terms(self) -> int:
-        return math.ceil(1 / self.bound).bit_length() + 1
-
-
-# typed: a float g_axis of an int's value, which the call rejects, must not
-# lend that int's entry a float bound
-_tolerance = lru_cache(maxsize=64, typed=True)(_Tolerance)
+# typed: a float g_axis equal to a cached int one must still raise TypeError,
+# not hit the int's entry
+@lru_cache(maxsize=64, typed=True)
+def _tolerance(eps, g_axis) -> tuple:
+    """(eps, eps^2, g, bound, max_terms): what `circle_density_hit` derives
+    from one (eps, g_axis), like `_window` for the torus.  eps is a Fraction
+    (`_positive_eps`, so eps <= 0 raises ValueError); g_axis must be exact
+    (a float raises TypeError) and positive (ValueError), and both checks
+    run here, so a cache hit pays nothing.  eps^2 and g are integer pairs
+    (numerator, denominator); bound = eps^2 / g_axis, a Fraction, since
+    delta^2 * g_axis < eps^2 reads delta^2 < bound; and max_terms is the
+    default cap, ceil(1 / bound).bit_length() + 1."""
+    eps = _positive_eps(eps)
+    g = _rat(g_axis)
+    if g <= 0:
+        raise ValueError(f"g_axis must be positive, got {g}")
+    eps_sq = eps * eps
+    bound = eps_sq / g
+    cap = math.ceil(1 / bound).bit_length() + 1
+    return eps, (eps_sq.numerator, eps_sq.denominator), (g.numerator, g.denominator), bound, cap
 
 
 def _below(x, n: int, m: int) -> bool:
@@ -330,7 +322,9 @@ def circle_density_hit(
     the Fibonacci numbers), and phi^2 > 2, so convergent j = bit_length of
     ceil(g_axis / eps^2) is sharp enough: that index plus one is the default
     `max_terms`, O(log 1/eps), read off the bound eps^2 / g_axis that
-    `_sharp_index` takes.  eps must be positive (ValueError).
+    `_sharp_index` takes.  eps and g_axis must be positive (ValueError);
+    both are checked, and the bound derived, once per (eps, g_axis)
+    (`_tolerance`).
 
     The gap w = frac(target - x0), its squared wrap d0, the landing
     frac(x0 + k*theta) and frac(landing - target) are integer triples, each
@@ -342,10 +336,7 @@ def circle_density_hit(
     require_exact(target, "circle density target")
     require_exact(x0, "circle base point")
     _require_irrational(theta, "rotation step")
-    tol = _tolerance(eps, g_axis)
-    eps, eps_sq = tol.eps, tol.eps_sq
-    en, em = eps_sq.numerator, eps_sq.denominator
-    gn, gm = tol.g
+    eps, (en, em), (gn, gm), bound, cap = _tolerance(eps, g_axis)
     tA, tB, tD, td = _parts(target)
     xA, xB, xD, xd = _parts(x0)
     xf = xd if xB else 0
@@ -358,9 +349,7 @@ def circle_density_hit(
         quad = type(target) is QuadScalar or type(x0) is QuadScalar
         d0 = _reduced(A, B, D, wd) if quad else Fraction(A, D)
         return CircleHit(target, eps, 0, frac(x0), d0, sqrt_as_float(d0), None)
-    bound = tol.bound
-    if max_terms is None:
-        max_terms = tol.max_terms
+    max_terms = cap if max_terms is None else max_terms
     rot = _rotation(theta)
     j = _sharp_index(rot, bound, max_terms)
     if j is None:
@@ -518,8 +507,9 @@ def torus_density_hit(
 
     Up to the re-check everything is integer arithmetic: eps, eps^2 and r
     come once per (eps, Gram) from `_window`; w1 = frac(target.u1 - y0.u1)
-    and w2 come from the points' lifts, and c = frac(alpha*w1 - w2 + r) and
-    each later start frac(c + k*step) with one `_floor` each.  The t, point
+    and w2 come from target - y0 over one denominator
+    (`torus._lift_difference`), and c = frac(alpha*w1 - w2 + r) and each
+    later start frac(c + k*step) with one `_floor` each.  The t, point
     and distance of a candidate are built only when it is re-checked, with
     the value, type and field index the scalar operators give (a Fraction t
     where no coordinate or v1 is a QuadScalar), and the distance is compared
@@ -534,17 +524,11 @@ def torus_density_hit(
     eps, (en, em), (rn, rd) = _window(eps, gram._radius_steps)
     alpha = subgroup.alpha
     aA, aB, aD, d = alpha._A, alpha._B, alpha._D, alpha.d
-    # target - y0 over the lcm L of the lifts' denominators: (a_i + b_i*sqrt(d)) / L,
-    # each in (-1, 1), with the field rule of the operators on the way to c
-    ta1, tb1, ta2, tb2, Lt, _, tf1, tf2 = target._lift
-    ya1, yb1, ya2, yb2, Ly, _, yf1, yf2 = y0._lift
-    L = math.lcm(Lt, Ly)
-    kt, ky = L // Lt, L // Ly
-    a1, b1 = ta1 * kt - ya1 * ky, tb1 * kt - yb1 * ky
-    a2, b2 = ta2 * kt - ya2 * ky, tb2 * kt - yb2 * ky
-    f1, f2 = _field(tf1, yf1), _field(tf2, yf2)
-    _field(d, f1 if b1 else 0)
-    _field(d, f2 if b2 else 0)
+    # target - y0 over one denominator L: (a_i + b_i*sqrt(d)) / L, each in
+    # (-1, 1); alpha, then axis 1, then axis 2 join one field, as the
+    # operators on the way to c join them
+    a1, b1, a2, b2, L, _, f1, f2 = _lift_difference(y0, target)
+    _field(_field(d, f1), f2)
     if _sign(a1, b1, d) < 0:
         a1 += L  # w1 = frac(target.u1 - y0.u1); w2 need not be reduced, c is taken mod 1
     # frac(alpha*(w1 + k)) - (w2 - r) mod 1 is frac(c + k*step), step = frac(alpha)

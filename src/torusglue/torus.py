@@ -18,7 +18,9 @@ lift once, on first use: both coordinates over one denominator, whether a
 coordinate is a QuadScalar, and each coordinate's field.  The
 lift lives in the instance `__dict__`, outside the dataclass fields, so
 equality, hashing, reports, pickles and copies never see it; a point with a
-float coordinate has none.  Wrap-around sums and differences (`_plus`,
+float coordinate has none.  One function unpacks lifts,
+`_lift_difference`: the exact distance here and the density search of
+`orbit` both take q - p from it.  Wrap-around sums and differences (`_plus`,
 `_minus`) add the coordinates' triples and take one exact sign test; plain
 sums and differences (`_combine`) and the winding line's points
 `frac(t*v)` work on triples too.  Every result keeps the value and the type
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .numerics import (
     DEFAULT_D,
@@ -69,6 +71,23 @@ def _gram_entry(x) -> Fraction:
 _RADIUS_GRID = 1 << 20
 
 
+class _memo:
+    """The package's one memo descriptor: the first read computes the
+    value and stores it in the instance `__dict__` under the same name,
+    where later reads find it before this (non-data) descriptor.  There is
+    no lock: two threads may both compute a value, and they store equal
+    ones."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class GramMatrix(Record):
     """Symmetric positive-definite 2x2 form with exact rational entries."""
@@ -95,7 +114,7 @@ class GramMatrix(Record):
         """Quadratic form value g11*v1^2 + 2*g12*v1*v2 + g22*v2^2."""
         return self.g11 * v1 * v1 + 2 * self.g12 * v1 * v2 + self.g22 * v2 * v2
 
-    @cached_property
+    @_memo
     def reduction(self):
         """(U, reduced GramMatrix): U unimodular with U^T G U Lagrange-reduced."""
         g11, g12, g22 = self.g11, self.g12, self.g22
@@ -118,7 +137,7 @@ class GramMatrix(Record):
             raise CertificationError("the reduced Gram matrix must satisfy 2|g12| <= g11 <= g22")
         return u, GramMatrix(g11, g12, g22)
 
-    @cached_property
+    @_memo
     def unimodular_inverse(self):
         """Integer inverse of the reduction's U (valid since det U = +-1)."""
         u, _ = self.reduction
@@ -128,7 +147,7 @@ class GramMatrix(Record):
             (-det * u[1][0], det * u[0][0]),
         )
 
-    @cached_property
+    @_memo
     def _int_data(self):
         """((n11, n12, n22), G): the reduced Gram as integers over the lcm G
         of its denominators."""
@@ -136,7 +155,7 @@ class GramMatrix(Record):
         G = math.lcm(gr.g11.denominator, gr.g12.denominator, gr.g22.denominator)
         return (int(gr.g11 * G), int(gr.g12 * G), int(gr.g22 * G)), G
 
-    @cached_property
+    @_memo
     def _float_data(self):
         """((u11, u12), (u21, u22)), (g11, g12, g22): U^-1 and the reduced
         Gram as floats, for the batch kernel; OverflowError beyond the float
@@ -148,7 +167,7 @@ class GramMatrix(Record):
             (float(gr.g11), float(gr.g12), float(gr.g22)),
         )
 
-    @cached_property
+    @_memo
     def _radius_steps(self) -> int:
         """n = isqrt(floor(g11/det * _RADIUS_GRID^2)) + 1, above
         sqrt(g11/det) * _RADIUS_GRID since isqrt(floor(x)) + 1 > sqrt(x): a
@@ -241,21 +260,6 @@ def _minus(x, y):
     return _reduced(A, B, D, d) if d else Fraction(A, D)
 
 
-class _memo:
-    """`functools.cached_property` without its lock: the first read computes
-    the value and stores it in the instance `__dict__` under the same name,
-    where later reads find it before this (non-data) descriptor."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class TorusPoint(Record):
     """Point of R^2/Z^2 with both coordinates reduced to [0, 1).
@@ -291,7 +295,7 @@ class TorusPoint(Record):
         over the lcm L of the coordinates' denominators; `quad` tells whether
         a coordinate is a QuadScalar, and f_i is u_i's field, 0 for a
         rational u_i.  The fields are not joined here: a distance takes its
-        field from the differences (`_exact_distance_sq`).  None when a
+        field from the differences (`_lift_difference`).  None when a
         coordinate is not exact (a float)."""
         u1, u2 = self.u1, self.u2
         c1, c2 = _parts(u1), _parts(u2)
@@ -387,15 +391,33 @@ def _corners(sign1: int, sign2: int) -> tuple[tuple[int, int], ...]:
     return tuple((s1, s2) for s1 in span1 for s2 in span2)
 
 
-def _exact_distance_sq(lp: tuple, lq: tuple, gram: GramMatrix):
-    """`torus_distance_sq` of exact points p and q, on integers (see there),
-    from their lifts lp = p._lift and lq = q._lift, each read once by the
-    caller.
+def _lift_difference(p: TorusPoint, q: TorusPoint) -> tuple:
+    """q - p of exact points p and q, laid out as a lift:
+    (a1, b1, a2, b2, L, quad, f1, f2) with q.u_i - p.u_i = (a_i + b_i*sqrt(f_i)) / L.
 
-    A lift (a1, b1, a2, b2, L, quad, f1, f2) holds u_i = (a_i + b_i*sqrt(f_i))/L
-    with L > 0 the lcm of the point's two denominators, so q - p goes over
-    lcm(Lp, Lq), the lcm of all four.  The field is that of the two
-    differences q.u_i - p.u_i, by `_field`:
+    The one place a lift is unpacked.  A lift holds both coordinates
+    over the lcm of the point's two denominators, so the difference goes
+    over L = lcm(Lp, Lq), the lcm of all four.  Each axis joins its two
+    coordinates' fields by `_field`, q's named first, as `q.u_i - p.u_i`
+    names it: two irrational over different fields raise
+    FieldMismatchError with that operator's text, axis 1 before axis 2.
+    f_i is 0 when the radical part cancels, since the difference is then
+    rational; `quad` tells whether any of the four coordinates is a
+    QuadScalar."""
+    pa1, pb1, pa2, pb2, Lp, pquad, pf1, pf2 = p._lift
+    qa1, qb1, qa2, qb2, Lq, qquad, qf1, qf2 = q._lift
+    L = math.lcm(Lp, Lq)
+    kp, kq = L // Lp, L // Lq
+    a1, b1 = qa1 * kq - pa1 * kp, qb1 * kq - pb1 * kp
+    a2, b2 = qa2 * kq - pa2 * kp, qb2 * kq - pb2 * kp
+    f1, f2 = _field(qf1, pf1), _field(qf2, pf2)
+    return a1, b1, a2, b2, L, pquad or qquad, f1 if b1 else 0, f2 if b2 else 0
+
+
+def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix):
+    """`torus_distance_sq` of exact points p and q, on integers (see there),
+    from q - p over one denominator L (`_lift_difference`).  The field is
+    that of the two differences q.u_i - p.u_i, by `_field`:
     - an axis whose two coordinates are irrational over different fields
       raises FieldMismatchError, as `q.u_i - p.u_i` does;
     - a difference whose radical part cancels is rational;
@@ -410,15 +432,8 @@ def _exact_distance_sq(lp: tuple, lq: tuple, gram: GramMatrix):
     part, P = N z, and `L(h.s)` in the radical one), and the quadratic is
     evaluated once, at the first least corner in window order.
     """
-    pa1, pb1, pa2, pb2, Lp, pquad, pf1, pf2 = lp
-    qa1, qb1, qa2, qb2, Lq, qquad, qf1, qf2 = lq
-    # q - p over the common denominator L: (a_i + b_i*sqrt(d)) / L
-    L = math.lcm(Lp, Lq)
-    kp, kq = L // Lp, L // Lq
-    a1, b1 = qa1 * kq - pa1 * kp, qb1 * kq - pb1 * kp
-    a2, b2 = qa2 * kq - pa2 * kp, qb2 * kq - pb2 * kp
-    f1, f2 = _field(qf1, pf1), _field(qf2, pf2)
-    d = _field(f1 if b1 else 0, f2 if b2 else 0) or DEFAULT_D
+    a1, b1, a2, b2, L, quad, f1, f2 = _lift_difference(p, q)
+    d = _field(f1, f2) or DEFAULT_D
     # U^-1 (q - p), moved by the nearest integers to (z_i + c_i*sqrt(d)) / L,
     # each within 1/2 of 0
     (u11, u12), (u21, u22) = gram.unimodular_inverse
@@ -447,7 +462,7 @@ def _exact_distance_sq(lp: tuple, lq: tuple, gram: GramMatrix):
             best = gA, gB, s1, s2
     x1, x2 = z1 + best[2] * L, z2 + best[3] * L
     A = x1 * (n11 * x1 + 2 * n12 * x2) + n22 * x2 * x2 + root
-    if not (pquad or qquad):
+    if not quad:
         return Fraction(A, G * L * L)
     return _reduced(A, x1 * h1 + x2 * h2, G * L * L, d)
 
@@ -478,9 +493,8 @@ def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: in
     A point with a float coordinate makes the result a float: the pair goes
     through `batch_torus_distance_sq`, the one float evaluator.
     """
-    lp, lq = p._lift, q._lift
-    if lp is not None and lq is not None:
-        return _exact_distance_sq(lp, lq, gram)
+    if p._lift is not None and q._lift is not None:
+        return _exact_distance_sq(p, q, gram)
     import numpy as np
 
     return float(batch_torus_distance_sq(np.array([p.as_floats()]), np.array([q.as_floats()]), gram)[0])
@@ -641,7 +655,7 @@ class OneParamSubgroup(Record):
             raise ValueError("canonical slope must be a nonzero rational multiple of sqrt(d)")
         return cls(Fraction(1), alpha)
 
-    @cached_property
+    @_memo
     def alpha(self):
         return self.v2 / self.v1
 

@@ -245,9 +245,13 @@ def test_circle_tolerance_is_derived_once_per_eps_and_axis():
 def test_circle_tolerance_errors_arise_where_they_did():
     theta = frac(1 / QuadScalar(0, 1, 2))
     eps = Fraction(1, 10**9)
-    # a zero axis puts every point within eps: no bound is divided out
-    assert circle_density_hit(Fraction(1, 3), theta, eps=eps, g_axis=0).k == 0
-    # a zero eps is refused where the tolerance is derived
+    # a zero or negative axis is refused where the tolerance is derived
+    for g_axis in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match=r"^g_axis must be positive, got -?[0-9/]+$"):
+            circle_density_hit(Fraction(1, 3), theta, eps=eps, g_axis=g_axis)
+    # a zero eps is refused there too, before the axis
+    with pytest.raises(ValueError, match="eps must be positive"):
+        circle_density_hit(Fraction(1, 3), theta, eps=0, g_axis=0)
     with pytest.raises(ValueError, match="eps must be positive"):
         circle_density_hit(Fraction(1, 3), theta, eps=0)
     with pytest.raises(ValueError, match="no convergent within 5 terms"):
@@ -258,7 +262,7 @@ def test_circle_tolerance_errors_arise_where_they_did():
     assert circle_density_hit(Fraction(1, 3), theta, eps=eps, g_axis=2) == circle_density_hit(
         Fraction(1, 3), theta, eps=eps, g_axis=Fraction(2)
     )
-    assert type(_tolerance(eps, 2).bound) is Fraction
+    assert type(_tolerance(eps, 2)[3]) is Fraction
 
 
 def test_x1_group_at_eps_1e400_exits_0(capsys):

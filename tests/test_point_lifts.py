@@ -213,6 +213,30 @@ def test_lift_holds_one_denominator_and_each_field():
     assert TorusPoint(Q3, Q2)._lift[5:] == (True, 3, 2)
 
 
+@SETTINGS
+@given(points, points)
+@example(TWO_FIELDS, TorusPoint(0, 0))
+@example(TWO_FIELDS, TorusPoint(TWO_FIELDS.u1 + Fraction(1, 4), Q3))
+@example(TorusPoint(Q2, Q3), TorusPoint(QuadScalar(Fraction(1, 3), Fraction(1, 5), 5), Q2))
+# the radical parts' coefficients cancel across two fields: still a mismatch
+@example(TorusPoint(QuadScalar(Fraction(1, 4), Fraction(1, 4), 2), 0), TorusPoint(QuadScalar(0, Fraction(1, 4), 3), 0))
+def test_lift_difference_matches_the_operator_differences(p, q):
+    def operators(x, y):
+        return y.u1 - x.u1, y.u2 - x.u2
+
+    for a, b in ((p, q), (q, p), (p, p)):
+        (got, got_err), (want, want_err) = outcome(torus._lift_difference, a, b), outcome(operators, a, b)
+        assert got_err == want_err, (a, b, got_err, want_err)
+        if want_err is not None:
+            continue
+        a1, b1, a2, b2, L, quad, f1, f2 = got
+        assert quad == any(type(u) is QuadScalar for u in (a.u1, a.u2, b.u1, b.u2))
+        for (A, B, f), diff in zip(((a1, b1, f1), (a2, b2, f2)), want):
+            assert (B == 0) == (f == 0), (a, b, got)
+            assert diff == (QuadScalar(Fraction(A, L), Fraction(B, L), f) if B else Fraction(A, L)), (a, b, got)
+            assert field(diff) in (None, f or DEFAULT_D), (a, b, got)
+
+
 def test_float_point_takes_the_batch_path(monkeypatch):
     p, q = TorusPoint(0.25, Fraction(1, 3)), TorusPoint(Q2, 0.5)
     assert p._lift is None and not p.is_exact()

@@ -8,6 +8,10 @@
   `numerics`, so every module can import it at the top.
 - One field join: the text of a field mismatch is written only in
   `numerics._field`, so every caller joins fields by that one rule.
+- One reader of a point's lift: `TorusPoint._lift` is read only in
+  `torus`, where `_lift_difference` unpacks it for every caller.
+- One memo descriptor: `torus._memo`; no module uses
+  `functools.cached_property`.
 """
 
 import ast
@@ -78,6 +82,28 @@ def test_field_mismatch_text_lives_only_in_the_field_rule():
                 inner = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
                 places.append((path.name, inner[-1] if inner else None))
     assert places == [("numerics.py", "_field")]
+
+
+def test_lifts_are_read_only_in_torus():
+    readers = sorted({
+        path.name
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr == "_lift"
+    })
+    assert readers == ["torus.py"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_cached_property(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "cached_property" for alias in node.names)
+        or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+        or isinstance(node, ast.Name) and node.id == "cached_property"
+    ]
+    assert lines == [], f"{path.name}: cached_property on lines {lines}"
 
 
 # Each script plants one fault that a certification check must catch, and
