@@ -300,7 +300,7 @@ def _typed_config(command: str, merged: dict) -> RunConfig:
     # range 6 * max(1, M) must be a float; `nearest`'s grid oracle takes its
     # offsets from t exactly and needs only M as a float, but shares the gate
     if values["mode"] is FLOAT and FLOAT in row.kernel_modes:
-        from .gluing import _float_height_span
+        from .sampling import _float_height_span
 
         try:
             _float_height_span(values["M"])

@@ -39,7 +39,7 @@ from .numerics import (
     sqrt_interval,
 )
 from .report import Record
-from .sampling import _height_span, random_glued_point, rng_for
+from .sampling import _float_height_span, _height_span, random_glued_point, rng_for
 from .torus import (
     GramMatrix,
     Length,
@@ -230,7 +230,7 @@ def _capped_gap(ta, tb, M):
         mA, mB, mD = M.numerator, 0, M.denominator
     if _sign(A * mD - mA * D, B * mD - mB * D, sd) >= 0:
         return M
-    return _reduced(A, B, D, d) if d else Fraction(A, D)
+    return _reduced(A, B, D, d)
 
 
 def glued_distance(a: GluedPoint, b: GluedPoint, params: GluingParams, gram: GramMatrix) -> Distance:
@@ -570,21 +570,6 @@ def _check_floats(kind, y, t, dists, mode: ScalarMode, log: _ViolationLog, point
     return 8 * len(d_ab)
 
 
-def _float_height_span(M) -> float:
-    """3*max(1, M) as a float: float samplers draw heights from [-span, span].
-
-    Raises OverflowError naming M when the range 6*max(1, M) of those
-    heights has no finite float (from about M = 3e307).
-    """
-    try:
-        m = max(1.0, float(M))
-    except OverflowError:
-        m = math.inf
-    if not math.isfinite(6.0 * m):
-        raise OverflowError("M: the sampled height range 6*max(1, M) has no finite float")
-    return 3.0 * m
-
-
 def _check_batch(n, params, gram, mode, seed, log: _ViolationLog) -> int:
     """Float checks of n sampled triples, their distances from the batch kernel."""
     import numpy as np
@@ -650,11 +635,12 @@ def check_metric_axioms(
     `glued_distance`, one triple at a time.  Only the violations the report
     records become point objects.  The default sampler draws exact heights
     at span 3*max(1, ceil(M)), computed without a float
-    (`sampling._height_span`, the rule `verify_isometry` draws by), so an M
-    beyond the float range works in exact mode.  It draws float heights
-    from [-3*max(1, M), 3*max(1, M)], so float mode raises OverflowError,
-    naming M and before drawing anything, when that range, 6*max(1, M), has
-    no finite float (`_float_height_span`; the CLI exits 2 naming M).
+    (`sampling._height_span`), so an M beyond the float range works in exact
+    mode.  It draws float heights from [-3*max(1, M), 3*max(1, M)], so float
+    mode raises OverflowError, naming M and before drawing anything, when
+    that range, 6*max(1, M), has no finite float
+    (`sampling._float_height_span`; the CLI exits 2 naming M).
+    `verify_isometry` draws its heights by the same two spans.
     """
     if n < 0:
         raise ValueError("sample count must be nonnegative")

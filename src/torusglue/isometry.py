@@ -18,13 +18,19 @@ from .gluing import (
     GluedPoint,
     GluingParams,
     WindingPoint,
-    _float_height_span,
     glued_distance,
     winding_distance,
 )
 from .numerics import DEFAULT_D, EXACT, CertificationError, ScalarMode, _check_d, require_exact
 from .report import Record
-from .sampling import _height_span, random_glued_point, random_torus_point, random_winding_point, rng_for
+from .sampling import (
+    _float_height_span,
+    _height_span,
+    random_glued_point,
+    random_torus_point,
+    random_winding_point,
+    rng_for,
+)
 from .torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint, _combine
 
 
@@ -252,12 +258,13 @@ def verify_isometry(
 
     `apply_map` is any callable on points of the chosen space ('glued' or
     'winding').  Exact glued-space samples are drawn over sqrt(d), exact
-    winding-space samples over the subgroup's slope field.  Samples take
-    their heights at span s = 3*max(1, ceil(M)), float ones from [-s, s]:
-    the rule of `check_metric_axioms`, computed exactly
-    (`sampling._height_span`), so an exact M beyond the float range works.
-    Float mode raises OverflowError, naming M and before drawing anything,
-    when 6*max(1, M) has no finite float.
+    winding-space samples over the subgroup's slope field.  Heights are
+    drawn by the two spans of `check_metric_axioms`: exact ones at span
+    3*max(1, ceil(M)), computed without a float (`sampling._height_span`),
+    so an exact M beyond the float range works, and float ones from
+    [-3*max(1, M), 3*max(1, M)] (`sampling._float_height_span`).  Float
+    mode raises OverflowError, naming M and before drawing anything, when
+    6*max(1, M) has no finite float.
     """
     if space == "winding":
         if subgroup is None:
@@ -280,9 +287,7 @@ def verify_isometry(
 
     else:
         raise ValueError("space must be 'glued' or 'winding'")
-    if not mode.exact:
-        _float_height_span(params.M)
-    span = _height_span(params.M)
+    span = _height_span(params.M) if mode.exact else _float_height_span(params.M)
 
     failures: list[PairFailure] = []
     max_err = 0.0

@@ -10,8 +10,12 @@ carries the field index DEFAULT_D whatever field it was built or computed
 in; an irrational one carries its own.  Equal values then have equal
 (A, B, D, d).  Operands meet by one rule (`_operands`): two irrational
 scalars must share d, and a result takes the field of its irrational
-operand.  `_parts` reads any exact scalar, int and Fraction included, as
-its normal form.
+operand.  Results leave by one rule (`_reduced`): a triple with d = 0,
+which no QuadScalar took part in, is the Fraction A/D, and any other is a
+QuadScalar.  `_parts` reads any exact scalar, int and Fraction included,
+as the triple and field that `_reduced` turns back into it.  QuadScalar's
+binary operators share one protocol (`_arith`): a float operand leaves the
+field, and exact operands' triples meet in an integer kernel.
 
 Values leave the field only through three views, one per job:
 - `float(x)` and `sqrt_as_float(x)`, for report values and float mode:
@@ -25,6 +29,7 @@ Values leave the field only through three views, one per job:
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,8 +175,13 @@ def _new(A: int, B: int, D: int, d: int) -> "QuadScalar":
     return q
 
 
-def _reduced(A: int, B: int, D: int, d: int) -> "QuadScalar":
-    """Scalar from a triple with D > 0, divided through by gcd(A, B, D)."""
+def _reduced(A: int, B: int, D: int, d: int):
+    """The value (A + B*sqrt(d)) / D of a triple with D > 0, the one result
+    rule of exact arithmetic: d = 0 means that no QuadScalar took part (so
+    B = 0), and the value is the Fraction A/D; otherwise it is a QuadScalar,
+    divided through by gcd(A, B, D)."""
+    if not d:
+        return Fraction(A, D)
     g = math.gcd(A, B, D)
     if g != 1:
         A //= g
@@ -271,44 +281,18 @@ class QuadScalar:
         return -self if self.sign() < 0 else self
 
     def __add__(self, other):
-        if isinstance(other, float):
-            return float(self) + other
-        o = _operands(self, other)
-        if o is None:
-            return NotImplemented
-        sA, sB, sD, A, B, D, d = o
-        return _reduced(sA * D + A * sD, sB * D + B * sD, sD * D, d)
+        return _arith(self, other, _sum, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, float):
-            return float(self) - other
-        o = _operands(self, other)
-        if o is None:
-            return NotImplemented
-        sA, sB, sD, A, B, D, d = o
-        return _reduced(sA * D - A * sD, sB * D - B * sD, sD * D, d)
+        return _arith(self, other, _difference, operator.sub)
 
     def __rsub__(self, other):
-        if isinstance(other, float):
-            return other - float(self)
-        o = _operands(self, other)
-        if o is None:
-            return NotImplemented
-        sA, sB, sD, A, B, D, d = o
-        return _reduced(A * sD - sA * D, B * sD - sB * D, sD * D, d)
+        return _arith(self, other, _rdifference, lambda f, o: o - f)
 
     def __mul__(self, other):
-        if isinstance(other, float):
-            return float(self) * other
-        o = _operands(self, other)
-        if o is None:
-            return NotImplemented
-        sA, sB, sD, A, B, D, d = o
-        if B == 0:
-            return _reduced(sA * A, sB * A, sD * D, d)
-        return _reduced(sA * A + d * sB * B, sA * B + sB * A, sD * D, d)
+        return _arith(self, other, _product, operator.mul)
 
     __rmul__ = __mul__
 
@@ -320,22 +304,10 @@ class QuadScalar:
         return _quotient(1, 0, 1, self._A, self._B, self._D, self.d)
 
     def __truediv__(self, other):
-        if isinstance(other, float):
-            return float(self) / other
-        o = _operands(self, other)
-        if o is None:
-            return NotImplemented
-        sA, sB, sD, A, B, D, d = o
-        return _quotient(sA, sB, sD, A, B, D, d)
+        return _arith(self, other, _quotient, operator.truediv)
 
     def __rtruediv__(self, other):
-        if isinstance(other, float):
-            return other / float(self)
-        o = _operands(self, other)
-        if o is None:
-            return NotImplemented
-        sA, sB, sD, A, B, D, d = o
-        return _quotient(A, B, D, sA, sB, sD, d)
+        return _arith(self, other, _rquotient, lambda f, o: o / f)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -408,13 +380,13 @@ _set_d = QuadScalar.d.__set__
 
 def _parts(x) -> tuple[int, int, int, int] | None:
     """(A, B, D, d), the normal form of an exact scalar
-    x = (A + B*sqrt(d)) / D: an int or a Fraction reads B = 0 and
-    d = DEFAULT_D, as a rational QuadScalar does.  None for a float or any
-    other type."""
+    x = (A + B*sqrt(d)) / D, which `_reduced` turns back into x's value and
+    type: an int or a Fraction reads B = 0 and d = 0.  None for a float or
+    any other type."""
     if isinstance(x, QuadScalar):
         return x._A, x._B, x._D, x.d
     if isinstance(x, _RATIONAL):
-        return x.numerator, 0, x.denominator, DEFAULT_D
+        return x.numerator, 0, x.denominator, 0
     return None
 
 
@@ -434,8 +406,9 @@ def _operands(s, o):
     operands' irrational fields: two of different fields raise
     FieldMismatchError, naming s's field first.  With no irrational operand
     d is DEFAULT_D when a QuadScalar takes part, and 0 when neither is one
-    and one is a Fraction, so that the result is a Fraction.  None for a
-    float, an int pair or another type, which take the operators themselves.
+    and one is a Fraction, so that `_reduced` makes the result a Fraction.
+    None for a float, an int pair or another type, which take the operators
+    themselves.
 
     Types are matched exactly; beside a QuadScalar s, any int or Fraction
     instance (a bool, say) also counts, as the operators accept it.
@@ -457,7 +430,47 @@ def _operands(s, o):
     return None
 
 
-def _quotient(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int, d: int) -> QuadScalar:
+def _arith(s: "QuadScalar", o, kernel, float_op):
+    """The one protocol of QuadScalar's binary operators, s the operator's
+    own operand and o the other: a float o leaves the field,
+    float_op(float(s), o); an o that `_operands` does not take gives
+    NotImplemented; otherwise `kernel` builds the result from the operands'
+    triples and field (`_operands(s, o)`, in that order for the reflected
+    operators too, so that field mismatches name s's field first)."""
+    if isinstance(o, float):
+        return float_op(float(s), o)
+    ops = _operands(s, o)
+    if ops is None:
+        return NotImplemented
+    return kernel(*ops)
+
+
+# kernels: (A1 + B1*sqrt(d))/D1 and (A2 + B2*sqrt(d))/D2 combined, by `_reduced`
+
+
+def _sum(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int, d: int):
+    return _reduced(A1 * D2 + A2 * D1, B1 * D2 + B2 * D1, D1 * D2, d)
+
+
+def _difference(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int, d: int):
+    return _reduced(A1 * D2 - A2 * D1, B1 * D2 - B2 * D1, D1 * D2, d)
+
+
+def _rdifference(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int, d: int):
+    return _difference(A2, B2, D2, A1, B1, D1, d)
+
+
+def _product(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int, d: int):
+    if B2 == 0:
+        return _reduced(A1 * A2, B1 * A2, D1 * D2, d)
+    return _reduced(A1 * A2 + d * B1 * B2, A1 * B2 + B1 * A2, D1 * D2, d)
+
+
+def _rquotient(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int, d: int):
+    return _quotient(A2, B2, D2, A1, B1, D1, d)
+
+
+def _quotient(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int, d: int):
     """(A1 + B1*sqrt(d))/D1 divided by (A2 + B2*sqrt(d))/D2, via the conjugate."""
     return _reduced(*_divided(A1, B1, D1, A2, B2, D2, d), d)
 

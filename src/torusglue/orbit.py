@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .numerics import (
-    DEFAULT_D,
     EXACT,
     CertificationError,
     QuadScalar,
@@ -259,10 +258,7 @@ def _circle_dist_sq(w, g_axis):
     w's field when w is one, else a Fraction."""
     A, B, D, d = _parts(w)
     g = _rat(g_axis)
-    A, B, D = _wrap_sq(A, B, D, d, g.numerator, g.denominator)
-    if isinstance(w, QuadScalar):
-        return _reduced(A, B, D, d)
-    return Fraction(A, D)
+    return _reduced(*_wrap_sq(A, B, D, d, g.numerator, g.denominator), d)
 
 
 def _positive_eps(eps) -> Fraction:
@@ -340,14 +336,14 @@ def circle_density_hit(
     tA, tB, tD, td = _parts(target)
     xA, xB, xD, xd = _parts(x0)
     xf = xd if xB else 0
-    # w = frac(target - x0), in the field the operator takes
-    wd = _field(td if tB else 0, xf) or DEFAULT_D
+    # w = frac(target - x0), in the field the operator takes: 0 when neither
+    # is a QuadScalar (`_parts`), and w is a Fraction
+    wd = _field(td if tB else 0, xf) or td or xd
     wA, wB, wD = tA * xD - xA * tD, tB * xD - xB * tD, tD * xD
     wA -= _floor(wA, wB, wD, wd) * wD
     A, B, D = _wrap_sq(wA, wB, wD, wd, gn, gm)
     if _sign(A * em - en * D, B * em, wd) < 0:
-        quad = type(target) is QuadScalar or type(x0) is QuadScalar
-        d0 = _reduced(A, B, D, wd) if quad else Fraction(A, D)
+        d0 = _reduced(A, B, D, wd)
         return CircleHit(target, eps, 0, frac(x0), d0, sqrt_as_float(d0), None)
     max_terms = cap if max_terms is None else max_terms
     rot = _rotation(theta)
@@ -541,11 +537,12 @@ def torus_density_hit(
     width = (2 * rn, 0, rd)
     k = _first_entry_triples(rot, d, (cA, cB, cD), width)
     v1 = subgroup.v1
-    vA, vB, vD, _ = _parts(v1)
-    quad = type(target.u1) is QuadScalar or type(y0.u1) is QuadScalar or type(v1) is QuadScalar
+    vA, vB, vD, vd = _parts(v1)
+    # t = (w1 + k) / v1 is a Fraction, field index 0, unless a QuadScalar takes part
+    td = d if vd or QuadScalar in (type(target.u1), type(y0.u1)) else 0
     while k <= budget:
-        tA, tB, tD = _divided(a1 + k * L, b1, L, vA, vB, vD, d)  # t = (w1 + k) / v1
-        t = _reduced(tA, tB, tD, d) if quad else Fraction(tA, tD)
+        tA, tB, tD = _divided(a1 + k * L, b1, L, vA, vB, vD, d)
+        t = _reduced(tA, tB, tD, td)
         point = subgroup.point(t).translate(y0)
         dist_sq = torus_distance_sq(point, target, gram)
         if _below(dist_sq, en, em):

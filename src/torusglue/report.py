@@ -167,30 +167,26 @@ def density_csv(report) -> str:
     """Flat table of density hits, one row per achieved approach.
 
     `report` is a density report, its `describe()` dict, or a list of
-    either.  Columns are target_u1, target_u2, t, distance; all values print
-    as %.17g floats.  Misses (no hit within budget) are skipped: the table
-    records achieved distances, the JSON report records failures.
+    either; it is read through `plain`, so records and descriptions give
+    the same rows.  Columns are target_u1, target_u2, t, distance; all
+    values print as %.17g floats.  Misses (no hit within budget) are
+    skipped: the table records achieved distances, the JSON report records
+    failures.
     """
     rows = [DENSITY_CSV_HEADER]
-    for rep in report if isinstance(report, list) else [report]:
-        u1, u2, hits = _density_values(rep)
-        for t, distance in hits:
-            rows.append(",".join(_float_text(float(v)) for v in (u1, u2, t, distance)))
+    described = plain(report)
+    for rep in described if isinstance(described, list) else [described]:
+        target = rep["target"]
+        for hit in (entry["hit"] for entry in rep["results"]):
+            if hit is not None:
+                values = (target["u1"], target["u2"], hit["t"], hit["distance"])
+                rows.append(",".join(_float_text(_csv_float(v)) for v in values))
     return "\n".join(rows) + "\n"
 
 
-def _density_values(rep):
-    """(u1, u2, [(t, distance) per hit]) of a density report or its description."""
-    if isinstance(rep, Record):
-        hits = [(h.t, h.distance) for h in rep.hits if h is not None]
-        return rep.target.u1, rep.target.u2, hits
-
-    def value(x):  # a description carries exact values as wire strings
-        return parse_scalar(x) if isinstance(x, str) else x
-
-    hits = [entry["hit"] for entry in rep["results"] if entry["hit"] is not None]
-    target = rep["target"]
-    return value(target["u1"]), value(target["u2"]), [(value(h["t"]), h["distance"]) for h in hits]
+def _csv_float(x) -> float:
+    # a description carries exact values as wire strings
+    return float(parse_scalar(x) if isinstance(x, str) else x)
 
 
 def write_report(text: str, path: str | None) -> None:

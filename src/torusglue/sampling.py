@@ -6,6 +6,7 @@ run's samples do not depend on evaluation order or worker count.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,9 +20,24 @@ def rng_for(seed: int, index: int) -> random.Random:
 
 def _height_span(M) -> int:
     """3*max(1, ceil(M)) for an exact M, computed without a float: the span
-    s of the heights that the metric and isometry checks sample, exact ones
-    at s and float ones from [-s, s]."""
+    of the exact heights that the metric and isometry checks sample."""
     return 3 * max(1, -floor_frac(-M)[0])
+
+
+def _float_height_span(M) -> float:
+    """3*max(1, M) as a float: the metric and isometry checks draw float
+    heights from [-span, span].
+
+    Raises OverflowError naming M when the range 6*max(1, M) of those
+    heights has no finite float (from about M = 3e307).
+    """
+    try:
+        m = max(1.0, float(M))
+    except OverflowError:
+        m = math.inf
+    if not math.isfinite(6.0 * m):
+        raise OverflowError("M: the sampled height range 6*max(1, M) has no finite float")
+    return 3.0 * m
 
 
 def random_fraction(rng: random.Random, max_den: int = 32) -> Fraction:

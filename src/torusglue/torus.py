@@ -205,7 +205,7 @@ def _plus(u, x):
     A, B, D = uA * xD + xA * uD, uB * xD + xB * uD, uD * xD
     if _sign(A - D, B, d) >= 0:
         A -= D
-    return _reduced(A, B, D, d) if d else Fraction(A, D)
+    return _reduced(A, B, D, d)
 
 
 def _combine(s, o, k: int):
@@ -217,7 +217,7 @@ def _combine(s, o, k: int):
         return s + o if k > 0 else s - o
     sA, sB, sD, oA, oB, oD, d = ops
     A, B, D = sA * oD + k * oA * sD, sB * oD + k * oB * sD, sD * oD
-    return _reduced(A, B, D, d) if d else Fraction(A, D)
+    return _reduced(A, B, D, d)
 
 
 def _frac_product(t, v):
@@ -231,7 +231,7 @@ def _frac_product(t, v):
     tA, tB, tD, vA, vB, vD, d = ops
     A, B, D = tA * vA + d * tB * vB, tA * vB + tB * vA, tD * vD
     A -= _floor(A, B, D, d) * D
-    return _reduced(A, B, D, d) if d else Fraction(A, D)
+    return _reduced(A, B, D, d)
 
 
 def _negated(u):
@@ -257,7 +257,7 @@ def _minus(x, y):
     A, B, D = xA * yD - yA * xD, xB * yD - yB * xD, yD * xD
     if _sign(A, B, d) < 0:
         A += D
-    return _reduced(A, B, D, d) if d else Fraction(A, D)
+    return _reduced(A, B, D, d)
 
 
 @dataclass(frozen=True)
@@ -425,7 +425,7 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix):
       axis 1's field first;
     - otherwise d is the differences' field, or DEFAULT_D, the field index
       of a rational QuadScalar, when both are rational;
-    - no QuadScalar at all gives a Fraction.
+    - no QuadScalar at all gives d = 0, which `_reduced` makes a Fraction.
 
     The four corners are compared by their linear differences from the
     rounded point z (`N(z + sL) - N(z) = 2L(P.s) + L^2 N(s)` in the rational
@@ -433,7 +433,7 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix):
     evaluated once, at the first least corner in window order.
     """
     a1, b1, a2, b2, L, quad, f1, f2 = _lift_difference(p, q)
-    d = _field(f1, f2) or DEFAULT_D
+    d = _field(f1, f2) or (DEFAULT_D if quad else 0)
     # U^-1 (q - p), moved by the nearest integers to (z_i + c_i*sqrt(d)) / L,
     # each within 1/2 of 0
     (u11, u12), (u21, u22) = gram.unimodular_inverse
@@ -462,8 +462,6 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix):
             best = gA, gB, s1, s2
     x1, x2 = z1 + best[2] * L, z2 + best[3] * L
     A = x1 * (n11 * x1 + 2 * n12 * x2) + n22 * x2 * x2 + root
-    if not quad:
-        return Fraction(A, G * L * L)
     return _reduced(A, x1 * h1 + x2 * h2, G * L * L, d)
 
 

@@ -173,6 +173,27 @@ def test_float_operands_decay_to_float():
     assert isinstance(got, float)
     assert math.isclose(got, float(x) + 0.5, rel_tol=1e-12)
     assert isinstance(0.5 * x, float)
+    # every operator, on both sides: the float expression on float(x), bit for bit
+    for y in (QuadScalar(1, 1, 2), QuadScalar(Fraction(-2, 7), Fraction(3, 5), 3), QuadScalar(Fraction(5, 3))):
+        fy = float(y)
+        for f in (0.5, -3.25, 1e-300):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                for got, want in ((op(y, f), op(fy, f)), (op(f, y), op(f, fy))):
+                    assert type(got) is float and got.hex() == want.hex(), (op, y, f)
+    assert (0.5 - x).hex() == (0.5 - float(x)).hex() and (x - 0.5).hex() == (float(x) - 0.5).hex()
+    assert (0.5 / x).hex() == (0.5 / float(x)).hex() and (x / 0.5).hex() == (float(x) / 0.5).hex()
+
+
+def test_reduced_is_the_result_rule():
+    # d = 0 means that no QuadScalar took part: the value is a Fraction
+    got = numerics._reduced(6, 0, 4, 0)
+    assert type(got) is Fraction and got == Fraction(3, 2)
+    got = numerics._reduced(6, 0, 4, 3)
+    assert type(got) is QuadScalar and got == Fraction(3, 2) and got.d == numerics.DEFAULT_D
+    # `_parts` reads a scalar as the triple and field that `_reduced` turns back into it
+    for x in (5, Fraction(-3, 4), QuadScalar(Fraction(5, 3)), QuadScalar(Fraction(1, 2), Fraction(-1, 3), 3)):
+        y = numerics._reduced(*numerics._parts(x))
+        assert y == x and type(y) is (QuadScalar if isinstance(x, QuadScalar) else Fraction), x
 
 
 def test_integer_powers():

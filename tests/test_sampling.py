@@ -1,10 +1,11 @@
-"""Seeded sampler determinism, value ranges and the sampled height span."""
+"""Seeded sampler determinism, value ranges and the sampled height spans."""
 
 from fractions import Fraction
 
-from torusglue import EXACT, GluingParams, GramMatrix, QuadScalar, check_metric_axioms, verify_isometry
+from torusglue import EXACT, FLOAT, GluingParams, GramMatrix, QuadScalar, check_metric_axioms, verify_isometry
 from torusglue.numerics import is_exact, sign_of
 from torusglue.sampling import (
+    _float_height_span,
     _height_span,
     random_fraction,
     random_glued_point,
@@ -73,3 +74,20 @@ def test_exact_checks_sample_heights_beyond_the_float_range():
     assert report.checks > 0 and report.violations_total == 0
     verified = verify_isometry(lambda p: p, 3, params, gram, mode=EXACT)
     assert verified.describe()["passed"] and verified.describe()["samples"] == 3
+
+
+def test_float_isometry_checks_draw_heights_by_the_float_span():
+    # float heights come from [-3*max(1, M), 3*max(1, M)], the span of the
+    # float batch of check_metric_axioms: [-4.5, 4.5] at M = 3/2, not the
+    # exact span 3*ceil(M) = 6
+    params = GluingParams(Fraction(3, 2), Fraction(3, 2))
+    assert _float_height_span(params.M) == 4.5 and _height_span(params.M) == 6
+    seen = []
+    verify_isometry(lambda p: seen.append(p) or p, 40, params, GramMatrix.identity(), mode=FLOAT, seed=5)
+    drawn = []
+    for i in range(40):
+        rng = rng_for(5, i)
+        drawn += [random_glued_point(rng, 4.5, exact=False), random_glued_point(rng, 4.5, exact=False)]
+    assert seen == drawn
+    heights = [abs(p.t) for p in seen if not p.is_compact]
+    assert len(heights) > 20 and 4.0 < max(heights) <= 4.5

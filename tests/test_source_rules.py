@@ -12,6 +12,11 @@
   `torus`, where `_lift_difference` unpacks it for every caller.
 - One memo descriptor: `torus._memo`; no module uses
   `functools.cached_property`.
+- One protocol for exact arithmetic: QuadScalar's binary operators each
+  call `numerics._arith`, and none tests `isinstance(..., float)` or calls
+  `_operands` itself; and one result rule: `numerics._reduced` picks a
+  Fraction or a QuadScalar, so no conditional expression in the package
+  picks a `Fraction(...)` call, as `... if d else Fraction(A, D)` did.
 """
 
 import ast
@@ -104,6 +109,46 @@ def test_no_cached_property(path):
         or isinstance(node, ast.Name) and node.id == "cached_property"
     ]
     assert lines == [], f"{path.name}: cached_property on lines {lines}"
+
+
+BINARY_OPERATORS = ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__")
+
+
+def _calls(node, name):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name]
+
+
+def test_binary_operators_share_one_protocol():
+    tree = _tree(PACKAGE / "numerics.py")
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "QuadScalar"]
+    methods = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
+    assert set(BINARY_OPERATORS) <= set(methods)
+    for name in BINARY_OPERATORS:
+        method = methods[name]
+        float_tests = [
+            call.lineno
+            for call in _calls(method, "isinstance")
+            if any(isinstance(n, ast.Name) and n.id == "float" for n in ast.walk(call.args[1]))
+        ]
+        assert float_tests == [] and _calls(method, "_operands") == [], name
+        assert len(_calls(method, "_arith")) == 1, name
+    # the reflected sum and product are the same methods
+    assert torusglue.QuadScalar.__radd__ is torusglue.QuadScalar.__add__
+    assert torusglue.QuadScalar.__rmul__ is torusglue.QuadScalar.__mul__
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_conditional_fraction_result(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.IfExp)
+        and any(
+            isinstance(branch, ast.Call) and isinstance(branch.func, ast.Name) and branch.func.id == "Fraction"
+            for branch in (node.body, node.orelse)
+        )
+    ]
+    assert lines == [], f"{path.name}: a conditional picks a Fraction result on lines {lines}"
 
 
 # Each script plants one fault that a certification check must catch, and
