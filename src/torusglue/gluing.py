@@ -896,26 +896,14 @@ def grid_nearest_on_line(
     """Argmin of d(p, (y2, s)) over a uniform s-grid centered at p.t.
 
     The first minimum wins.  The grid heights are s = p.t + (j*step - span)
-    with the offset taken exactly, so the gap |p.t - s| is the offset's
-    absolute value |span|*|n - 2j|/n with n = t_n - 1, and p.t, float or
-    exact, enters only the s of the argmin; with a rational span and cap the
-    gaps are integer ratios, whose true division rounds as float() of the
-    Fraction does.
+    with the offset taken exactly, so the gap |p.t - s| is the exact
+    |j*step - span|, capped at M and then converted to a float; p.t, float
+    or exact, enters only the s of the argmin.
     """
     if span is None:
         span = 2 * params.M
     base = sqrt_as_float(torus_distance_sq(p.y, y2, gram))
-    n = t_n - 1
-    step = 2 * span / n
-    if not isinstance(span, QuadScalar) and not isinstance(params.M, QuadScalar):
-        (a, b), (ma, mb) = abs(span).as_integer_ratio(), params.M.as_integer_ratio()
-        cap = float(params.M)
-        vals = [
-            base + (a * c / (b * n) if a * c * mb < ma * b * n else cap)
-            for c in map(abs, range(n, -n - 1, -2))
-        ]
-    else:
-        gaps = [abs(j * step - span) for j in range(t_n)]
-        vals = [base + float(scalar_min(gap, params.M)) for gap in gaps]
+    step = 2 * span / (t_n - 1)
+    vals = [base + float(scalar_min(abs(j * step - span), params.M)) for j in range(t_n)]
     j = vals.index(min(vals))
     return p.t + (j * step - span), float(vals[j])

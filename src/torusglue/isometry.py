@@ -31,7 +31,7 @@ from .sampling import (
     random_winding_point,
     rng_for,
 )
-from .torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint, _combine
+from .torus import GramMatrix, OneParamSubgroup, Subtorus, TorusPoint
 
 
 class DecompositionError(ValueError):
@@ -78,9 +78,7 @@ class LineIsometry(Record):
         return cls(-1, 2 * center)
 
     def apply(self, t):
-        """t + shift or shift - t, added on triples (`_combine`) with the
-        value, type and field index of the operator expression."""
-        return _combine(t, self.shift, 1) if self.sign > 0 else _combine(self.shift, t, -1)
+        return t + self.shift if self.sign > 0 else self.shift - t
 
     def compose(self, other: "LineIsometry") -> "LineIsometry":
         return LineIsometry(self.sign * other.sign, self.shift + self.sign * other.shift)
@@ -266,6 +264,8 @@ def verify_isometry(
     mode raises OverflowError, naming M and before drawing anything, when
     6*max(1, M) has no finite float.
     """
+    if n < 0:
+        raise ValueError("sample count must be nonnegative")
     if space == "winding":
         if subgroup is None:
             raise ValueError("winding-space verification needs the subgroup")
@@ -401,11 +401,11 @@ def decompose_isometry(
             images.append(img)
         line_images.append(images)
         c, one, third = (img.t for img in images)
-        step = _combine(one, c, -1)
+        step = one - c
         if step != 1 and step != -1:
             raise LineActionError("height map does not move unit steps to unit steps")
         sign = 1 if step == 1 else -1
-        if third != _combine(c, Fraction(sign, 3), 1):
+        if third != c + Fraction(sign, 3):
             raise LineActionError("height map is not affine with slope +-1")
         line_maps.append(LineIsometry(sign, c))
     if any(lm != line_maps[0] for lm in line_maps):

@@ -461,8 +461,6 @@ def _rdifference(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int, d: int):
 
 
 def _product(A1: int, B1: int, D1: int, A2: int, B2: int, D2: int, d: int):
-    if B2 == 0:
-        return _reduced(A1 * A2, B1 * A2, D1 * D2, d)
     return _reduced(A1 * A2 + d * B1 * B2, A1 * B2 + B1 * A2, D1 * D2, d)
 
 

@@ -585,6 +585,8 @@ def density_report(
     budget: int = 50_000_000,
 ) -> DensityReport:
     eps_list = [Fraction(e) for e in epsilons]
+    if not eps_list:
+        raise ValueError("epsilons is empty: density needs at least one eps")
     hits = [torus_density_hit(target, subgroup, y0, e, gram, budget) for e in eps_list]
     return DensityReport(target, eps_list, hits, budget, "first-entry search")
 

@@ -21,11 +21,12 @@ equality, hashing, reports, pickles and copies never see it; a point with a
 float coordinate has none.  One function unpacks lifts,
 `_lift_difference`: the exact distance here and the density search of
 `orbit` both take q - p from it.  Wrap-around sums and differences (`_plus`,
-`_minus`) add the coordinates' triples and take one exact sign test; plain
-sums and differences (`_combine`) and the winding line's points
-`frac(t*v)` work on triples too.  Every result keeps the value and the type
-(Fraction or QuadScalar) that Fraction and QuadScalar operators give, and
-so their field index, under the operand rule of `numerics._operands`.
+`_minus`) add the coordinates' triples and take one exact sign test, and
+the winding line's points `frac(t*v)` work on triples too; plain sums and
+differences are the operators themselves.  Every result keeps the value
+and the type (Fraction or QuadScalar) that Fraction and QuadScalar
+operators give, and so their field index, under the operand rule of
+`numerics._operands`.
 """
 
 from __future__ import annotations
@@ -205,18 +206,6 @@ def _plus(u, x):
     A, B, D = uA * xD + xA * uD, uB * xD + xB * uD, uD * xD
     if _sign(A - D, B, d) >= 0:
         A -= D
-    return _reduced(A, B, D, d)
-
-
-def _combine(s, o, k: int):
-    """s + o for k = 1 and s - o for k = -1, with the value, type and field
-    index of that operator expression: the operands' triples are added, and
-    floats, int pairs and other types take the operator itself."""
-    ops = _operands(s, o)
-    if ops is None:
-        return s + o if k > 0 else s - o
-    sA, sB, sD, oA, oB, oD, d = ops
-    A, B, D = sA * oD + k * oA * sD, sB * oD + k * oB * sD, sD * oD
     return _reduced(A, B, D, d)
 
 
@@ -427,10 +416,10 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix):
       of a rational QuadScalar, when both are rational;
     - no QuadScalar at all gives d = 0, which `_reduced` makes a Fraction.
 
-    The four corners are compared by their linear differences from the
-    rounded point z (`N(z + sL) - N(z) = 2L(P.s) + L^2 N(s)` in the rational
-    part, P = N z, and `L(h.s)` in the radical one), and the quadratic is
-    evaluated once, at the first least corner in window order.
+    Each of the four corners is evaluated as the integer pair (A, B) of
+    G * L^2 * Q(z + s*L) = A + B*sqrt(d), z the rounded point, and the
+    first least one in window order is kept, compared by the exact sign of
+    the difference of two pairs.
     """
     a1, b1, a2, b2, L, quad, f1, f2 = _lift_difference(p, q)
     d = _field(f1, f2) or (DEFAULT_D if quad else 0)
@@ -441,28 +430,19 @@ def _exact_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix):
     w2, c2 = u21 * a1 + u22 * a2, u21 * b1 + u22 * b2
     z1 = w1 - _floor(2 * w1 + L, 2 * c1, 2 * L, d) * L
     z2 = w2 - _floor(2 * w2 + L, 2 * c2, 2 * L, d) * L
-    shifts = _corners(_sign(z1, c1, d), _sign(z2, c2, d))
     # G * L^2 * Q(shifted z) = A + B*sqrt(d), with x_i = z_i + s_i * L:
     #   A = n11 x1^2 + 2 n12 x1 x2 + n22 x2^2 + d (n11 c1^2 + 2 n12 c1 c2 + n22 c2^2)
     #   B = 2 x1 (n11 c1 + n12 c2) + 2 x2 (n12 c1 + n22 c2)
     (n11, n12, n22), G = gram._int_data
     root = d * (n11 * c1 * c1 + 2 * n12 * c1 * c2 + n22 * c2 * c2)
     h1, h2 = 2 * (n11 * c1 + n12 * c2), 2 * (n12 * c1 + n22 * c2)
-    # The corners differ from z by s*L, and over L (> 0) the form moves by
-    #   (A(z + sL) - A(z)) / L = 2 P.s + L N(s),  (B(z + sL) - B(z)) / L = h.s
-    # with P = N z and N(s) = n11 s1^2 + 2 n12 s1 s2 + n22 s2^2, so these
-    # linear differences order the corners as their values do; the first
-    # least one in window order is the one the values pick
-    p1, p2 = 2 * (n11 * z1 + n12 * z2), 2 * (n12 * z1 + n22 * z2)
     best = None
-    for s1, s2 in shifts:
-        gA = p1 * s1 + p2 * s2 + L * (n11 * s1 * s1 + 2 * n12 * s1 * s2 + n22 * s2 * s2)
-        gB = h1 * s1 + h2 * s2
-        if best is None or _sign(gA - best[0], gB - best[1], d) < 0:
-            best = gA, gB, s1, s2
-    x1, x2 = z1 + best[2] * L, z2 + best[3] * L
-    A = x1 * (n11 * x1 + 2 * n12 * x2) + n22 * x2 * x2 + root
-    return _reduced(A, x1 * h1 + x2 * h2, G * L * L, d)
+    for s1, s2 in _corners(_sign(z1, c1, d), _sign(z2, c2, d)):
+        x1, x2 = z1 + s1 * L, z2 + s2 * L
+        A, B = x1 * (n11 * x1 + 2 * n12 * x2) + n22 * x2 * x2 + root, x1 * h1 + x2 * h2
+        if best is None or _sign(A - best[0], B - best[1], d) < 0:
+            best = A, B
+    return _reduced(*best, G * L * L, d)
 
 
 def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: int = 1):
@@ -473,14 +453,13 @@ def torus_distance_sq(p: TorusPoint, q: TorusPoint, gram: GramMatrix, window: in
     go over one common denominator L as pairs (a, b), meaning
     (a + b*sqrt(d)) / L; U^-1 and the rounding to the nearest integer act
     on the pairs of q - p, with the closed-form floor.  Only the four
-    corners of the cell around the
-    rounded difference can hold the minimum (`_corners`), so the result is
-    the same for every `window` >= 1, which is accepted for compatibility.
-    At each corner the reduced form is one integer polynomial over G * L^2,
-    G the lcm of the reduced Gram's denominators; the corners are compared
-    by the exact signs of their differences in window order, so the result
-    is the one the full exact window gives, and the polynomial is evaluated
-    at the winner alone.  No float is computed.  It is a Fraction when
+    corners of the cell around the rounded difference can hold the minimum
+    (`_corners`), so the result is the same for every `window` >= 1, which
+    is accepted for compatibility.  At each corner the reduced form is one
+    integer polynomial over G * L^2, G the lcm of the reduced Gram's
+    denominators; it is evaluated at each corner and the values are
+    compared by exact signs in window order, so the result is the one the
+    full exact window gives.  No float is computed.  It is a Fraction when
     every coordinate is an int or a Fraction, else a QuadScalar in normal
     form over the field of the differences q.u_i - p.u_i, by the one field
     rule (`numerics._field`): a difference whose radical part cancels is

@@ -339,6 +339,17 @@ def test_nonpositive_eps_is_refused(eps):
         circle_density_hit(Fraction(1, 3), THETA, eps=eps)
 
 
+def test_empty_eps_list_is_refused():
+    # no eps means no density hit, so nothing would back the verdict
+    target = TorusPoint(Fraction(1, 3), Fraction(1, 5))
+    with pytest.raises(ValueError, match="epsilons"):
+        density_report(target, LINE, [])
+    with pytest.raises(ValueError, match="epsilons"):
+        non_closure_report(target, LINE, [])
+    with pytest.raises(ValueError, match="epsilons"):
+        non_closure_report(target, LINE, iter(()))
+
+
 def test_cli_still_refuses_nonpositive_eps(capsys):
     assert main(["density", "--epsilons", "0"]) == 2
     assert "must be positive" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import torusglue.isometry as isometry
-from torusglue.gluing import GluedPoint, GluingParams, WindingPoint
+from torusglue.gluing import GluedPoint, GluingParams, WindingPoint, check_metric_axioms
 from torusglue.isometry import (
     ComponentSwapError,
     LiftedIsometry,
@@ -135,6 +135,16 @@ def test_product_isometry_preserves_glued_distance():
     )
     assert rep.passed
 
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_sample_count_is_refused(n):
+    for check in (
+        lambda: verify_isometry(lambda p: p, n, PARAMS, GRAM),
+        lambda: check_metric_axioms(n, PARAMS, GRAM),
+    ):
+        with pytest.raises(ValueError, match="^sample count must be nonnegative$"):
+            check()
+    assert verify_isometry(lambda p: p, 0, PARAMS, GRAM).passed
 
 def test_decompose_roundtrip():
     for i in range(40):
